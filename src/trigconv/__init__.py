@@ -9,7 +9,6 @@ and a pair of probe series showing that term-ratio comparison cannot
 decide convergence.
 """
 
-from ._kernels import BACKEND
 from .counterexample import KINDS, SeriesProbe, divergence_witness, probe
 from .errors import (CoverageError, DomainError, MonotonicityError,
                      QuadratureError, SpecSyntaxError, TrigconvError,
@@ -29,7 +28,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AlternatingTail",
-    "BACKEND",
     "ConvergenceReport",
     "CoverageError",
     "DomainError",

@@ -25,8 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import _kernels
-from .errors import DomainError
+from .errors import DomainError, check_integer
 
 KINDS = ("u", "v", "diff")
 
@@ -40,15 +39,6 @@ class SeriesProbe:
     n_terms: int
     partial_sums: np.ndarray
     ratios: Optional[np.ndarray] = None
-
-
-def _check_terms(n_terms):
-    if isinstance(n_terms, bool) or not isinstance(n_terms, (int, np.integer)):
-        raise DomainError(f"n_terms must be an integer, got {n_terms!r}")
-    n_terms = int(n_terms)
-    if not 1 <= n_terms <= _MAX_TERMS:
-        raise DomainError(f"n_terms must lie in [1, {_MAX_TERMS}], got {n_terms}")
-    return n_terms
 
 
 def _terms(kind, n_terms):
@@ -65,10 +55,13 @@ def _terms(kind, n_terms):
 
 
 def probe(kind, n_terms):
-    """Running partial sums of the requested series, compensated summation."""
-    n_terms = _check_terms(n_terms)
-    terms = _terms(kind, n_terms)
-    sums = np.asarray(_kernels.running_sums(terms))
+    """Running partial sums of the requested series.
+
+    The sums are a plain float64 cumulative sum; its rounding drift stays
+    orders of magnitude below the tolerances used anywhere in the package.
+    """
+    n_terms = check_integer(n_terms, "n_terms", 1, _MAX_TERMS)
+    sums = np.cumsum(_terms(kind, n_terms))
     ratios = None
     if kind == "v":
         index = np.arange(1, n_terms + 1)

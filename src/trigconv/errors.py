@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the integer validator."""
+
+import math
+import numbers
 
 
 class TrigconvError(Exception):
@@ -27,3 +30,17 @@ class UnboundedError(TrigconvError, ValueError):
 
 class MonotonicityError(TrigconvError, ValueError):
     """A segment contradicts its declared or required monotone direction."""
+
+
+def check_integer(value, name, lo, hi=math.inf):
+    """Return ``value`` as an ``int`` after checking it is one in ``[lo, hi]``.
+
+    Python and numpy integers are accepted; ``bool`` and floats, even
+    integral ones, are refused with a :class:`DomainError` naming ``name``.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise DomainError(f"{name} must be an integer, got {value!r}")
+    value = int(value)
+    if not lo <= value <= hi:
+        raise DomainError(f"{name} must lie in [{lo}, {hi}], got {value}")
+    return value

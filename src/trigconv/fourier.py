@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, check_integer
 from .kernel import dirichlet_kernel
 from .oscillatory import ConvergenceReport
 from .piecewise import PiecewiseFunction
@@ -49,12 +49,6 @@ def _check_function(f):
     return f
 
 
-def _check_count(n, name="n"):
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
-        raise DomainError(f"{name} must be an integer, got {n!r}")
-    return int(n)
-
-
 def _wrap_abscissa(x):
     """Validate x in [-pi, pi] and fold ``-pi`` onto ``pi``.
 
@@ -75,9 +69,7 @@ def coefficients(f, n_max, tol=1e-10):
     the harmonic's period and split at the function's breakpoints.
     """
     f = _check_function(f)
-    n_max = _check_count(n_max, "n_max")
-    if n_max < 1:
-        raise DomainError(f"n_max must be at least 1, got {n_max}")
+    n_max = check_integer(n_max, "n_max", 1)
     breaks = f.breakpoints
     a0 = integrate(f.eval, -PI, PI, tol, breakpoints=breaks) / (2.0 * PI)
     a = np.empty(n_max)
@@ -97,9 +89,7 @@ def partial_sum(c, x, n):
     """Order-``n`` partial sum at ``x`` from tabulated coefficients."""
     if not isinstance(c, FourierCoefficients):
         raise DomainError(f"expected FourierCoefficients, got {type(c)!r}")
-    n = _check_count(n)
-    if not 0 <= n <= c.n_max:
-        raise DomainError(f"n must lie in [0, {c.n_max}], got {n}")
+    n = check_integer(n, "n", 0, c.n_max)
     x = _wrap_abscissa(x)
     k = np.arange(1, n + 1)
     return float(c.a0 + c.a[:n] @ np.cos(k * x) + c.b[:n] @ np.sin(k * x))
@@ -113,9 +103,7 @@ def partial_sum_kernel(f, x, n, tol=1e-9):
     ``D_n`` is the closed-form summation kernel.
     """
     f = _check_function(f)
-    n = _check_count(n)
-    if n < 0:
-        raise DomainError(f"n must be non-negative, got {n}")
+    n = check_integer(n, "n", 0)
     x = _wrap_abscissa(x)
     breaks = sorted(set(f.breakpoints) | ({x} if -PI < x < PI else set()))
     value = integrate(lambda alpha: f.eval(alpha) * dirichlet_kernel(n, alpha - x),
@@ -160,9 +148,7 @@ def split_integrals(f, x, n, tol=1e-9):
     integral is empty and exactly ``0.0``.
     """
     f = _check_function(f)
-    n = _check_count(n)
-    if n < 0:
-        raise DomainError(f"n must be non-negative, got {n}")
+    n = check_integer(n, "n", 0)
     x = float(x)
     if not -PI <= x <= PI:
         raise DomainError(f"x must lie in [-pi, pi], got {x!r}")
@@ -205,11 +191,9 @@ def convergence_report(f, x, schedule, tol=1e-10):
     points) so jump behaviour can be read off directly.
     """
     f = _check_function(f)
-    orders = tuple(_check_count(n, "schedule entry") for n in schedule)
+    orders = tuple(check_integer(n, "schedule entry", 1) for n in schedule)
     if len(orders) == 0:
         raise DomainError("the order schedule must be non-empty")
-    if any(n < 1 for n in orders):
-        raise DomainError("schedule orders must be positive")
     if any(b <= a for a, b in zip(orders, orders[1:])):
         raise DomainError("the order schedule must be strictly increasing")
     coeff = coefficients(f, orders[-1], tol)

@@ -2,11 +2,11 @@
 
 ``cosine_sum`` evaluates ``1/2 + cos t + cos 2t + ... + cos nt`` term by
 term; ``dirichlet_kernel`` evaluates the equivalent closed form
-``sin((n + 1/2) t) / (2 sin(t/2))``.  The closed form has a removable
-singularity wherever ``t`` is a multiple of ``2 pi``; inside a threshold of
-``1e-6`` radians the ratio is computed from 2-term series expansions of
-numerator and denominator, since direct division loses accuracy near the
-zero of the denominator.
+``sin((n + 1/2) t) / (2 sin(t/2))``, which is ``R_{2n+1}(t/2) / 2`` for the
+ratio ``R_m(u) = sin(m u) / sin(u)``.  That ratio, also the sign-block
+weight of :mod:`trigconv.oscillatory`, is computed in one place,
+:func:`_sin_ratio`; its removable singularity needs the limit value only
+where ``u`` is exactly zero.
 """
 
 from __future__ import annotations
@@ -15,28 +15,33 @@ import math
 
 import numpy as np
 
-from . import _kernels
-from .errors import DomainError
+from .errors import check_integer
 from .quadrature import integrate
 
 _MAX_ORDER = 10**6
-_SINGULARITY_THRESHOLD = 1e-6
 _TWO_PI = 2.0 * math.pi
 
 
-def _check_order(n):
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
-        raise DomainError(f"order must be an integer, got {n!r}")
-    n = int(n)
-    if not 0 <= n <= _MAX_ORDER:
-        raise DomainError(f"order must lie in [0, {_MAX_ORDER}], got {n}")
-    return n
+def _sin_ratio(m, u):
+    """``sin(m u) / sin(u)`` elementwise, with the limit ``m`` at ``u == 0``.
+
+    ``sin`` keeps full relative accuracy for small arguments, so the plain
+    quotient is accurate arbitrarily close to the singularity and only an
+    exact zero needs the substitution.  Callers keep ``u`` away from the
+    other zeros of ``sin(u)``.
+    """
+    u = np.asarray(u, dtype=np.float64)
+    zero = u == 0.0
+    safe = np.where(zero, 1.0, u)
+    return np.where(zero, m, np.sin(m * safe) / np.sin(safe))
 
 
 def cosine_sum(n, t):
-    """Direct compensated summation of ``1/2 + sum_{k<=n} cos(k t)``."""
-    n = _check_order(n)
-    return float(_kernels.cosine_sum(n, float(t)))
+    """Direct summation of ``1/2 + sum_{k<=n} cos(k t)``; the cosines are
+    added exactly by :func:`math.fsum`."""
+    n = check_integer(n, "order", 0, _MAX_ORDER)
+    k = np.arange(1, n + 1, dtype=np.float64)
+    return 0.5 + math.fsum(np.cos(k * float(t)))
 
 
 def dirichlet_kernel(n, t):
@@ -46,18 +51,11 @@ def dirichlet_kernel(n, t):
     periodic by construction; at the removable singularity the value is
     ``n + 1/2``.
     """
-    n = _check_order(n)
+    n = check_integer(n, "order", 0, _MAX_ORDER)
     arr = np.asarray(t, dtype=np.float64)
-    scalar = arr.ndim == 0
     reduced = arr - _TWO_PI * np.round(arr / _TWO_PI)
-    half_order = n + 0.5
-    small = np.abs(reduced) < _SINGULARITY_THRESHOLD
-    safe = np.where(small, 1.0, reduced)
-    closed = np.sin(half_order * safe) / (2.0 * np.sin(0.5 * safe))
-    s = half_order * reduced
-    series = half_order * (1.0 - s * s / 6.0) / (1.0 - reduced * reduced / 24.0)
-    out = np.where(small, series, closed)
-    return float(out) if scalar else out
+    out = 0.5 * _sin_ratio(2 * n + 1, 0.5 * reduced)
+    return float(out) if arr.ndim == 0 else out
 
 
 def kernel_mean(n, tol=1e-10):
@@ -66,7 +64,7 @@ def kernel_mean(n, tol=1e-10):
     Computed by adaptive quadrature with panels no wider than the kernel's
     finest oscillation, as a self-check of the quadrature machinery.
     """
-    n = _check_order(n)
+    n = check_integer(n, "order", 0, _MAX_ORDER)
     value = integrate(lambda t: dirichlet_kernel(n, t), -math.pi, math.pi,
                       tol, max_panel_width=math.pi / (n + 1))
     return value / math.pi

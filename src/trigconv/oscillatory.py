@@ -15,12 +15,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, check_integer
+from .kernel import _sin_ratio
 from .piecewise import PiecewiseFunction
 from .quadrature import integrate, integrate_intervals
 
 H_MAX = math.pi / 2
-_SINGULARITY_BETA = 1e-8
 
 
 @dataclass(frozen=True)
@@ -83,8 +83,9 @@ def _check_frequency(i):
 def _vectorized(f, lo, hi):
     """Return a float-array-in, float-array-out view of ``f``.
 
-    Scalar-only callables are wrapped; a probe call inside ``[lo, hi]``
-    decides which path is needed.
+    A callable must map a float array to a float array of the same shape;
+    a two-point probe call inside ``[lo, hi]`` checks this before any
+    quadrature starts.
     """
     if isinstance(f, PiecewiseFunction):
         return f.eval
@@ -93,11 +94,12 @@ def _vectorized(f, lo, hi):
     probe = lo + (hi - lo) * np.array([0.25, 0.75])
     try:
         out = np.asarray(f(probe), dtype=np.float64)
-        if out.shape == probe.shape:
-            return lambda x: np.asarray(f(x), dtype=np.float64)
-    except Exception:
-        pass
-    return np.vectorize(f, otypes=[np.float64])
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"f must accept a float array: {exc}") from exc
+    if out.shape != probe.shape:
+        raise DomainError(f"f must return one value per point: shape {out.shape} "
+                          f"for an input of shape {probe.shape}")
+    return lambda x: np.asarray(f(x), dtype=np.float64)
 
 
 def _require_monotone(f, lo, hi):
@@ -111,12 +113,8 @@ def _require_monotone(f, lo, hi):
 
 def sine_ratio(i, beta):
     """The oscillating weight ``sin(i b)/sin(b)`` with its ``b = 0``
-    singularity removed (value ``i`` below a 1e-8 threshold)."""
-    i = _check_frequency(i)
-    beta = np.asarray(beta, dtype=np.float64)
-    small = np.abs(beta) < _SINGULARITY_BETA
-    safe = np.where(small, 1.0, beta)
-    return np.where(small, i, np.sin(i * safe) / np.sin(safe))
+    singularity removed (value ``i`` there)."""
+    return _sin_ratio(_check_frequency(i), beta)
 
 
 def _block_boundaries(i, h):
@@ -143,23 +141,9 @@ def decompose(f, i, h, tol=1e-8):
         raise DomainError(f"h must lie in (0, pi/2], got {h!r}")
     _require_monotone(f, 0.0, h)
     fn = _vectorized(f, 0.0, h)
-    f_origin = float(np.atleast_1d(fn(np.array([0.0])))[0])
-
-    def weighted(b):
-        small = b < _SINGULARITY_BETA
-        safe = np.where(small, 1.0, b)
-        w = np.sin(i * safe) / np.sin(safe)
-        vals = fn(np.where(small, 0.0, b))
-        return np.where(small, i * f_origin, w * vals)
-
-    def weight_only(b):
-        small = b < _SINGULARITY_BETA
-        safe = np.where(small, 1.0, b)
-        return np.where(small, i, np.sin(i * safe) / np.sin(safe))
-
     full, edges = _block_boundaries(i, h)
-    values, _ = integrate_intervals(weighted, edges, tol)
-    weights, _ = integrate_intervals(weight_only, edges, tol)
+    values, _ = integrate_intervals(lambda b: _sin_ratio(i, b) * fn(b), edges, tol)
+    weights, _ = integrate_intervals(lambda b: _sin_ratio(i, b), edges, tol)
     magnitudes = np.abs(weights)
     return SignBlockDecomposition(
         frequency=i, upper=h, full_blocks=full, boundaries=edges,
@@ -175,13 +159,9 @@ def group_tail_bound(d, m):
     magnitude.  For an even ``m`` the alternating, decreasing blocks give
     ``0 < tail_sum <= first_term`` (strict unless the tail is one block).
     """
-    if isinstance(m, bool) or not isinstance(m, (int, np.integer)):
-        raise DomainError(f"m must be an integer, got {m!r}")
-    m = int(m)
+    m = check_integer(m, "m", 0, d.full_blocks - 1)
     if m % 2 != 0:
         raise DomainError(f"m must be even, got {m}")
-    if not 0 <= m < d.full_blocks:
-        raise DomainError(f"m must satisfy 0 <= m < {d.full_blocks}, got {m}")
     tail_sum = float(d.block_values[m:].sum())
     first_term = float(abs(d.block_values[m]))
     return tail_sum, first_term
@@ -193,9 +173,7 @@ def tail(n_max, tol=1e-10):
     Block ``nu`` covers ``[(nu - 1) pi, nu pi]``; the alternating partial
     sums straddle ``pi / 2`` and each gap is below the next magnitude.
     """
-    if isinstance(n_max, bool) or not isinstance(n_max, (int, np.integer)) or n_max < 1:
-        raise DomainError(f"n_max must be a positive integer, got {n_max!r}")
-    n_max = int(n_max)
+    n_max = check_integer(n_max, "n_max", 1)
     edges = np.arange(n_max + 2) * math.pi
     values, _ = integrate_intervals(lambda g: np.sinc(g / math.pi), edges, tol)
     terms = np.abs(values)
@@ -222,24 +200,10 @@ def limit_verify(f, g, h, i_schedule, tol=1e-8):
         raise DomainError("the frequency schedule must be strictly increasing")
     _require_monotone(f, g, h)
     fn = _vectorized(f, g, h)
-    if g == 0.0:
-        f_origin = float(np.atleast_1d(fn(np.array([0.0])))[0])
-        predicted = 0.5 * math.pi * f_origin
-    else:
-        predicted = 0.0
-
-    values = np.empty(len(schedule))
-    for idx, i in enumerate(schedule):
-        def weighted(b, i=i):
-            if g == 0.0:
-                small = b < _SINGULARITY_BETA
-                safe = np.where(small, 1.0, b)
-                w = np.sin(i * safe) / np.sin(safe)
-                vals = fn(np.where(small, 0.0, b))
-                return np.where(small, i * vals, w * vals)
-            return np.sin(i * b) / np.sin(b) * fn(b)
-        values[idx] = integrate(weighted, g, h, tol,
-                                max_panel_width=math.pi / i)
+    predicted = 0.5 * math.pi * float(fn(np.zeros(1))[0]) if g == 0.0 else 0.0
+    values = np.array([integrate(lambda b, i=i: _sin_ratio(i, b) * fn(b), g, h, tol,
+                                 max_panel_width=math.pi / i)
+                       for i in schedule])
     errors = np.abs(values - predicted)
     return ConvergenceReport(x=g, schedule=schedule, values=values,
                              predicted=predicted, errors=errors)

@@ -2,10 +2,12 @@
 
 Every integral in the package funnels through :func:`integrate` or
 :func:`integrate_intervals`.  Each panel is estimated with a 15-point
-Gauss-Legendre rule, and the gap to an embedded 7-point rule serves as the
-panel's error estimate.  Panels that fail their share of the tolerance are
-bisected, and all new panels of a round are evaluated in one vectorized
-call, so integrands must accept 1-D numpy arrays.
+Gauss-Legendre rule, and its gap to a separate 7-point Gauss-Legendre rule
+on the same panel serves as the panel's error estimate.  The two node sets
+share only the midpoint, so a panel costs 22 integrand evaluations.  Panels
+that fail their share of the tolerance are bisected, and all new panels of
+a round are evaluated in one vectorized call, so integrands must accept 1-D
+numpy arrays.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ _DEFAULT_MAX_PANELS = 1 << 15
 
 
 def _evaluate_panels(f, lo, hi):
-    """Rule values and embedded error estimates for a batch of panels.
+    """Rule values and 15-vs-7-point error estimates for a batch of panels.
 
     Returns ``(values, errors, is_1d)`` where ``values`` has shape
     ``(npanels, ncomp)`` and ``errors`` ``(npanels,)``.  ``f`` maps a 1-D

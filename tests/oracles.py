@@ -1,8 +1,8 @@
 """Independent reference computations for freezing expected test values.
 
-Everything here is deliberately brute force — composite fixed rules and
-closed-form coefficient sums — and shares no code with the package's own
-adaptive quadrature.
+Everything here is deliberately brute force — composite fixed rules,
+closed-form coefficient sums and high-precision closed forms in mpmath —
+and shares no code with the package's own adaptive quadrature.
 """
 
 import math
@@ -44,3 +44,13 @@ def square_partial_sum(x, n):
     k = np.arange(1, n + 1, dtype=np.float64)
     coeff = np.where(k % 2 == 1, 4.0 / (math.pi * k), 0.0)
     return float(np.sum(coeff * np.sin(k * x)))
+
+
+def dirichlet_kernel_mp(n, t, dps=50):
+    """``sin((n + 1/2) t) / (2 sin(t/2))`` in ``dps``-digit arithmetic, for
+    the float ``t`` taken exactly; ``t`` must be nonzero."""
+    import mpmath  # imported on use: the other oracles need only numpy
+
+    with mpmath.workdps(dps):
+        t = mpmath.mpf(t)
+        return float(mpmath.sin((n + mpmath.mpf(0.5)) * t) / (2 * mpmath.sin(t / 2)))

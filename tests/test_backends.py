@@ -1,100 +1,18 @@
-import json
-import math
-import os
-import subprocess
-import sys
+"""The two evaluations of the summation kernel agree.
 
-import numpy as np
-import pytest
+``cosine_sum`` adds the cosines term by term and ``dirichlet_kernel`` uses
+the closed form; they are independent implementations of one function.
+"""
+
+import math
 
 import trigconv as tc
-from trigconv import _kernels
-
-
-class TestActiveBackend:
-    def test_backend_is_a_known_choice(self):
-        assert tc.BACKEND in ("numba", "numpy")
-        assert _kernels.BACKEND == tc.BACKEND
-
-    def test_numpy_variant_always_available(self):
-        assert "numpy" in _kernels.IMPLEMENTATIONS
-        assert set(_kernels.IMPLEMENTATIONS["numpy"]) == {"running_sums",
-                                                          "cosine_sum"}
-
-    def test_active_backend_listed(self):
-        assert tc.BACKEND in _kernels.IMPLEMENTATIONS
 
 
 class TestVariantAgreement:
-    def test_running_sums_match_compensated_reference(self):
-        rng = np.random.default_rng(21)
-        terms = rng.standard_normal(200_000) * np.where(
-            np.arange(200_000) % 2 == 0, 1.0, -1.0)
-        reference = math.fsum(terms)
-        for name, impl in _kernels.IMPLEMENTATIONS.items():
-            sums = np.asarray(impl["running_sums"](terms))
-            assert sums.shape == terms.shape
-            assert sums[-1] == pytest.approx(reference, abs=1e-9), name
-
-    def test_running_sums_variants_agree(self):
-        rng = np.random.default_rng(22)
-        terms = rng.uniform(-1.0, 1.0, 100_000)
-        outputs = [np.asarray(impl["running_sums"](terms))
-                   for impl in _kernels.IMPLEMENTATIONS.values()]
-        for other in outputs[1:]:
-            assert np.abs(other - outputs[0]).max() < 1e-9
-
     def test_cosine_sum_variants_agree(self):
         for n in (0, 1, 17, 500):
             for t in (0.0, 0.3, -2.7, math.pi):
-                values = [impl["cosine_sum"](n, t)
-                          for impl in _kernels.IMPLEMENTATIONS.values()]
-                for other in values[1:]:
-                    assert abs(other - values[0]) < 1e-12
-
-    def test_cosine_sum_matches_kernel_module(self):
-        # the public op goes through the active backend
-        assert tc.cosine_sum(17, 0.3) == pytest.approx(
-            _kernels.IMPLEMENTATIONS["numpy"]["cosine_sum"](17, 0.3), abs=1e-12)
-
-
-class TestEnvironmentSelection:
-    def _run(self, env_value, code):
-        env = dict(os.environ)
-        if env_value is None:
-            env.pop("TRIGCONV_BACKEND", None)
-        else:
-            env["TRIGCONV_BACKEND"] = env_value
-        return subprocess.run([sys.executable, "-c", code],
-                              capture_output=True, text=True, env=env)
-
-    def test_forced_numpy_backend(self):
-        result = self._run("numpy", (
-            "import json, trigconv as tc\n"
-            "print(json.dumps({'backend': tc.BACKEND,"
-            " 'value': tc.cosine_sum(40, 0.9)}))\n"))
-        assert result.returncode == 0, result.stderr
-        payload = json.loads(result.stdout)
-        assert payload["backend"] == "numpy"
-        assert payload["value"] == pytest.approx(tc.cosine_sum(40, 0.9),
-                                                 abs=1e-12)
-
-    def test_unset_variable_selects_a_backend(self):
-        result = self._run(None, "import trigconv as tc; print(tc.BACKEND)")
-        assert result.returncode == 0, result.stderr
-        assert result.stdout.strip() in ("numba", "numpy")
-
-    def test_invalid_value_is_rejected_at_import(self):
-        result = self._run("fortran", "import trigconv")
-        assert result.returncode != 0
-        assert "TRIGCONV_BACKEND" in result.stderr
-
-    def test_probe_series_identical_across_backends(self):
-        result = self._run("numpy", (
-            "import trigconv as tc\n"
-            "p = tc.probe('u', 50000)\n"
-            "print(repr(float(p.partial_sums[-1])))\n"))
-        assert result.returncode == 0, result.stderr
-        forced = float(result.stdout.strip())
-        local = float(tc.probe("u", 50000).partial_sums[-1])
-        assert forced == pytest.approx(local, abs=1e-10)
+                direct = tc.cosine_sum(n, t)
+                closed = tc.dirichlet_kernel(n, t)
+                assert abs(direct - closed) < 1e-12, (n, t)

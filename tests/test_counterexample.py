@@ -53,6 +53,19 @@ class TestProbe:
         n = np.arange(10**4, 10**4 + 101)
         assert np.abs(window - 1.0) == pytest.approx(1.0 / np.sqrt(n), rel=1e-12)
 
+    def test_running_sums_match_fsum_reference(self):
+        n = 200_000
+        index = np.arange(1, n + 1)
+        alternating = np.where(index % 2 == 0, 1.0, -1.0) / np.sqrt(index)
+        terms = {"u": alternating, "v": alternating * (1.0 + alternating),
+                 "diff": -1.0 / index}
+        for kind, series in terms.items():
+            sums = tc.probe(kind, n).partial_sums
+            assert sums.shape == (n,)
+            for cut in (1, 1000, n // 2, n):
+                assert sums[cut - 1] == pytest.approx(math.fsum(series[:cut]),
+                                                      abs=1e-9), (kind, cut)
+
     def test_diverging_sums_are_strictly_monotone(self):
         p = tc.probe("diff", 10**4)
         assert (np.diff(p.partial_sums) < 0).all()

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import trigconv as tc
-from oracles import composite_simpson
+from oracles import composite_simpson, dirichlet_kernel_mp
 
 
 class TestCosineSum:
@@ -51,8 +51,8 @@ class TestClosedFormKernel:
         assert worst < 1e-10
 
     def test_continuity_near_singularity(self):
-        # just outside the series-expansion window the closed form must
-        # still sit within O(tau^2) of the limit value, relatively
+        # near the removable singularity the closed form must sit within
+        # O(tau^2) of the limit value, relatively
         tau = 1e-4
         for n in range(0, 65):
             limit = n + 0.5
@@ -61,11 +61,18 @@ class TestClosedFormKernel:
                 assert abs(value / limit - 1.0) < 1e-4
 
     def test_branch_seam_is_smooth(self):
-        # values straddling the evaluation-branch threshold agree closely
-        for n in (1, 16, 64):
+        # values straddling t = 1e-6 agree closely at every order
+        for n in (1, 16, 64, 10**5, 10**6):
             below = tc.dirichlet_kernel(n, 1e-6 * (1 - 1e-9))
             above = tc.dirichlet_kernel(n, 1e-6 * (1 + 1e-9))
             assert abs(below - above) < 1e-9 * (n + 0.5)
+
+    @pytest.mark.parametrize("n", [10**5, 3 * 10**5, 10**6])
+    def test_large_order_near_singularity_matches_mpmath(self, n):
+        magnitudes = (1e-9, 3e-7, 9.99e-7, 1.01e-6, 1e-5)
+        for t in magnitudes + tuple(-m for m in magnitudes):
+            assert tc.dirichlet_kernel(n, t) == pytest.approx(
+                dirichlet_kernel_mp(n, t), rel=1e-12), t
 
     def test_periodicity(self):
         rng = np.random.default_rng(7)

@@ -18,8 +18,11 @@ class TestSineRatio:
         assert tc.sine_ratio(10, beta) == pytest.approx(expected, rel=1e-15)
 
     def test_removable_singularity(self):
-        assert tc.sine_ratio(7, 0.0) == 7.0
         assert tc.sine_ratio(7, 1e-9) == 7.0
+        for i in (1, 7, 2.5, 1e4):
+            assert tc.sine_ratio(i, 0.0) == i
+            for beta in (1e-12, -1e-12):
+                assert tc.sine_ratio(i, beta) == pytest.approx(i, rel=1e-12)
 
     def test_continuous_through_origin(self):
         left = tc.sine_ratio(25, 1e-7)
@@ -269,3 +272,30 @@ class TestLimitVerify:
             tc.limit_verify(f, 0.0, HALF_PI, (100, 10))
         with pytest.raises(tc.DomainError):
             tc.limit_verify(f, 0.0, HALF_PI, (10, 10))
+
+
+class TestCallableContract:
+    @pytest.fixture
+    def no_quadrature(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("quadrature started before f was validated")
+        monkeypatch.setattr(tc.oscillatory, "integrate", refuse)
+        monkeypatch.setattr(tc.oscillatory, "integrate_intervals", refuse)
+
+    @pytest.mark.parametrize("f", [lambda b: 1.0, math.exp],
+                             ids=["scalar-constant", "math.exp"])
+    def test_scalar_only_callables_refused(self, f, no_quadrature):
+        with pytest.raises(tc.DomainError):
+            tc.decompose(f, 10, HALF_PI)
+        with pytest.raises(tc.DomainError):
+            tc.limit_verify(f, 0.0, HALF_PI, (10, 100))
+
+    def test_integrand_errors_are_not_swallowed(self, no_quadrature):
+        # an error other than TypeError/ValueError is a bug in f, not a
+        # sign that f wants scalars; it must surface as raised
+        def fails_on_arrays(b):
+            if np.ndim(b):
+                raise RuntimeError("bug inside f")
+            return 1.0
+        with pytest.raises(RuntimeError):
+            tc.decompose(fails_on_arrays, 10, HALF_PI)
