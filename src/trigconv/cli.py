@@ -19,7 +19,7 @@ import math
 import sys
 
 from . import counterexample, fourier, kernel, oscillatory
-from .errors import TrigconvError
+from .errors import TrigconvError, check_integer
 from .piecewise import load_spec
 
 _PI_LITERALS = {"pi": math.pi, "-pi": -math.pi, "pi/2": math.pi / 2,
@@ -137,8 +137,9 @@ def _cmd_coeffs(args):
 
 
 def _cmd_partialsum(args):
+    fourier._check_abscissa(args.x)
+    orders = sorted(set(check_integer(n, "n", 0) for n in args.n))
     f = load_spec(args.function)
-    orders = sorted(set(args.n))
     c = fourier.coefficients(f, max(orders), args.tol)
     rows = []
     for n in orders:

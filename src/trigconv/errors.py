@@ -1,4 +1,5 @@
-"""Exception types shared across the package, and the integer validator."""
+"""Exception types shared across the package, and the integer and schedule
+validators."""
 
 import math
 import numbers
@@ -44,3 +45,15 @@ def check_integer(value, name, lo, hi=math.inf):
     if not lo <= value <= hi:
         raise DomainError(f"{name} must lie in [{lo}, {hi}], got {value}")
     return value
+
+
+def check_schedule(values, name):
+    """Return ``values`` as a tuple after checking it is non-empty and
+    strictly increasing; a :class:`DomainError` names the ``name`` schedule.
+    """
+    values = tuple(values)
+    if len(values) == 0:
+        raise DomainError(f"the {name} must be non-empty")
+    if any(b <= a for a, b in zip(values, values[1:])):
+        raise DomainError(f"the {name} must be strictly increasing")
+    return values

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, check_integer
+from .errors import DomainError, check_integer, check_schedule
 from .kernel import dirichlet_kernel
 from .oscillatory import ConvergenceReport
 from .piecewise import PiecewiseFunction
@@ -49,15 +49,21 @@ def _check_function(f):
     return f
 
 
+def _check_abscissa(x):
+    """Return ``x`` as a float after checking it lies in [-pi, pi]."""
+    x = float(x)
+    if not -PI <= x <= PI:
+        raise DomainError(f"x must lie in [-pi, pi], got {x!r}")
+    return x
+
+
 def _wrap_abscissa(x):
     """Validate x in [-pi, pi] and fold ``-pi`` onto ``pi``.
 
     The fold makes the two endpoint evaluations of any partial sum agree
     bitwise, which is the finite-sum image of periodicity.
     """
-    x = float(x)
-    if not -PI <= x <= PI:
-        raise DomainError(f"x must lie in [-pi, pi], got {x!r}")
+    x = _check_abscissa(x)
     return PI if x == -PI else x
 
 
@@ -124,9 +130,7 @@ def beta_split_points(f, x, side):
     f = _check_function(f)
     if side not in ("lower", "upper"):
         raise DomainError(f"side must be 'lower' or 'upper', got {side!r}")
-    x = float(x)
-    if not -PI <= x <= PI:
-        raise DomainError(f"x must lie in [-pi, pi], got {x!r}")
+    x = _check_abscissa(x)
     length = (PI + x) / 2.0 if side == "lower" else (PI - x) / 2.0
     features = f.extrema_and_jumps()
     if side == "lower":
@@ -149,9 +153,7 @@ def split_integrals(f, x, n, tol=1e-9):
     """
     f = _check_function(f)
     n = check_integer(n, "n", 0)
-    x = float(x)
-    if not -PI <= x <= PI:
-        raise DomainError(f"x must lie in [-pi, pi], got {x!r}")
+    x = _check_abscissa(x)
 
     def one_side(side):
         length = (PI + x) / 2.0 if side == "lower" else (PI - x) / 2.0
@@ -191,17 +193,15 @@ def convergence_report(f, x, schedule, tol=1e-10):
     points) so jump behaviour can be read off directly.
     """
     f = _check_function(f)
-    orders = tuple(check_integer(n, "schedule entry", 1) for n in schedule)
-    if len(orders) == 0:
-        raise DomainError("the order schedule must be non-empty")
-    if any(b <= a for a, b in zip(orders, orders[1:])):
-        raise DomainError("the order schedule must be strictly increasing")
+    x = _check_abscissa(x)
+    orders = check_schedule((check_integer(n, "schedule entry", 1) for n in schedule),
+                            "order schedule")
     coeff = coefficients(f, orders[-1], tol)
     values = np.array([partial_sum(coeff, x, n) for n in orders])
+    predicted = predicted_limit(f, x)
     left, right = f.one_sided_limits(x)
-    predicted = 0.5 * (left + right)
     errors = np.abs(values - predicted)
     extras = {"jump_midpoint": predicted,
               "jump_half_difference": 0.5 * (right - left)}
-    return ConvergenceReport(x=float(x), schedule=orders, values=values,
+    return ConvergenceReport(x=x, schedule=orders, values=values,
                              predicted=predicted, errors=errors, extras=extras)

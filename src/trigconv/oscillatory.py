@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, check_integer
+from .errors import DomainError, check_integer, check_schedule
 from .kernel import _sin_ratio
 from .piecewise import PiecewiseFunction
 from .quadrature import integrate, integrate_intervals
@@ -142,9 +142,14 @@ def decompose(f, i, h, tol=1e-8):
     _require_monotone(f, 0.0, h)
     fn = _vectorized(f, 0.0, h)
     full, edges = _block_boundaries(i, h)
-    values, _ = integrate_intervals(lambda b: _sin_ratio(i, b) * fn(b), edges, tol)
-    weights, _ = integrate_intervals(lambda b: _sin_ratio(i, b), edges, tol)
-    magnitudes = np.abs(weights)
+
+    def weighted_and_weight(b):
+        ratio = _sin_ratio(i, b)
+        return np.stack([ratio * fn(b), ratio], axis=1)
+
+    pair, _ = integrate_intervals(weighted_and_weight, edges, tol)
+    values = pair[:, 0]
+    magnitudes = np.abs(pair[:, 1])
     return SignBlockDecomposition(
         frequency=i, upper=h, full_blocks=full, boundaries=edges,
         block_values=values, weight_magnitudes=magnitudes,
@@ -193,11 +198,8 @@ def limit_verify(f, g, h, i_schedule, tol=1e-8):
     h = float(h)
     if not (0.0 <= g < h <= H_MAX):
         raise DomainError(f"need 0 <= g < h <= pi/2, got g={g!r}, h={h!r}")
-    schedule = tuple(_check_frequency(i) for i in i_schedule)
-    if len(schedule) == 0:
-        raise DomainError("the frequency schedule must be non-empty")
-    if any(b <= a for a, b in zip(schedule, schedule[1:])):
-        raise DomainError("the frequency schedule must be strictly increasing")
+    schedule = check_schedule((_check_frequency(i) for i in i_schedule),
+                              "frequency schedule")
     _require_monotone(f, g, h)
     fn = _vectorized(f, g, h)
     predicted = 0.5 * math.pi * float(fn(np.zeros(1))[0]) if g == 0.0 else 0.0

@@ -1,13 +1,15 @@
-"""Adaptive composite Gauss-Legendre quadrature with batched panel evaluation.
+"""Adaptive composite Gauss-Kronrod quadrature with batched panel evaluation.
 
 Every integral in the package funnels through :func:`integrate` or
-:func:`integrate_intervals`.  Each panel is estimated with a 15-point
-Gauss-Legendre rule, and its gap to a separate 7-point Gauss-Legendre rule
-on the same panel serves as the panel's error estimate.  The two node sets
-share only the midpoint, so a panel costs 22 integrand evaluations.  Panels
-that fail their share of the tolerance are bisected, and all new panels of
-a round are evaluated in one vectorized call, so integrands must accept 1-D
-numpy arrays.
+:func:`integrate_intervals`.  Each panel is estimated with the 15-point
+Kronrod rule K15, and its gap to the 7-point Gauss rule G7 on the same
+panel serves as the panel's error estimate.  G7's nodes are K15's
+odd-indexed nodes, so a panel costs 15 integrand evaluations.  The gap is
+used as it is, without QUADPACK's ``(200 * err) ** 1.5`` rescaling.
+Panels that fail their share of the tolerance are bisected, and all new
+panels of a round are evaluated in one vectorized call, so integrands must
+accept 1-D numpy arrays.  An integral may use at most ``_MAX_PANELS``
+panels.
 """
 
 from __future__ import annotations
@@ -18,51 +20,102 @@ import numpy as np
 
 from .errors import DomainError, QuadratureError
 
-_HI_NODES, _HI_WEIGHTS = np.polynomial.legendre.leggauss(15)
-_LO_NODES, _LO_WEIGHTS = np.polynomial.legendre.leggauss(7)
+# QUADPACK qk15 (Piessens et al., 1983): the non-negative Kronrod nodes in
+# decreasing order, their K15 weights, and the G7 weights of the nodes
+# 0.949..., 0.741..., 0.405... and 0.
+_XGK = np.array([0.991455371120812639206854697526329,
+                 0.949107912342758524526189684047851,
+                 0.864864423359769072789712788640926,
+                 0.741531185599394439863864773280788,
+                 0.586087235467691130294144845693013,
+                 0.405845151377397166906606412076961,
+                 0.207784955007898467600689403773245,
+                 0.0])
+_WGK = np.array([0.022935322010529224963732008058970,
+                 0.063092092629978553290700663189204,
+                 0.104790010322250183839876322541518,
+                 0.140653259715525918745189590510238,
+                 0.169004726639267902826583426598550,
+                 0.190350578064785409913256402421014,
+                 0.204432940075298892414161999234649,
+                 0.209482141084727828012999174891714])
+_WG = np.array([0.129484966168869693270611432679082,
+                0.279705391489276667901467771423780,
+                0.381830050505118944950369775488975,
+                0.417959183673469387755102040816327])
+
+_NODES = np.concatenate([-_XGK[:-1], _XGK[::-1]])
+_KRONROD_WEIGHTS = np.concatenate([_WGK[:-1], _WGK[::-1]])
+_GAUSS_WEIGHTS = np.zeros(15)
+_GAUSS_WEIGHTS[1::2] = np.concatenate([_WG[:-1], _WG[::-1]])
 
 _MAX_ROUNDS = 48
-_DEFAULT_MAX_PANELS = 1 << 15
+_MAX_PANELS = 1 << 15
 
 
 def _evaluate_panels(f, lo, hi):
-    """Rule values and 15-vs-7-point error estimates for a batch of panels.
+    """K15 values and ``|K15 - G7|`` error estimates for a batch of panels.
 
+    The 15 Kronrod nodes of every panel are evaluated in one call to ``f``.
     Returns ``(values, errors, is_1d)`` where ``values`` has shape
     ``(npanels, ncomp)`` and ``errors`` ``(npanels,)``.  ``f`` maps a 1-D
     node array of length N to shape ``(N,)`` or ``(N, ncomp)``.
     """
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
-    x_hi = (mid[:, None] + half[:, None] * _HI_NODES).ravel()
-    x_lo = (mid[:, None] + half[:, None] * _LO_NODES).ravel()
-    y = np.asarray(f(np.concatenate([x_hi, x_lo])), dtype=np.float64)
+    y = np.asarray(f((mid[:, None] + half[:, None] * _NODES).ravel()), dtype=np.float64)
     is_1d = y.ndim == 1
-    if is_1d:
-        y = y[:, None]
-    n_hi = x_hi.shape[0]
-    y_hi = y[:n_hi].reshape(lo.shape[0], _HI_NODES.shape[0], -1)
-    y_lo = y[n_hi:].reshape(lo.shape[0], _LO_NODES.shape[0], -1)
+    y = y.reshape(lo.shape[0], _NODES.shape[0], -1)
     with np.errstate(invalid="ignore"):
-        values = np.einsum("pnc,n->pc", y_hi, _HI_WEIGHTS) * half[:, None]
-        coarse = np.einsum("pnc,n->pc", y_lo, _LO_WEIGHTS) * half[:, None]
+        values = np.einsum("pnc,n->pc", y, _KRONROD_WEIGHTS) * half[:, None]
+        coarse = np.einsum("pnc,n->pc", y, _GAUSS_WEIGHTS) * half[:, None]
         errors = np.abs(values - coarse).max(axis=1)
     if not np.isfinite(values).all() or not np.isfinite(errors).all():
         raise QuadratureError("integrand returned non-finite values")
     return values, errors, is_1d
 
 
-def integrate_intervals(f, edges, tol=1e-10, *, max_panel_width=None,
-                        max_panels=_DEFAULT_MAX_PANELS):
+def _initial_panels(edges, max_panel_width):
+    """Split every interval of ``edges`` into equal panels at most
+    ``max_panel_width`` wide (one panel each when it is ``None``).
+
+    Returns the panel starts, ends and owning interval indices.  The edges
+    are bitwise those of ``np.linspace`` on each interval: start plus
+    ``local * (width / count)``, with the last end pinned to the next edge.
+    """
+    widths = np.diff(edges)
+    if max_panel_width is not None:
+        counts = np.maximum(1, np.ceil(widths / float(max_panel_width) - 1e-12).astype(int))
+    else:
+        counts = np.ones(widths.shape[0], dtype=int)
+    n_panels = int(counts.sum())
+    if n_panels > _MAX_PANELS:
+        raise QuadratureError(
+            f"initial subdivision needs {n_panels} panels, above the cap {_MAX_PANELS}")
+    owner = np.repeat(np.arange(widths.shape[0]), counts)
+    ends = np.cumsum(counts)
+    local = np.arange(n_panels) - np.repeat(ends - counts, counts)
+    step = (widths / counts)[owner]
+    a = edges[owner] + local * step
+    b = edges[owner] + (local + 1) * step
+    b[ends - 1] = edges[1:]
+    return a, b, owner
+
+
+def integrate_intervals(f, edges, tol=1e-10, *, max_panel_width=None):
     """Integrate ``f`` over every consecutive pair of ``edges`` at once.
 
     Each interval is refined independently until its summed panel error
-    falls below ``max(tol * |value|, tol)``.  Returns ``(values, errors)``
-    with one entry per interval; when ``f`` returns several components per
-    node, ``values`` has one row per interval.
+    (the ``|K15 - G7|`` gaps of its panels) falls below
+    ``max(tol * |value|, tol)``.  Returns ``(values, errors)`` with one
+    entry per interval; when ``f`` returns several components per node,
+    ``values`` has one row per interval.
 
     ``max_panel_width`` caps the width of the initial panels, which is how
-    oscillatory integrands declare their finest relevant scale.
+    oscillatory integrands declare their finest relevant scale.  Every
+    panel costs 15 integrand evaluations, and a call that needs more than
+    ``_MAX_PANELS`` (32768) panels, at the start or during refinement, raises
+    :class:`QuadratureError`.
     """
     edges = np.asarray(edges, dtype=np.float64)
     if edges.ndim != 1 or edges.shape[0] < 2:
@@ -74,24 +127,7 @@ def integrate_intervals(f, edges, tol=1e-10, *, max_panel_width=None,
         raise DomainError("tol must be a positive finite number")
 
     n_int = edges.shape[0] - 1
-    widths = np.diff(edges)
-    if max_panel_width is not None:
-        counts = np.maximum(1, np.ceil(widths / float(max_panel_width) - 1e-12).astype(int))
-    else:
-        counts = np.ones(n_int, dtype=int)
-    starts, stops, owners = [], [], []
-    for j in range(n_int):
-        pts = np.linspace(edges[j], edges[j + 1], counts[j] + 1)
-        starts.append(pts[:-1])
-        stops.append(pts[1:])
-        owners.append(np.full(counts[j], j))
-    a = np.concatenate(starts)
-    b = np.concatenate(stops)
-    owner = np.concatenate(owners)
-    if a.shape[0] > max_panels:
-        raise QuadratureError(
-            f"initial subdivision needs {a.shape[0]} panels, above the cap {max_panels}")
-
+    a, b, owner = _initial_panels(edges, max_panel_width)
     val, err, is_1d = _evaluate_panels(f, a, b)
     ncomp = val.shape[1]
     for _ in range(_MAX_ROUNDS):
@@ -108,9 +144,9 @@ def integrate_intervals(f, edges, tol=1e-10, *, max_panel_width=None,
         per_owner = np.bincount(owner, minlength=n_int)
         share = budgets[owner] / (2.0 * per_owner[owner])
         split = bad[owner] & (err > share)
-        if a.shape[0] + split.sum() > max_panels:
+        if a.shape[0] + split.sum() > _MAX_PANELS:
             raise QuadratureError(
-                f"panel budget {max_panels} exhausted at tol={tol}; "
+                f"panel budget {_MAX_PANELS} exhausted at tol={tol}; "
                 "integrand is too rough or the tolerance too tight")
         mid = 0.5 * (a[split] + b[split])
         child_a = np.concatenate([a[split], mid])
@@ -127,8 +163,7 @@ def integrate_intervals(f, edges, tol=1e-10, *, max_panel_width=None,
         f"refinement limit reached ({_MAX_ROUNDS} rounds) without meeting tol={tol}")
 
 
-def integrate(f, lo, hi, tol=1e-10, *, breakpoints=(), max_panel_width=None,
-              max_panels=_DEFAULT_MAX_PANELS):
+def integrate(f, lo, hi, tol=1e-10, *, breakpoints=(), max_panel_width=None):
     """Adaptive integral of ``f`` over ``[lo, hi]``.
 
     ``breakpoints`` lists interior abscissae that are forced to be panel
@@ -151,7 +186,6 @@ def integrate(f, lo, hi, tol=1e-10, *, breakpoints=(), max_panel_width=None,
     else:
         edges.append(hi)
     values, _ = integrate_intervals(f, np.asarray(edges), tol,
-                                    max_panel_width=max_panel_width,
-                                    max_panels=max_panels)
+                                    max_panel_width=max_panel_width)
     total = values.sum(axis=0)
     return float(total) if np.ndim(total) == 0 else total

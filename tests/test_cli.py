@@ -93,6 +93,18 @@ class TestPartialSum:
             assert row[4] < 1e-6
             assert row[4] == abs(row[2] - row[3])
 
+    @pytest.mark.parametrize("x, orders", [("4.0", "10,400"), ("1.0", "-1,400")],
+                             ids=["abscissa", "order"])
+    def test_bad_input_refused_before_coefficients(self, capsys, monkeypatch,
+                                                   sawtooth_file, x, orders):
+        def refuse(*args, **kwargs):
+            raise AssertionError("coefficients tabulated before input was validated")
+        monkeypatch.setattr(tc.fourier, "coefficients", refuse)
+        code, _, err = run_cli(capsys, "partialsum", "--function", sawtooth_file,
+                               "--x", x, f"--n={orders}")
+        assert code == 1
+        assert err.startswith("DomainError")
+
 
 class TestConverge:
     def test_error_shrinks_along_schedule(self, capsys, sawtooth_file):

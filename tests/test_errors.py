@@ -30,3 +30,15 @@ def test_numpy_integers_are_accepted():
     assert tc.cosine_sum(np.int64(3), 0.0) == 3.5
     assert tc.probe("diff", np.int32(4)).n_terms == 4
     assert isinstance(tc.probe("diff", np.int32(4)).n_terms, int)
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda bad: tc.convergence_report(build(SQUARE), 0.0, bad), "order schedule"),
+    (lambda bad: tc.limit_verify(np.exp, 0.0, 1.0, bad), "frequency schedule"),
+])
+def test_schedules_must_be_non_empty_and_strictly_increasing(call, name):
+    with pytest.raises(tc.DomainError, match=rf"^the {name} must be non-empty"):
+        call(())
+    for bad in ((10, 5), (5, 5)):
+        with pytest.raises(tc.DomainError, match=rf"^the {name} must be strictly increasing"):
+            call(bad)

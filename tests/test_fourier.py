@@ -234,6 +234,13 @@ class TestConvergenceReport:
             [6.305e-2, 6.366e-3, 6.366e-4], rel=1e-3)
         assert (report.errors[:-1] > report.errors[1:]).all()
 
+    def test_bad_abscissa_refused_before_coefficients(self, square, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("coefficients tabulated before x was validated")
+        monkeypatch.setattr(tc.fourier, "coefficients", refuse)
+        with pytest.raises(tc.DomainError):
+            tc.convergence_report(square, 4.0, [10, 400])
+
     def test_rejects_bad_schedules(self, square):
         with pytest.raises(tc.DomainError):
             tc.convergence_report(square, 0.0, ())

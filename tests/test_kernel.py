@@ -33,9 +33,13 @@ class TestClosedFormKernel:
     def test_analytic_point(self):
         assert tc.dirichlet_kernel(1, math.pi) == pytest.approx(-0.5, abs=1e-15)
 
-    def test_matches_direct_summation(self):
-        direct = tc.cosine_sum(20, 0.37)
-        closed = tc.dirichlet_kernel(20, 0.37)
+    @pytest.mark.parametrize("n, t", [(20, 0.37)] + [
+        (n, t) for n in (0, 1, 17, 500) for t in (0.0, 0.3, -2.7, math.pi)])
+    def test_matches_direct_summation(self, n, t):
+        # cosine_sum adds the cosines term by term, dirichlet_kernel uses
+        # the closed form: two independent evaluations of one function
+        direct = tc.cosine_sum(n, t)
+        closed = tc.dirichlet_kernel(n, t)
         assert abs(direct - closed) < 1e-12
 
     def test_identity_on_grid(self):

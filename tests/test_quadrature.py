@@ -5,6 +5,41 @@ import pytest
 
 import trigconv as tc
 from oracles import composite_simpson
+from trigconv import quadrature
+
+
+class TestKronrodTable:
+    """The G7/K15 constants, checked without running the quadrature engine."""
+
+    def test_gauss_rule_is_the_odd_indexed_kronrod_nodes(self):
+        nodes, weights = np.polynomial.legendre.leggauss(7)
+        assert np.abs(quadrature._NODES[1::2] - nodes).max() <= 1e-15
+        assert np.abs(quadrature._GAUSS_WEIGHTS[1::2] - weights).max() <= 1e-15
+        assert (quadrature._GAUSS_WEIGHTS[0::2] == 0.0).all()
+
+    @pytest.mark.parametrize("rule, degree", [("_KRONROD_WEIGHTS", 23),
+                                              ("_GAUSS_WEIGHTS", 13)])
+    def test_polynomial_exactness(self, rule, degree):
+        weights = getattr(quadrature, rule)
+        x = quadrature._NODES
+        for k in range(degree + 2):
+            exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+            gap = abs(weights @ x**k - exact)
+            if k <= degree:
+                assert gap <= 1e-15, (rule, k)
+            else:
+                assert gap > 1e-10, (rule, k)
+
+    def test_converged_panel_costs_fifteen_points(self):
+        sizes = []
+
+        def cubic(x):
+            sizes.append(x.size)
+            return x**3 - 2.0 * x
+
+        value = tc.integrate(cubic, 0.0, 1.0, 1e-10)
+        assert value == pytest.approx(-0.75, abs=1e-15)
+        assert sizes == [15]
 
 
 class TestIntegrate:
@@ -66,10 +101,11 @@ class TestIntegrate:
         with pytest.raises(tc.DomainError):
             tc.integrate(np.sin, 0.0, 1.0, tol=0.0)
 
-    def test_panel_budget_error(self):
+    def test_panel_budget_error(self, monkeypatch):
+        monkeypatch.setattr(quadrature, "_MAX_PANELS", 32)
         jump = lambda x: np.where(x < 1.0 / 3.0, 0.0, 1.0)
-        with pytest.raises(tc.QuadratureError):
-            tc.integrate(jump, 0.0, 1.0, 1e-12, max_panels=32)
+        with pytest.raises(tc.QuadratureError, match="panel budget 32 exhausted"):
+            tc.integrate(jump, 0.0, 1.0, 1e-12)
 
     def test_non_finite_integrand_error(self):
         bad = lambda x: np.where(x < 0.5, np.inf, 1.0)
@@ -92,6 +128,25 @@ class TestIntegrateIntervals:
         values, errors = tc.integrate_intervals(np.sin, edges, 1e-10)
         exact = -np.diff(np.cos(edges))
         assert np.abs(values - exact).max() <= errors.max() + 1e-13
+
+    @pytest.mark.parametrize("max_panel_width", [None, 0.05, math.pi / 1001, 2.0])
+    def test_initial_panels_match_linspace(self, max_panel_width):
+        rng = np.random.default_rng(7)
+        edges = np.concatenate([[-math.pi], np.sort(rng.uniform(-math.pi, math.pi, 40)),
+                                [math.pi]])
+        starts, stops, owners = [], [], []
+        for j in range(edges.shape[0] - 1):
+            width = edges[j + 1] - edges[j]
+            count = 1 if max_panel_width is None else max(
+                1, math.ceil(width / max_panel_width - 1e-12))
+            pts = np.linspace(edges[j], edges[j + 1], count + 1)
+            starts.append(pts[:-1])
+            stops.append(pts[1:])
+            owners.append(np.full(count, j))
+        a, b, owner = quadrature._initial_panels(edges, max_panel_width)
+        assert np.array_equal(a, np.concatenate(starts))
+        assert np.array_equal(b, np.concatenate(stops))
+        assert np.array_equal(owner, np.concatenate(owners))
 
     def test_rejects_unsorted_edges(self):
         with pytest.raises(tc.DomainError):
