@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -20,7 +21,7 @@ from .errors import DomainError, check_integer, check_schedule
 from .kernel import dirichlet_kernel
 from .oscillatory import ConvergenceReport
 from .piecewise import PiecewiseFunction
-from .quadrature import integrate
+from .quadrature import integrate, integrate_harmonics
 
 PI = math.pi
 
@@ -31,12 +32,15 @@ class FourierCoefficients:
 
     ``a[k-1]``/``b[k-1]`` hold the cosine/sine coefficients of harmonic
     ``k`` for ``k = 1 .. n_max``; ``a0`` is the mean term.  ``tol`` records
-    the quadrature tolerance they were computed at.
+    the quadrature tolerance they were computed at.  ``error[k]``, for
+    ``k = 0 .. n_max``, is the estimated absolute error of harmonic ``k``'s
+    coefficients (of ``a0`` for ``k = 0``), or ``None`` when not known.
     """
     a0: float
     a: np.ndarray
     b: np.ndarray
     tol: float
+    error: Optional[np.ndarray] = None
 
     @property
     def n_max(self):
@@ -70,25 +74,23 @@ def _wrap_abscissa(x):
 def coefficients(f, n_max, tol=1e-10):
     """Tabulate series coefficients of ``f`` up to harmonic ``n_max``.
 
-    Each harmonic's cosine and sine integrals share one adaptive quadrature
-    pass (a two-component integrand), seeded with panels no wider than half
-    the harmonic's period and split at the function's breakpoints.
+    Every harmonic ``k = 0 .. n_max`` comes from one adaptive pass of
+    :func:`~trigconv.quadrature.integrate_harmonics`: a single mesh split
+    at the function's breakpoints, seeded with panels no wider than half
+    the period of harmonic ``n_max``, on which ``f`` is evaluated once per
+    node.  Each harmonic's cosine and sine integrals over each seeded
+    interval meet the same ``max(tol * |value|, tol)`` budget as a
+    separate adaptive integral would.  An ``n_max`` whose seeded mesh
+    exceeds the panel cap is refused before ``f`` is evaluated.
     """
     f = _check_function(f)
     n_max = check_integer(n_max, "n_max", 1)
-    breaks = f.breakpoints
-    a0 = integrate(f.eval, -PI, PI, tol, breakpoints=breaks) / (2.0 * PI)
-    a = np.empty(n_max)
-    b = np.empty(n_max)
-    for k in range(1, n_max + 1):
-        def harmonics(alpha, k=k):
-            phi = f.eval(alpha)
-            return np.stack([phi * np.cos(k * alpha), phi * np.sin(k * alpha)], axis=1)
-        pair = integrate(harmonics, -PI, PI, tol, breakpoints=breaks,
-                         max_panel_width=PI / (k + 1))
-        a[k - 1] = pair[0] / PI
-        b[k - 1] = pair[1] / PI
-    return FourierCoefficients(a0=a0, a=a, b=b, tol=float(tol))
+    cos_int, sin_int, errors = integrate_harmonics(f.eval, -PI, PI, n_max, tol,
+                                                   breakpoints=f.breakpoints)
+    error = errors / PI
+    error[0] /= 2.0
+    return FourierCoefficients(a0=float(cos_int[0] / (2.0 * PI)), a=cos_int[1:] / PI,
+                               b=sin_int[1:] / PI, tol=float(tol), error=error)
 
 
 def partial_sum(c, x, n):

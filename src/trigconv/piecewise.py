@@ -269,17 +269,22 @@ class PiecewiseFunction:
         """
         arr = np.asarray(x, dtype=np.float64)
         scalar = arr.ndim == 0
-        flat = np.atleast_1d(arr)
+        flat = arr.reshape(-1)
         if flat.size and ((flat < -PI).any() or (flat > PI).any() or
                           not np.isfinite(flat).all()):
             raise DomainError("abscissae must lie in [-pi, pi]")
         idx = np.searchsorted(self._edges, flat, side="right") - 1
         np.clip(idx, 0, len(self.segments) - 1, out=idx)
+        # one stable sort groups the points by segment; each segment then
+        # evaluates one contiguous slice, so the cost does not grow with
+        # segments x points
+        order = np.argsort(idx, kind="stable")
+        bounds = np.searchsorted(idx[order], np.arange(len(self.segments) + 1))
+        ordered = flat[order]
         out = np.empty(flat.shape)
-        for j, seg in enumerate(self.segments):
-            mask = idx == j
-            if mask.any():
-                out[mask] = seg.values(flat[mask])
+        for j in np.flatnonzero(np.diff(bounds)):
+            lo, hi = bounds[j], bounds[j + 1]
+            out[order[lo:hi]] = self.segments[j].values(ordered[lo:hi])
         return float(out[0]) if scalar else out.reshape(arr.shape)
 
     __call__ = eval

@@ -1,15 +1,25 @@
 """Adaptive composite Gauss-Kronrod quadrature with batched panel evaluation.
 
-Every integral in the package funnels through :func:`integrate` or
-:func:`integrate_intervals`.  Each panel is estimated with the 15-point
-Kronrod rule K15, and its gap to the 7-point Gauss rule G7 on the same
-panel serves as the panel's error estimate.  G7's nodes are K15's
-odd-indexed nodes, so a panel costs 15 integrand evaluations.  The gap is
-used as it is, without QUADPACK's ``(200 * err) ** 1.5`` rescaling.
-Panels that fail their share of the tolerance are bisected, and all new
-panels of a round are evaluated in one vectorized call, so integrands must
-accept 1-D numpy arrays.  An integral may use at most ``_MAX_PANELS``
-panels.
+Every integral in the package funnels through :func:`integrate`,
+:func:`integrate_intervals` or :func:`integrate_harmonics`.  Each panel is
+estimated with the 15-point Kronrod rule K15, and its gap to the 7-point
+Gauss rule G7 on the same panel serves as the panel's error estimate.  G7's
+nodes are K15's odd-indexed nodes, so a panel costs 15 integrand
+evaluations.  The gap is used as it is, without QUADPACK's
+``(200 * err) ** 1.5`` rescaling.  Panels that fail their share of the
+tolerance are bisected, and all new panels of a round are evaluated in one
+vectorized call, so integrands must accept 1-D numpy arrays.  An integral
+may use at most ``_MAX_PANELS`` panels.
+
+:func:`integrate_harmonics` integrates ``f(x) cos(kx)`` and ``f(x) sin(kx)``
+for every ``k = 0 .. n_max`` on one shared mesh, evaluating ``f`` once per
+Kronrod node.  A panel with midpoint ``m`` and half-width ``h`` has nodes
+``m + h xi_j``, so ``exp(ikx) = exp(ikm) exp(ikh xi_j)``: panels of equal
+``h`` share one table of node phases, their K15 and K15 - G7 sums are small
+matrix products against the cached node values, and only one phase
+``exp(ikm)`` per panel and harmonic needs trigonometry.  The products are
+formed in tiles of at most ``_TILE`` harmonic-by-panel entries, so memory
+stays proportional to the panel count whatever ``n_max`` is.
 """
 
 from __future__ import annotations
@@ -48,9 +58,17 @@ _NODES = np.concatenate([-_XGK[:-1], _XGK[::-1]])
 _KRONROD_WEIGHTS = np.concatenate([_WGK[:-1], _WGK[::-1]])
 _GAUSS_WEIGHTS = np.zeros(15)
 _GAUSS_WEIGHTS[1::2] = np.concatenate([_WG[:-1], _WG[::-1]])
+_GAP_WEIGHTS = _KRONROD_WEIGHTS - _GAUSS_WEIGHTS
 
 _MAX_ROUNDS = 48
 _MAX_PANELS = 1 << 15
+_EPS = np.finfo(np.float64).eps
+
+# integrate_harmonics works through harmonics in blocks of at most
+# _HARMONIC_BLOCK and through panels in chunks, so that every temporary has
+# at most _TILE (harmonic, panel) entries.
+_HARMONIC_BLOCK = 64
+_TILE = 1 << 13
 
 
 def _evaluate_panels(f, lo, hi):
@@ -102,6 +120,19 @@ def _initial_panels(edges, max_panel_width):
     return a, b, owner
 
 
+def _check_edges(edges, tol):
+    """``edges`` as a strictly increasing float array and ``tol`` as a float."""
+    edges = np.asarray(edges, dtype=np.float64)
+    if edges.ndim != 1 or edges.shape[0] < 2:
+        raise DomainError("edges must be a 1-D array with at least two entries")
+    if not np.isfinite(edges).all() or not (np.diff(edges) > 0).all():
+        raise DomainError("edges must be finite and strictly increasing")
+    tol = float(tol)
+    if not (math.isfinite(tol) and tol > 0):
+        raise DomainError("tol must be a positive finite number")
+    return edges, tol
+
+
 def integrate_intervals(f, edges, tol=1e-10, *, max_panel_width=None):
     """Integrate ``f`` over every consecutive pair of ``edges`` at once.
 
@@ -117,15 +148,7 @@ def integrate_intervals(f, edges, tol=1e-10, *, max_panel_width=None):
     ``_MAX_PANELS`` (32768) panels, at the start or during refinement, raises
     :class:`QuadratureError`.
     """
-    edges = np.asarray(edges, dtype=np.float64)
-    if edges.ndim != 1 or edges.shape[0] < 2:
-        raise DomainError("edges must be a 1-D array with at least two entries")
-    if not np.isfinite(edges).all() or not (np.diff(edges) > 0).all():
-        raise DomainError("edges must be finite and strictly increasing")
-    tol = float(tol)
-    if not (math.isfinite(tol) and tol > 0):
-        raise DomainError("tol must be a positive finite number")
-
+    edges, tol = _check_edges(edges, tol)
     n_int = edges.shape[0] - 1
     a, b, owner = _initial_panels(edges, max_panel_width)
     val, err, is_1d = _evaluate_panels(f, a, b)
@@ -171,6 +194,15 @@ def integrate(f, lo, hi, tol=1e-10, *, breakpoints=(), max_panel_width=None):
     interval are ignored.  The result's estimated error is below
     ``max(tol * |integral|, tol)`` per seeded subinterval.
     """
+    values, _ = integrate_intervals(f, _edges(lo, hi, breakpoints), tol,
+                                    max_panel_width=max_panel_width)
+    total = values.sum(axis=0)
+    return float(total) if np.ndim(total) == 0 else total
+
+
+def _edges(lo, hi, breakpoints):
+    """``[lo, *breakpoints, hi]`` with points outside ``(lo, hi)`` dropped
+    and points within ``1e-13 * (hi - lo)`` of the previous edge merged."""
     lo = float(lo)
     hi = float(hi)
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
@@ -185,7 +217,137 @@ def integrate(f, lo, hi, tol=1e-10, *, breakpoints=(), max_panel_width=None):
         edges[-1] = hi
     else:
         edges.append(hi)
-    values, _ = integrate_intervals(f, np.asarray(edges), tol,
-                                    max_panel_width=max_panel_width)
-    total = values.sum(axis=0)
-    return float(total) if np.ndim(total) == 0 else total
+    return np.asarray(edges)
+
+
+def _node_values(f, mid, half):
+    """``f`` at the 15 Kronrod nodes of every panel, one row per panel."""
+    y = np.asarray(f((mid[:, None] + half[:, None] * _NODES).ravel()), dtype=np.float64)
+    if not np.isfinite(y).all():
+        raise QuadratureError("integrand returned non-finite values")
+    return y.reshape(mid.shape[0], _NODES.shape[0])
+
+
+def _phase_table(k, h):
+    """Weights that turn a panel's node values into its moments.
+
+    For panels of half-width ``h``, the rows are ``h w_j cos(k h xi_j)``
+    and ``h w_j sin(k h xi_j)`` for the K15 weights, then the same for the
+    K15 - G7 gap weights, one row per harmonic in ``k`` within each part.
+    """
+    theta = np.outer(k, h * _NODES)
+    cos_t = np.cos(theta)
+    sin_t = np.sin(theta)
+    return h * np.concatenate([cos_t * _KRONROD_WEIGHTS, sin_t * _KRONROD_WEIGHTS,
+                               cos_t * _GAP_WEIGHTS, sin_t * _GAP_WEIGHTS])
+
+
+def _harmonic_moments(n_max, mid, half, owner, y, n_int):
+    """K15 integrals of ``y(x) exp(ikx)``, ``k = 0 .. n_max``, per interval.
+
+    Panels are given by their midpoints, half-widths and owning intervals,
+    ``y`` holds their node values.  Returns ``(re, im, err, worst)``: the
+    cosine and sine integrals and the summed ``max(|Re|, |Im|)`` of the
+    panels' K15 - G7 gaps, each of shape ``(n_max + 1, n_int)``, and every
+    panel's largest gap over the harmonics.
+    """
+    n_harm = n_max + 1
+    re = np.zeros((n_harm, n_int))
+    im = np.zeros((n_harm, n_int))
+    err = np.zeros((n_harm, n_int))
+    worst = np.zeros(mid.shape[0])
+    block = min(n_harm, _HARMONIC_BLOCK)
+    chunk = _TILE // block
+    # panels of one half-width share a phase table; sorting them by
+    # interval makes each interval's panels in a chunk one contiguous run
+    order = np.lexsort((owner, half))
+    for group in np.split(order, np.flatnonzero(np.diff(half[order])) + 1):
+        for k0 in range(0, n_harm, block):
+            rows = slice(k0, min(k0 + block, n_harm))
+            k = np.arange(rows.start, rows.stop, dtype=np.float64)
+            table = _phase_table(k, half[group[0]])
+            for start in range(0, group.shape[0], chunk):
+                panels = group[start:start + chunk]
+                kc, ks, gc, gs = np.split(table @ y[panels].T, 4)
+                phase = np.outer(k, mid[panels])
+                c = np.cos(phase)
+                s = np.sin(phase)
+                own = owner[panels]
+                runs = np.flatnonzero(np.r_[True, own[1:] != own[:-1]])
+                cols = own[runs]
+                re[rows, cols] += np.add.reduceat(c * kc - s * ks, runs, axis=1)
+                im[rows, cols] += np.add.reduceat(s * kc + c * ks, runs, axis=1)
+                gap = np.maximum(np.abs(c * gc - s * gs), np.abs(s * gc + c * gs))
+                err[rows, cols] += np.add.reduceat(gap, runs, axis=1)
+                worst[panels] = np.maximum(worst[panels], gap.max(axis=0))
+    return re, im, err, worst
+
+
+def integrate_harmonics(f, lo, hi, n_max, tol=1e-10, *, breakpoints=()):
+    """Integrals of ``f(x) cos(kx)`` and ``f(x) sin(kx)`` over ``[lo, hi]``
+    for every ``k = 0 .. n_max``, from one shared adaptive mesh.
+
+    The mesh is split at ``breakpoints`` (as in :func:`integrate`) and
+    seeded with panels no wider than ``pi / (n_max + 1)``, half the period
+    of the highest harmonic.  ``f`` is evaluated once per Kronrod node and
+    its values are kept per panel.  Each seeded interval is refined until,
+    for every harmonic, its summed panel errors (``max(|Re|, |Im|)`` of the
+    K15 - G7 gap of ``f(x) exp(ikx)``) fall below ``max(tol * max(|cos
+    integral|, |sin integral|), tol)``.  A refinement round bisects the
+    panels whose largest gap over the harmonics exceeds the smallest share
+    of a failing budget in their interval, evaluates ``f`` only on the
+    children, and swaps the parents' contributions for the children's.
+
+    Returns ``(cos_integrals, sin_integrals, errors)``, each of length
+    ``n_max + 1``.  ``errors[k]`` estimates harmonic ``k``'s absolute error:
+    its K15 - G7 gaps summed over all intervals, plus a rounding term
+    ``eps * (50 + k * max|x|) * integral of |f|``.  The gaps measure
+    truncation only; rounding the phase ``k x`` costs up to
+    ``eps * k * |x|`` relative per node, and QUADPACK's ``50 * eps``
+    allowance covers the rest of the arithmetic.  A mesh that needs more than
+    ``_MAX_PANELS`` panels raises :class:`QuadratureError`; when the seeded
+    mesh alone is too large, that happens before ``f`` is evaluated.
+    """
+    edges, tol = _check_edges(_edges(lo, hi, breakpoints), tol)
+    n_int = edges.shape[0] - 1
+    try:
+        a, b, owner = _initial_panels(edges, math.pi / (n_max + 1))
+    except QuadratureError as exc:
+        raise QuadratureError(f"n_max={n_max}: {exc}") from None
+    half = 0.5 * (np.diff(edges) / np.bincount(owner, minlength=n_int))[owner]
+    mid = 0.5 * (a + b)
+    y = _node_values(f, mid, half)
+    re, im, err, worst = _harmonic_moments(n_max, mid, half, owner, y, n_int)
+    for _ in range(_MAX_ROUNDS):
+        budgets = np.maximum(tol * np.maximum(np.abs(re), np.abs(im)), tol)
+        bad = err > budgets
+        if not bad.any():
+            abs_integral = (half * (np.abs(y) @ _KRONROD_WEIGHTS)).sum()
+            x_max = max(abs(edges[0]), abs(edges[-1]))
+            rounding = _EPS * (50.0 + np.arange(n_max + 1) * x_max) * abs_integral
+            return re.sum(axis=1), im.sum(axis=1), err.sum(axis=1) + rounding
+        per_owner = np.bincount(owner, minlength=n_int)
+        share = np.where(bad, budgets, np.inf).min(axis=0) / (2.0 * per_owner)
+        split = worst > share[owner]
+        if mid.shape[0] + split.sum() > _MAX_PANELS:
+            raise QuadratureError(
+                f"panel budget {_MAX_PANELS} exhausted at tol={tol}; "
+                "integrand is too rough or the tolerance too tight")
+        old = _harmonic_moments(n_max, mid[split], half[split], owner[split], y[split], n_int)
+        quarter = 0.5 * half[split]
+        child_mid = np.concatenate([mid[split] - quarter, mid[split] + quarter])
+        child_half = np.tile(quarter, 2)
+        child_owner = np.tile(owner[split], 2)
+        child_y = _node_values(f, child_mid, child_half)
+        new = _harmonic_moments(n_max, child_mid, child_half, child_owner, child_y, n_int)
+        re += new[0] - old[0]
+        im += new[1] - old[1]
+        err += new[2] - old[2]
+        keep = ~split
+        mid = np.concatenate([mid[keep], child_mid])
+        half = np.concatenate([half[keep], child_half])
+        owner = np.concatenate([owner[keep], child_owner])
+        y = np.concatenate([y[keep], child_y])
+        worst = np.concatenate([worst[keep], new[3]])
+    raise QuadratureError(
+        f"refinement limit reached ({_MAX_ROUNDS} rounds) without meeting tol={tol}")

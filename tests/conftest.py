@@ -100,6 +100,13 @@ def random_spec(rng, max_segments=4):
     return {"segments": segments}
 
 
+def many_segment_spec(rng, count):
+    """A random valid spec of ``count`` equal-width segments."""
+    edges = np.linspace(-math.pi, math.pi, count + 1)
+    return {"segments": [random_segment_dict(rng, lo, hi)
+                         for lo, hi in zip(edges[:-1], edges[1:])]}
+
+
 def random_positive_decreasing(rng):
     """A smooth positive strictly-decreasing callable on [0, pi/2]."""
     shape = int(rng.integers(0, 3))

@@ -1,8 +1,9 @@
 """Independent reference computations for freezing expected test values.
 
-Everything here is deliberately brute force — composite fixed rules,
-closed-form coefficient sums and high-precision closed forms in mpmath —
-and shares no code with the package's own adaptive quadrature.
+Everything here is brute force or from another library — composite fixed
+rules, closed-form coefficient sums, high-precision closed forms in mpmath
+and QUADPACK's oscillatory rule QAWO through scipy — and shares no code
+with the package's own adaptive quadrature.
 """
 
 import math
@@ -54,3 +55,24 @@ def dirichlet_kernel_mp(n, t, dps=50):
     with mpmath.workdps(dps):
         t = mpmath.mpf(t)
         return float(mpmath.sin((n + mpmath.mpf(0.5)) * t) / (2 * mpmath.sin(t / 2)))
+
+
+def qawo_coefficients(f, k):
+    """``(a_k, b_k)`` of a parsed spec by QUADPACK's QAWO rule
+    (``scipy.integrate.quad`` with a ``cos``/``sin`` weight), ``k >= 1``.
+
+    One call per smooth piece: each segment, cut at its table knots, is
+    integrated through its own closed form, so no piece crosses a jump.
+    """
+    from scipy.integrate import quad  # imported on use: the other oracles need only numpy
+
+    sums = {"cos": 0.0, "sin": 0.0}
+    for seg in f.segments:
+        knots = seg.params["xs"] if seg.kind == "monotone-table" else (seg.lo, seg.hi)
+        for lo, hi in zip(knots[:-1], knots[1:]):
+            def piece(x, seg=seg):
+                return float(seg.values(np.array([x]))[0])
+            for weight in sums:
+                sums[weight] += quad(piece, lo, hi, weight=weight, wvar=k,
+                                     epsabs=1e-12, epsrel=1e-12, limit=400)[0]
+    return sums["cos"] / math.pi, sums["sin"] / math.pi

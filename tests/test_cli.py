@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -283,9 +284,12 @@ class TestExitCodes:
 
 class TestEntryPoint:
     def test_module_invocation(self, sawtooth_file):
+        # the child imports the same package as this process, installed or not
+        package_root = os.path.dirname(os.path.dirname(tc.__file__))
+        path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
         result = subprocess.run(
             [sys.executable, "-m", "trigconv.cli", "validate",
              "--function", sawtooth_file],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
         assert result.returncode == 0
         assert json.loads(result.stdout)["valid"] is True

@@ -4,11 +4,20 @@ import numpy as np
 import pytest
 
 import trigconv as tc
-from conftest import build, random_spec
-from oracles import (sawtooth_partial_sum, sawtooth_sine_coefficient,
+from conftest import SAWTOOTH, SQUARE, build, many_segment_spec, random_spec
+from oracles import (qawo_coefficients, sawtooth_partial_sum, sawtooth_sine_coefficient,
                      square_partial_sum, square_sine_coefficient)
 
 PI = math.pi
+
+# a power piece with exponent 1/2 at its own left end (infinite slope
+# there), an interpolation table and a second near-square-root power
+POWER_AND_TABLE = {"segments": [
+    {"lo": "-pi", "hi": -1.0, "kind": "power", "params": {"a": 1.0, "x0": -PI, "p": 0.5}},
+    {"lo": -1.0, "hi": 1.0, "kind": "monotone-table",
+     "params": {"xs": [-1.0, -0.3, 0.4, 1.0], "ys": [2.0, 1.5, 0.2, -0.7]}},
+    {"lo": 1.0, "hi": "pi", "kind": "power", "params": {"a": -0.8, "x0": 1.0, "p": 0.52}},
+]}
 
 
 class TestCoefficients:
@@ -54,6 +63,68 @@ class TestCoefficients:
             assert abs(c.a0) <= bound
             assert (np.abs(c.a) <= bound).all()
             assert (np.abs(c.b) <= bound).all()
+
+    @pytest.mark.parametrize("spec", ["power-and-table", "200-segments"])
+    def test_matches_qawo_up_to_order_1000(self, spec):
+        if spec == "power-and-table":
+            f = build(POWER_AND_TABLE)
+        else:
+            f = build(many_segment_spec(np.random.default_rng(4), 200))
+        c = tc.coefficients(f, 1000)
+        for k in (1, 2, 3, 17, 250, 999, 1000):
+            a, b = qawo_coefficients(f, k)
+            assert abs(c.a[k - 1] - a) <= 1e-9, k
+            assert abs(c.b[k - 1] - b) <= 1e-9, k
+
+    def test_each_node_evaluated_once(self, square, monkeypatch):
+        # 2 x 1001 seeded panels of 15 nodes, plus at most 64 refined ones
+        points = []
+        evaluate = tc.PiecewiseFunction.eval
+
+        def counting(self, x):
+            points.append(np.size(x))
+            return evaluate(self, x)
+
+        monkeypatch.setattr(tc.PiecewiseFunction, "eval", counting)
+        tc.coefficients(square, 1000)
+        assert sum(points) <= 15 * (2 * 1001 + 64)
+
+    def test_order_above_panel_cap_refused_before_evaluation(self, square, monkeypatch):
+        def refuse(self, x):
+            raise AssertionError("f evaluated for an order above the panel cap")
+
+        monkeypatch.setattr(tc.PiecewiseFunction, "eval", refuse)
+        with pytest.raises(tc.QuadratureError,
+                           match=r"n_max=16384: .* needs 32770 panels, above the cap 32768"):
+            tc.coefficients(square, 16384)
+
+    # per seeded interval, the larger of |integral f cos kx| and
+    # |integral f sin kx|, k = 0 .. 500, in closed form
+    @pytest.mark.parametrize("spec, oracle, interval_sizes", [
+        (SQUARE, square_sine_coefficient,
+         lambda k: 2 * [np.where(k == 0, PI, np.abs(1.0 - np.cos(k * PI)) / np.maximum(k, 1))]),
+        (SAWTOOTH, sawtooth_sine_coefficient,
+         lambda k: [np.where(k == 0, 0.0, 2 * PI / np.maximum(k, 1))]),
+    ], ids=["square", "sawtooth"])
+    def test_error_estimate_bounds_actual_error(self, spec, oracle, interval_sizes):
+        tol = 1e-10
+        c = tc.coefficients(build(spec), 500, tol)
+        assert c.error.shape == (501,)
+        assert np.isfinite(c.error).all()
+        # the enforced budget: max(tol * size, tol) per interval, summed,
+        # in coefficient units
+        k = np.arange(501)
+        budget = sum(np.maximum(tol * size, tol) for size in interval_sizes(k))
+        assert (c.error <= budget / np.where(k == 0, 2 * PI, PI)).all()
+        b = np.array([oracle(k) for k in range(1, 501)])
+        assert abs(c.a0) <= c.error[0]
+        assert (np.abs(c.a) <= c.error[1:]).all()
+        assert (np.abs(c.b - b) <= c.error[1:]).all()
+
+    def test_error_defaults_to_unknown(self):
+        c = tc.FourierCoefficients(a0=0.0, a=np.zeros(2), b=np.zeros(2), tol=1e-10)
+        assert c.error is None
+        assert tc.partial_sum(c, 0.3, 2) == 0.0
 
     def test_rejects_bad_arguments(self, square):
         with pytest.raises(tc.DomainError):

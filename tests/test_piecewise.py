@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 import trigconv as tc
-from conftest import SAWTOOTH, SQUARE, TRIANGLE, build, random_spec
+from conftest import (SAWTOOTH, SQUARE, TRIANGLE, build, many_segment_spec,
+                      random_spec)
 
 
 def spec_text(segments):
@@ -131,6 +132,24 @@ class TestEval:
         xs = np.linspace(-math.pi, math.pi, 41)
         vec = triangle.eval(xs)
         assert vec == pytest.approx([triangle.eval(float(x)) for x in xs])
+
+    def test_many_segments_match_per_point_definition(self):
+        # each point is owned by the segment with lo <= x < hi (x = pi by
+        # the last) and takes that segment's value, bit for bit
+        rng = np.random.default_rng(21)
+        f = build(many_segment_spec(rng, 500))
+        knots = [x for seg in f.segments if seg.kind == "monotone-table"
+                 for x in seg.params["xs"]]
+        xs = np.concatenate([rng.uniform(-math.pi, math.pi, 5000),
+                             [seg.lo for seg in f.segments], [math.pi], knots])
+        rng.shuffle(xs)
+        expected = []
+        for x in xs:
+            seg = next((s for s in f.segments if s.lo <= x < s.hi), f.segments[-1])
+            expected.append(seg.values(np.array([x]))[0])
+        expected = np.array(expected)
+        assert np.array_equal(f.eval(xs), expected)
+        assert np.array_equal(f.eval(xs[:4000].reshape(40, 100)), expected[:4000].reshape(40, 100))
 
     def test_domain_error_outside(self, sawtooth):
         with pytest.raises(tc.DomainError):

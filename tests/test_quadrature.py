@@ -151,3 +151,40 @@ class TestIntegrateIntervals:
     def test_rejects_unsorted_edges(self):
         with pytest.raises(tc.DomainError):
             tc.integrate_intervals(np.sin, [0.0, 2.0, 1.0], 1e-9)
+
+
+class TestIntegrateHarmonics:
+    def test_matches_closed_form(self):
+        # integral of exp(x) exp(ikx) over [0, 2] is (exp(2 (1 + ik)) - 1) / (1 + ik)
+        cos_int, sin_int, errors = quadrature.integrate_harmonics(
+            np.exp, 0.0, 2.0, 40, 1e-12, breakpoints=[0.5])
+        k = np.arange(41)
+        exact = (np.exp(2.0 * (1.0 + 1j * k)) - 1.0) / (1.0 + 1j * k)
+        assert np.abs(cos_int - exact.real).max() <= 1e-12
+        assert np.abs(sin_int - exact.imag).max() <= 1e-12
+        assert (np.abs(cos_int - exact.real) <= errors).all()
+        assert (np.abs(sin_int - exact.imag) <= errors).all()
+
+    def test_tiling_does_not_change_results(self, monkeypatch):
+        # a square root refines towards 0; small tiles split both the
+        # harmonics and every panel group
+        def run():
+            return quadrature.integrate_harmonics(np.sqrt, 0.0, 3.0, 150, 1e-10,
+                                                  breakpoints=[1.0])
+        default = run()
+        monkeypatch.setattr(quadrature, "_HARMONIC_BLOCK", 7)
+        monkeypatch.setattr(quadrature, "_TILE", 7 * 5)
+        tiled = run()
+        for got, want in zip(tiled, default):
+            assert np.abs(got - want).max() <= 1e-14
+
+    def test_panel_budget_error(self, monkeypatch):
+        monkeypatch.setattr(quadrature, "_MAX_PANELS", 32)
+        jump = lambda x: np.where(x < 1.0 / 3.0, 0.0, 1.0)
+        with pytest.raises(tc.QuadratureError, match="panel budget 32 exhausted"):
+            quadrature.integrate_harmonics(jump, 0.0, 1.0, 3, 1e-12)
+
+    def test_non_finite_integrand_error(self):
+        bad = lambda x: np.where(x < 0.5, np.inf, 1.0)
+        with pytest.raises(tc.QuadratureError, match="non-finite"):
+            quadrature.integrate_harmonics(bad, 0.0, 1.0, 3, 1e-8)
