@@ -9,7 +9,8 @@ and a pair of probe series showing that term-ratio comparison cannot
 decide convergence.
 """
 
-from .counterexample import KINDS, SeriesProbe, divergence_witness, probe
+from .counterexample import (KINDS, SeriesProbe, SeriesSummary,
+                             divergence_witness, probe, summarize)
 from .errors import (CoverageError, DomainError, MonotonicityError,
                      QuadratureError, SpecSyntaxError, TrigconvError,
                      UnboundedError)
@@ -39,6 +40,7 @@ __all__ = [
     "PiecewiseFunction",
     "QuadratureError",
     "SeriesProbe",
+    "SeriesSummary",
     "SignBlockDecomposition",
     "SpecSyntaxError",
     "TrigconvError",
@@ -63,6 +65,7 @@ __all__ = [
     "probe",
     "sine_ratio",
     "split_integrals",
+    "summarize",
     "tail",
     "__version__",
 ]

@@ -223,15 +223,12 @@ def _cmd_limit(args):
 
 
 def _cmd_cauchy(args):
-    n_terms = _single(args.n, "--n")
-    bound = args.x if args.x is not None else -3.0
+    n_terms = counterexample._check_terms(_single(args.n, "--n"))
+    bound = counterexample._check_bound(args.x if args.x is not None else -3.0)
     rows = []
     for kind in counterexample.KINDS:
-        series = counterexample.probe(kind, n_terms)
-        sums = series.partial_sums
-        witness = counterexample.divergence_witness(kind, bound, n_terms)
-        rows.append([kind, n_terms, float(sums[-1]), float(sums.min()),
-                     float(sums.max()), witness])
+        s = counterexample.summarize(kind, n_terms, bound)
+        rows.append([kind, n_terms, s.last_sum, s.min_sum, s.max_sum, s.band_escape])
     return _record(
         "cauchy", args,
         inputs={"n": n_terms, "bound": bound},

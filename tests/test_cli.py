@@ -203,6 +203,14 @@ class TestCauchy:
         by_kind = {row[0]: row for row in record["rows"]}
         assert by_kind["diff"][5] == 4
 
+    def test_single_term_keeps_negative_zero(self, capsys):
+        # v's first sum is -1 * (1 - 1) = -0.0; its sign is part of the bytes
+        for fmt, expected in (("json", '["v", 1, -0, -0, -0, null]'),
+                              ("csv", "v,1,-0,-0,-0,")):
+            code, out, _ = run_cli(capsys, "cauchy", "--n", "1", "--format", fmt)
+            assert code == 0
+            assert expected in out
+
     def test_csv_leaves_missing_witness_empty(self, capsys):
         code, out, _ = run_cli(capsys, "cauchy", "--n", "100", "--format", "csv")
         assert code == 0

@@ -19,6 +19,7 @@ def _blocks():
     (lambda bad: tc.probe("u", bad), "n_terms"),
     (lambda bad: tc.tail(bad), "n_max"),
     (lambda bad: tc.group_tail_bound(_blocks(), bad), "m"),
+    (lambda bad: tc.divergence_witness("u", -3.0, bad), "n_max"),
 ])
 def test_integer_arguments_are_validated_by_name(call, name):
     for bad in (2.0, True, np.float64(3.0), "4", -1):
