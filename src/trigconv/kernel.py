@@ -18,6 +18,7 @@ import numpy as np
 from .errors import check_integer
 from .quadrature import integrate
 
+# the largest kernel order, tail length and sine-block frequency admitted
 _MAX_ORDER = 10**6
 _TWO_PI = 2.0 * math.pi
 

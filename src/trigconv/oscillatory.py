@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, check_integer, check_schedule
-from .kernel import _sin_ratio
+from .kernel import _MAX_ORDER, _sin_ratio
 from .piecewise import PiecewiseFunction
 from .quadrature import integrate, integrate_intervals
 
@@ -75,8 +75,8 @@ class ConvergenceReport:
 
 def _check_frequency(i):
     i = float(i)
-    if not math.isfinite(i) or i <= 0:
-        raise DomainError(f"frequency must be positive and finite, got {i!r}")
+    if not 0 < i <= _MAX_ORDER:
+        raise DomainError(f"frequency must lie in (0, {_MAX_ORDER}], got {i!r}")
     return i
 
 
@@ -178,7 +178,7 @@ def tail(n_max, tol=1e-10):
     Block ``nu`` covers ``[(nu - 1) pi, nu pi]``; the alternating partial
     sums straddle ``pi / 2`` and each gap is below the next magnitude.
     """
-    n_max = check_integer(n_max, "n_max", 1)
+    n_max = check_integer(n_max, "n_max", 1, _MAX_ORDER)
     edges = np.arange(n_max + 2) * math.pi
     values, _ = integrate_intervals(lambda g: np.sinc(g / math.pi), edges, tol)
     terms = np.abs(values)

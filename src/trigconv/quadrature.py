@@ -1,29 +1,35 @@
-"""Adaptive composite Gauss-Kronrod quadrature with batched panel evaluation.
+"""Adaptive composite Gauss-Kronrod quadrature on one shared, chunked mesh.
 
 Every integral in the package funnels through :func:`integrate`,
-:func:`integrate_intervals` or :func:`integrate_harmonics`.  Each panel is
-estimated with the 15-point Kronrod rule K15, and its gap to the 7-point
-Gauss rule G7 on the same panel serves as the panel's error estimate.  G7's
-nodes are K15's odd-indexed nodes, so a panel costs 15 integrand
-evaluations.  The gap is used as it is, without QUADPACK's
-``(200 * err) ** 1.5`` rescaling.  Panels that fail their share of the
-tolerance are bisected, and all new panels of a round are evaluated in one
-vectorized call, so integrands must accept 1-D numpy arrays.  An integral
-may use at most ``_MAX_PANELS`` panels.
+:func:`integrate_intervals` or :func:`integrate_harmonics`, and all of them
+run one refinement loop, :func:`_refine`.  Each panel is estimated with the
+15-point Kronrod rule K15, and its gap to the 7-point Gauss rule G7 on the
+same panel, used as it is without QUADPACK's ``(200 * err) ** 1.5``
+rescaling, is the panel's error estimate.  G7's nodes are K15's
+odd-indexed nodes, so a panel costs 15 integrand evaluations.
 
-:func:`integrate_harmonics` integrates ``f(x) cos(kx)`` and ``f(x) sin(kx)``
-for every ``k = 0 .. n_max`` on one shared mesh, evaluating ``f`` once per
-Kronrod node.  A panel with midpoint ``m`` and half-width ``h`` has nodes
-``m + h xi_j``, so ``exp(ikx) = exp(ikm) exp(ikh xi_j)``: panels of equal
-``h`` share one table of node phases, their K15 and K15 - G7 sums are small
-matrix products against the cached node values, and only one phase
-``exp(ikm)`` per panel and harmonic needs trigonometry.  The products are
-formed in tiles of at most ``_TILE`` harmonic-by-panel entries, so memory
-stays proportional to the panel count whatever ``n_max`` is.
+The mesh holds each panel's midpoint, half-width, owning interval and
+node values.  A moment rule turns node values into per-interval integrals
+and error sums: plain K15 sums for :func:`integrate_intervals`, and the
+integrals of ``f(x) cos(kx)`` and ``f(x) sin(kx)``, ``k = 0 .. n_max``, for
+:func:`integrate_harmonics`.  Panels that fail their share of the
+tolerance are bisected, ``f`` is evaluated on the children only, at most
+``_CHUNK`` panels per call (so integrands must accept 1-D numpy arrays),
+and the children's moments replace the parents'.  A mesh may hold at most
+``_MAX_PANELS`` panels.
+
+The harmonic rule uses ``exp(ikx) = exp(ikm) exp(ikh xi_j)`` at the nodes
+``m + h xi_j`` of a panel with midpoint ``m`` and half-width ``h``: panels
+of equal ``h`` share one table of node phases, their K15 and K15 - G7 sums
+are small matrix products against the cached node values, and only one
+phase ``exp(ikm)`` per panel and harmonic needs trigonometry.  The products
+are formed in tiles of at most ``_TILE`` harmonic-by-panel entries, so
+memory stays proportional to the panel count whatever ``n_max`` is.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -64,6 +70,9 @@ _MAX_ROUNDS = 48
 _MAX_PANELS = 1 << 15
 _EPS = np.finfo(np.float64).eps
 
+# the integrand sees the nodes of at most _CHUNK panels per call
+_CHUNK = 1 << 11
+
 # integrate_harmonics works through harmonics in blocks of at most
 # _HARMONIC_BLOCK and through panels in chunks, so that every temporary has
 # at most _TILE (harmonic, panel) entries.
@@ -71,26 +80,21 @@ _HARMONIC_BLOCK = 64
 _TILE = 1 << 13
 
 
-def _evaluate_panels(f, lo, hi):
-    """K15 values and ``|K15 - G7|`` error estimates for a batch of panels.
+def _node_values(f, mid, half):
+    """``f`` at the 15 Kronrod nodes of every panel, ``_CHUNK`` panels per call.
 
-    The 15 Kronrod nodes of every panel are evaluated in one call to ``f``.
-    Returns ``(values, errors, is_1d)`` where ``values`` has shape
-    ``(npanels, ncomp)`` and ``errors`` ``(npanels,)``.  ``f`` maps a 1-D
-    node array of length N to shape ``(N,)`` or ``(N, ncomp)``.
+    ``f`` maps a 1-D node array of length N to shape ``(N,)`` or
+    ``(N, ncomp)``; the result has shape ``(P, 15)`` or ``(P, 15, ncomp)``.
     """
-    mid = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
-    y = np.asarray(f((mid[:, None] + half[:, None] * _NODES).ravel()), dtype=np.float64)
-    is_1d = y.ndim == 1
-    y = y.reshape(lo.shape[0], _NODES.shape[0], -1)
-    with np.errstate(invalid="ignore"):
-        values = np.einsum("pnc,n->pc", y, _KRONROD_WEIGHTS) * half[:, None]
-        coarse = np.einsum("pnc,n->pc", y, _GAUSS_WEIGHTS) * half[:, None]
-        errors = np.abs(values - coarse).max(axis=1)
-    if not np.isfinite(values).all() or not np.isfinite(errors).all():
-        raise QuadratureError("integrand returned non-finite values")
-    return values, errors, is_1d
+    parts = []
+    for start in range(0, mid.shape[0], _CHUNK):
+        m = mid[start:start + _CHUNK, None]
+        y = np.asarray(f((m + half[start:start + _CHUNK, None] * _NODES).ravel()),
+                       dtype=np.float64)
+        if not np.isfinite(y).all():
+            raise QuadratureError("integrand returned non-finite values")
+        parts.append(y.reshape(m.shape[0], _NODES.shape[0], *y.shape[1:]))
+    return np.concatenate(parts)
 
 
 def _initial_panels(edges, max_panel_width):
@@ -133,57 +137,86 @@ def _check_edges(edges, tol):
     return edges, tol
 
 
-def integrate_intervals(f, edges, tol=1e-10, *, max_panel_width=None):
-    """Integrate ``f`` over every consecutive pair of ``edges`` at once.
+def _refine(f, mid, half, owner, n_int, tol, moments):
+    """Refine a seeded mesh of ``n_int`` intervals until ``moments`` meets ``tol``.
 
-    Each interval is refined independently until its summed panel error
-    (the ``|K15 - G7|`` gaps of its panels) falls below
-    ``max(tol * |value|, tol)``.  Returns ``(values, errors)`` with one
-    entry per interval; when ``f`` returns several components per node,
-    ``values`` has one row per interval.
-
-    ``max_panel_width`` caps the width of the initial panels, which is how
-    oscillatory integrands declare their finest relevant scale.  Every
-    panel costs 15 integrand evaluations, and a call that needs more than
-    ``_MAX_PANELS`` (32768) panels, at the start or during refinement, raises
-    :class:`QuadratureError`.
+    Panels are given by their midpoints, half-widths and owning intervals.
+    ``moments(mid, half, owner, y, n_int)`` maps panels and their node
+    values to ``(totals, err, worst)``: integrals of shape ``(rows, ncomp,
+    n_int)``, summed panel errors ``(rows, n_int)`` and every panel's
+    largest error over the rows.  Each interval must get every row's error
+    below ``max(tol * max over components |total|, tol)``.  A round bisects
+    the panels whose largest error exceeds the smallest share of a failing
+    budget in their interval, and swaps the parents' moments for the
+    children's.  Returns ``(totals, err, half, y)`` of the final mesh.
     """
-    edges, tol = _check_edges(edges, tol)
-    n_int = edges.shape[0] - 1
-    a, b, owner = _initial_panels(edges, max_panel_width)
-    val, err, is_1d = _evaluate_panels(f, a, b)
-    ncomp = val.shape[1]
+    y = _node_values(f, mid, half)
+    totals, err, worst = moments(mid, half, owner, y, n_int)
     for _ in range(_MAX_ROUNDS):
-        totals = np.stack(
-            [np.bincount(owner, weights=val[:, c], minlength=n_int) for c in range(ncomp)],
-            axis=1)
-        err_sums = np.bincount(owner, weights=err, minlength=n_int)
         budgets = np.maximum(tol * np.abs(totals).max(axis=1), tol)
-        bad = err_sums > budgets
+        bad = err > budgets
         if not bad.any():
-            if is_1d:
-                return totals[:, 0], err_sums
-            return totals, err_sums
+            if not np.isfinite(totals).all():
+                raise QuadratureError("integrand values overflow the integral")
+            return totals, err, half, y
         per_owner = np.bincount(owner, minlength=n_int)
-        share = budgets[owner] / (2.0 * per_owner[owner])
-        split = bad[owner] & (err > share)
-        if a.shape[0] + split.sum() > _MAX_PANELS:
+        share = np.where(bad, budgets, np.inf).min(axis=0) / (2.0 * per_owner)
+        split = worst > share[owner]
+        if mid.shape[0] + split.sum() > _MAX_PANELS:
             raise QuadratureError(
                 f"panel budget {_MAX_PANELS} exhausted at tol={tol}; "
                 "integrand is too rough or the tolerance too tight")
-        mid = 0.5 * (a[split] + b[split])
-        child_a = np.concatenate([a[split], mid])
-        child_b = np.concatenate([mid, b[split]])
+        old = moments(mid[split], half[split], owner[split], y[split], n_int)
+        quarter = 0.5 * half[split]
+        child_mid = np.concatenate([mid[split] - quarter, mid[split] + quarter])
+        child_half = np.tile(quarter, 2)
         child_owner = np.tile(owner[split], 2)
-        child_val, child_err, _ = _evaluate_panels(f, child_a, child_b)
+        child_y = _node_values(f, child_mid, child_half)
+        new = moments(child_mid, child_half, child_owner, child_y, n_int)
+        totals += new[0] - old[0]
+        err += new[1] - old[1]
         keep = ~split
-        a = np.concatenate([a[keep], child_a])
-        b = np.concatenate([b[keep], child_b])
+        mid = np.concatenate([mid[keep], child_mid])
+        half = np.concatenate([half[keep], child_half])
         owner = np.concatenate([owner[keep], child_owner])
-        val = np.concatenate([val[keep], child_val])
-        err = np.concatenate([err[keep], child_err])
+        y = np.concatenate([y[keep], child_y])
+        worst = np.concatenate([worst[keep], new[2]])
     raise QuadratureError(
         f"refinement limit reached ({_MAX_ROUNDS} rounds) without meeting tol={tol}")
+
+
+def _plain_moments(mid, half, owner, y, n_int):
+    """K15 integrals of every component of ``y`` per interval, in one row,
+    with the summed and the per-panel largest ``|K15 - G7|`` gaps."""
+    y = y.reshape(y.shape[0], _NODES.shape[0], -1)
+    values = np.einsum("pnc,n->cp", y, _KRONROD_WEIGHTS) * half
+    gaps = np.abs(np.einsum("pnc,n->cp", y, _GAP_WEIGHTS) * half).max(axis=0)
+    totals = np.stack([np.bincount(owner, weights=v, minlength=n_int) for v in values])
+    return totals[None], np.bincount(owner, weights=gaps, minlength=n_int)[None], gaps
+
+
+def integrate_intervals(f, edges, tol=1e-10, *, max_panel_width=None):
+    """Integrate ``f`` over every consecutive pair of ``edges`` at once.
+
+    All intervals share one mesh, refined with the plain K15 moment rule
+    until each interval's summed panel error (the ``|K15 - G7|`` gaps of
+    its panels) falls below ``max(tol * |value|, tol)``.  Returns
+    ``(values, errors)`` with one entry per interval; when ``f`` returns
+    several components per node, ``values`` has one row per interval.
+
+    ``max_panel_width`` caps the width of the initial panels, which is how
+    oscillatory integrands declare their finest relevant scale.  Every
+    panel costs 15 integrand evaluations, made ``_CHUNK`` panels per call.
+    A call that needs more than ``_MAX_PANELS`` (32768) panels, at the
+    start or during refinement, raises :class:`QuadratureError`; at the
+    start, that happens before ``f`` is evaluated.
+    """
+    edges, tol = _check_edges(edges, tol)
+    a, b, owner = _initial_panels(edges, max_panel_width)
+    totals, err, _, y = _refine(f, 0.5 * (a + b), 0.5 * (b - a), owner, edges.shape[0] - 1,
+                                tol, _plain_moments)
+    values = totals[0].T
+    return (values[:, 0] if y.ndim == 2 else values), err[0]
 
 
 def integrate(f, lo, hi, tol=1e-10, *, breakpoints=(), max_panel_width=None):
@@ -220,14 +253,6 @@ def _edges(lo, hi, breakpoints):
     return np.asarray(edges)
 
 
-def _node_values(f, mid, half):
-    """``f`` at the 15 Kronrod nodes of every panel, one row per panel."""
-    y = np.asarray(f((mid[:, None] + half[:, None] * _NODES).ravel()), dtype=np.float64)
-    if not np.isfinite(y).all():
-        raise QuadratureError("integrand returned non-finite values")
-    return y.reshape(mid.shape[0], _NODES.shape[0])
-
-
 def _phase_table(k, h):
     """Weights that turn a panel's node values into its moments.
 
@@ -246,14 +271,13 @@ def _harmonic_moments(n_max, mid, half, owner, y, n_int):
     """K15 integrals of ``y(x) exp(ikx)``, ``k = 0 .. n_max``, per interval.
 
     Panels are given by their midpoints, half-widths and owning intervals,
-    ``y`` holds their node values.  Returns ``(re, im, err, worst)``: the
-    cosine and sine integrals and the summed ``max(|Re|, |Im|)`` of the
-    panels' K15 - G7 gaps, each of shape ``(n_max + 1, n_int)``, and every
-    panel's largest gap over the harmonics.
+    ``y`` holds their node values.  Returns ``(totals, err, worst)``: the
+    cosine and sine integrals, shape ``(n_max + 1, 2, n_int)``, the summed
+    ``max(|Re|, |Im|)`` of the panels' K15 - G7 gaps, shape ``(n_max + 1,
+    n_int)``, and every panel's largest gap over the harmonics.
     """
     n_harm = n_max + 1
-    re = np.zeros((n_harm, n_int))
-    im = np.zeros((n_harm, n_int))
+    totals = np.zeros((n_harm, 2, n_int))
     err = np.zeros((n_harm, n_int))
     worst = np.zeros(mid.shape[0])
     block = min(n_harm, _HARMONIC_BLOCK)
@@ -275,12 +299,12 @@ def _harmonic_moments(n_max, mid, half, owner, y, n_int):
                 own = owner[panels]
                 runs = np.flatnonzero(np.r_[True, own[1:] != own[:-1]])
                 cols = own[runs]
-                re[rows, cols] += np.add.reduceat(c * kc - s * ks, runs, axis=1)
-                im[rows, cols] += np.add.reduceat(s * kc + c * ks, runs, axis=1)
+                totals[rows, 0, cols] += np.add.reduceat(c * kc - s * ks, runs, axis=1)
+                totals[rows, 1, cols] += np.add.reduceat(s * kc + c * ks, runs, axis=1)
                 gap = np.maximum(np.abs(c * gc - s * gs), np.abs(s * gc + c * gs))
                 err[rows, cols] += np.add.reduceat(gap, runs, axis=1)
                 worst[panels] = np.maximum(worst[panels], gap.max(axis=0))
-    return re, im, err, worst
+    return totals, err, worst
 
 
 def integrate_harmonics(f, lo, hi, n_max, tol=1e-10, *, breakpoints=()):
@@ -289,14 +313,13 @@ def integrate_harmonics(f, lo, hi, n_max, tol=1e-10, *, breakpoints=()):
 
     The mesh is split at ``breakpoints`` (as in :func:`integrate`) and
     seeded with panels no wider than ``pi / (n_max + 1)``, half the period
-    of the highest harmonic.  ``f`` is evaluated once per Kronrod node and
-    its values are kept per panel.  Each seeded interval is refined until,
-    for every harmonic, its summed panel errors (``max(|Re|, |Im|)`` of the
+    of the highest harmonic.  ``f`` is evaluated once per Kronrod node,
+    ``_CHUNK`` panels per call, and its values are kept per panel.  The
+    mesh is refined by the same loop as :func:`integrate_intervals`, with
+    the harmonic moment rule: each seeded interval is refined until, for
+    every harmonic, its summed panel errors (``max(|Re|, |Im|)`` of the
     K15 - G7 gap of ``f(x) exp(ikx)``) fall below ``max(tol * max(|cos
-    integral|, |sin integral|), tol)``.  A refinement round bisects the
-    panels whose largest gap over the harmonics exceeds the smallest share
-    of a failing budget in their interval, evaluates ``f`` only on the
-    children, and swaps the parents' contributions for the children's.
+    integral|, |sin integral|), tol)``.
 
     Returns ``(cos_integrals, sin_integrals, errors)``, each of length
     ``n_max + 1``.  ``errors[k]`` estimates harmonic ``k``'s absolute error:
@@ -314,40 +337,12 @@ def integrate_harmonics(f, lo, hi, n_max, tol=1e-10, *, breakpoints=()):
         a, b, owner = _initial_panels(edges, math.pi / (n_max + 1))
     except QuadratureError as exc:
         raise QuadratureError(f"n_max={n_max}: {exc}") from None
+    # one half-width per interval, so that its panels share phase tables
     half = 0.5 * (np.diff(edges) / np.bincount(owner, minlength=n_int))[owner]
-    mid = 0.5 * (a + b)
-    y = _node_values(f, mid, half)
-    re, im, err, worst = _harmonic_moments(n_max, mid, half, owner, y, n_int)
-    for _ in range(_MAX_ROUNDS):
-        budgets = np.maximum(tol * np.maximum(np.abs(re), np.abs(im)), tol)
-        bad = err > budgets
-        if not bad.any():
-            abs_integral = (half * (np.abs(y) @ _KRONROD_WEIGHTS)).sum()
-            x_max = max(abs(edges[0]), abs(edges[-1]))
-            rounding = _EPS * (50.0 + np.arange(n_max + 1) * x_max) * abs_integral
-            return re.sum(axis=1), im.sum(axis=1), err.sum(axis=1) + rounding
-        per_owner = np.bincount(owner, minlength=n_int)
-        share = np.where(bad, budgets, np.inf).min(axis=0) / (2.0 * per_owner)
-        split = worst > share[owner]
-        if mid.shape[0] + split.sum() > _MAX_PANELS:
-            raise QuadratureError(
-                f"panel budget {_MAX_PANELS} exhausted at tol={tol}; "
-                "integrand is too rough or the tolerance too tight")
-        old = _harmonic_moments(n_max, mid[split], half[split], owner[split], y[split], n_int)
-        quarter = 0.5 * half[split]
-        child_mid = np.concatenate([mid[split] - quarter, mid[split] + quarter])
-        child_half = np.tile(quarter, 2)
-        child_owner = np.tile(owner[split], 2)
-        child_y = _node_values(f, child_mid, child_half)
-        new = _harmonic_moments(n_max, child_mid, child_half, child_owner, child_y, n_int)
-        re += new[0] - old[0]
-        im += new[1] - old[1]
-        err += new[2] - old[2]
-        keep = ~split
-        mid = np.concatenate([mid[keep], child_mid])
-        half = np.concatenate([half[keep], child_half])
-        owner = np.concatenate([owner[keep], child_owner])
-        y = np.concatenate([y[keep], child_y])
-        worst = np.concatenate([worst[keep], new[3]])
-    raise QuadratureError(
-        f"refinement limit reached ({_MAX_ROUNDS} rounds) without meeting tol={tol}")
+    totals, err, half, y = _refine(f, 0.5 * (a + b), half, owner, n_int, tol,
+                                   functools.partial(_harmonic_moments, n_max))
+    abs_integral = (half * (np.abs(y) @ _KRONROD_WEIGHTS)).sum()
+    x_max = max(abs(edges[0]), abs(edges[-1]))
+    rounding = _EPS * (50.0 + np.arange(n_max + 1) * x_max) * abs_integral
+    cos_int, sin_int = totals.sum(axis=2).T
+    return cos_int, sin_int, err.sum(axis=1) + rounding

@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,6 +30,16 @@ CONSTANT_ONE = {"segments": [
 
 def build(spec_dict):
     return tc.parse_spec(json.dumps(spec_dict))
+
+
+def traced_peak(call):
+    """``call()``'s result and the peak of the memory traced while it ran."""
+    tracemalloc.start()
+    try:
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.fixture

@@ -273,6 +273,22 @@ class TestExitCodes:
         assert code == 1
         assert "DomainError" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["tail", "--n", "10000000000000"],
+        ["tail", "--n", "1000001"],
+        ["blocks", "--i", "1e13", "--h", "1.0"],
+        ["blocks", "--i", "1e300"],
+        ["limit", "--i", "10,1e13"],
+    ])
+    def test_order_or_frequency_above_maximum(self, capsys, constant_file, argv):
+        if argv[0] != "tail":
+            argv = [argv[0], "--function", constant_file, *argv[1:]]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("DomainError:")
+        assert "Traceback" not in err
+
     def test_comma_list_where_single_expected(self, capsys, sawtooth_file):
         code, _, err = run_cli(capsys, "coeffs", "--function", sawtooth_file,
                                "--n", "3,5")

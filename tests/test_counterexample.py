@@ -1,10 +1,10 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
 
 import trigconv as tc
+from conftest import traced_peak
 from trigconv.cli import main
 
 
@@ -32,15 +32,6 @@ def no_terms(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("series terms built before input was validated")
     monkeypatch.setattr(tc.counterexample, "_terms", refuse)
-
-
-def traced_peak(call):
-    tracemalloc.start()
-    try:
-        result = call()
-        return result, tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
 
 
 class TestProbe:

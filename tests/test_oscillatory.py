@@ -274,6 +274,37 @@ class TestLimitVerify:
             tc.limit_verify(f, 0.0, HALF_PI, (10, 10))
 
 
+class TestLargestOrderAndFrequency:
+    """Orders and frequencies up to 10**6 are admitted; larger ones are
+    refused before any array is built."""
+
+    ABOVE = float(np.nextafter(1e6, math.inf))
+
+    @pytest.mark.parametrize("call", [
+        lambda: tc.tail(10**6),
+        lambda: tc.decompose(np.exp, 1e6, HALF_PI),
+        lambda: tc.limit_verify(np.exp, 0.0, HALF_PI, (10, 1e6)),
+    ], ids=["tail", "decompose", "limit_verify"])
+    def test_maximum_reaches_the_panel_cap(self, call):
+        with pytest.raises(tc.QuadratureError, match="initial subdivision needs"):
+            call()
+
+    def test_maximum_frequency_weight(self):
+        assert tc.sine_ratio(1e6, 0.0) == 1e6
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda big: tc.tail(int(big) + 1), "n_max must lie in"),
+        (lambda big: tc.decompose(np.exp, big, HALF_PI), "frequency must lie in"),
+        (lambda big: tc.limit_verify(np.exp, 0.0, HALF_PI, (10, big)),
+         "frequency must lie in"),
+        (lambda big: tc.sine_ratio(big, 0.3), "frequency must lie in"),
+    ], ids=["tail", "decompose", "limit_verify", "sine_ratio"])
+    @pytest.mark.parametrize("big", [ABOVE, 1e13, 1e300])
+    def test_above_maximum_refused(self, call, message, big):
+        with pytest.raises(tc.DomainError, match=message):
+            call(big)
+
+
 class TestCallableContract:
     @pytest.fixture
     def no_quadrature(self, monkeypatch):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import trigconv as tc
+from conftest import SQUARE, build, traced_peak
 from oracles import composite_simpson
 from trigconv import quadrature
 
@@ -112,6 +113,11 @@ class TestIntegrate:
         with pytest.raises(tc.QuadratureError):
             tc.integrate(bad, 0.0, 1.0, 1e-8)
 
+    def test_overflowing_integral_error(self):
+        huge = lambda x: np.full_like(x, 1e308)
+        with np.errstate(over="ignore"), pytest.raises(tc.QuadratureError, match="overflow"):
+            tc.integrate(huge, 0.0, 10.0)
+
 
 class TestIntegrateIntervals:
     def test_matches_individual_calls(self):
@@ -188,3 +194,78 @@ class TestIntegrateHarmonics:
         bad = lambda x: np.where(x < 0.5, np.inf, 1.0)
         with pytest.raises(tc.QuadratureError, match="non-finite"):
             quadrature.integrate_harmonics(bad, 0.0, 1.0, 3, 1e-8)
+
+
+class TestChunkedEvaluation:
+    """The integrand sees at most ``_CHUNK`` panels' nodes per call, and the
+    chunk size does not change any result."""
+
+    @staticmethod
+    def recorded(f, sizes):
+        def g(x):
+            sizes.append(x.size)
+            return f(x)
+        return g
+
+    def test_default_chunk_splits_a_large_mesh(self):
+        sizes = []
+        value = tc.integrate(self.recorded(np.cos, sizes), 0.0, 1.0, 1e-10,
+                             max_panel_width=1.0 / 5000)
+        assert value == pytest.approx(math.sin(1.0), abs=1e-12)
+        assert quadrature._CHUNK < 5000
+        assert len(sizes) == math.ceil(5000 / quadrature._CHUNK)
+        assert max(sizes) == 15 * quadrature._CHUNK
+        assert sum(sizes) == 15 * 5000
+
+    def test_intervals_with_two_components(self, monkeypatch):
+        # a kink inside the last interval makes the mesh refine
+        def pair(x):
+            return np.stack([np.exp(-x) * np.sin(9 * x), np.abs(x - 1.37)], axis=1)
+
+        def run(sizes):
+            return tc.integrate_intervals(self.recorded(pair, sizes), [0.0, 0.5, 1.0, 2.0],
+                                          1e-11, max_panel_width=0.1)
+        default = run([])
+        monkeypatch.setattr(quadrature, "_CHUNK", 3)
+        sizes = []
+        chunked = run(sizes)
+        assert default[0].shape == (3, 2)
+        assert np.array_equal(chunked[0], default[0])
+        assert np.array_equal(chunked[1], default[1])
+        assert max(sizes) <= 15 * 3
+        assert sum(sizes) > 15 * 20
+
+    def test_harmonics(self, monkeypatch):
+        def run(sizes):
+            return quadrature.integrate_harmonics(self.recorded(np.sqrt, sizes), 0.0, 3.0,
+                                                  40, 1e-10, breakpoints=[1.0])
+        default = run([])
+        monkeypatch.setattr(quadrature, "_CHUNK", 3)
+        sizes = []
+        chunked = run(sizes)
+        for got, want in zip(chunked, default):
+            assert np.array_equal(got, want)
+        assert max(sizes) <= 15 * 3
+
+    def test_partial_sum_kernel(self, monkeypatch):
+        square = build(SQUARE)
+        default = tc.partial_sum_kernel(square, 1.3, 200)
+        monkeypatch.setattr(quadrature, "_CHUNK", 3)
+        sizes = []
+        square_eval = tc.PiecewiseFunction.eval
+
+        def eval_recorded(self, x):
+            sizes.append(x.size)
+            return square_eval(self, x)
+
+        monkeypatch.setattr(tc.PiecewiseFunction, "eval", eval_recorded)
+        assert tc.partial_sum_kernel(square, 1.3, 200) == default
+        assert max(sizes) <= 15 * 3
+
+
+class TestMemory:
+    def test_kernel_partial_sum_at_largest_order_under_the_cap(self):
+        # one integrand call over the whole mesh peaks near 31 MB
+        value, peak = traced_peak(lambda: tc.partial_sum_kernel(build(SQUARE), 1.3, 16000))
+        assert value == pytest.approx(1.0, abs=1e-3)
+        assert peak < 12 * 2**20
