@@ -2,9 +2,10 @@
 
 Each subcommand runs one operation pipeline and emits a single record —
 JSON by default, CSV on request — with the command name, an echo of the
-inputs, column labels, and data rows.  All numbers are serialized with 17
-significant digits, so JSON output round-trips bit-exactly and repeated
-invocations are byte-identical.
+inputs, column labels, and data rows.  Each handler builds its table as one
+mapping from column label to column; one scalar formatter writes every
+value, floats with 17 significant digits, so JSON output round-trips
+bit-exactly and repeated invocations are byte-identical.
 
 Exit status: 0 on success, 1 on any computational error (the error class
 name goes to standard error), 2 on usage errors.
@@ -15,11 +16,14 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import json
 import math
 import sys
 
+import numpy as np
+
 from . import counterexample, fourier, kernel, oscillatory
-from .errors import TrigconvError, check_integer
+from .errors import TrigconvError, check_abscissa, check_integer
 from .piecewise import load_spec
 
 _PI_LITERALS = {"pi": math.pi, "-pi": -math.pi, "pi/2": math.pi / 2,
@@ -61,179 +65,172 @@ def _single(values, flag):
     return values[0]
 
 
-def _format_value(value):
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, int):
-        return str(value)
+def _scalar(value, fmt):
+    """``value`` (a float, int, bool, string or ``None``) as ``fmt`` text."""
     if isinstance(value, float):
         return format(value, ".17g")
+    if value is None:
+        return "null" if fmt == "json" else ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, str):
+        return json.dumps(value, ensure_ascii=False) if fmt == "json" else value
     return str(value)
 
 
-def _to_json(obj):
-    if obj is None:
-        return "null"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, (int, float)):
-        return _format_value(obj)
-    if isinstance(obj, str):
-        out = obj.replace("\\", "\\\\").replace('"', '\\"')
-        return f'"{out}"'
-    if isinstance(obj, (list, tuple)):
-        return "[" + ", ".join(_to_json(v) for v in obj) + "]"
-    if isinstance(obj, dict):
-        return "{" + ", ".join(f'{_to_json(str(k))}: {_to_json(v)}'
-                               for k, v in obj.items()) + "}"
-    raise TypeError(f"cannot serialize {type(obj)!r}")
+def _json(value):
+    """A record field: a scalar, or a list or mapping of them, as JSON."""
+    if isinstance(value, dict):
+        return "{" + ", ".join(f"{_json(k)}: {_json(v)}" for k, v in value.items()) + "}"
+    if isinstance(value, list):
+        return "[" + ", ".join(map(_json, value)) + "]"
+    return _scalar(value, "json")
 
 
-def _render(record):
-    if record["format"] == "json":
-        return _to_json(record) + "\n"
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(record["columns"])
-    for row in record["rows"]:
-        writer.writerow([_format_value(v) for v in row])
-    return buffer.getvalue()
+def _render(head, table):
+    fmt = head["format"]
+    # row by row, so that the cells are never all held as strings at once
+    rows = ([_scalar(v, fmt) for v in row] for row in zip(*table.values()))
+    if fmt == "csv":
+        buffer = io.StringIO()
+        writer = csv.writer(buffer, lineterminator="\n")
+        writer.writerow(table)
+        writer.writerows(rows)
+        return buffer.getvalue()
+    head = {**head, "columns": list(table)}
+    fields = ", ".join(f"{_json(k)}: {_json(v)}" for k, v in head.items())
+    body = ", ".join("[" + ", ".join(row) + "]" for row in rows)
+    return "{" + fields + f', "rows": [{body}]}}\n'
 
 
-def _record(command, args, inputs, columns, rows, extras=None):
-    record = {"command": command, "format": args.format, "inputs": inputs}
-    if extras:
-        record.update(extras)
-    record["columns"] = columns
-    record["rows"] = rows
-    return record
+def _record(command, args, inputs, table, **extras):
+    """The record's leading fields, and ``table`` with each column a list."""
+    head = {"command": command, "format": args.format, "inputs": inputs, **extras}
+    return head, {label: c.tolist() if isinstance(c, np.ndarray) else list(c)
+                  for label, c in table.items()}
 
 
 def _cmd_validate(args):
     f = load_spec(args.function)
-    rows = [[j, s.lo, s.hi, s.lo_value, s.hi_value]
-            for j, s in enumerate(f.segments)]
+    segments = f.segments
     return _record(
-        "validate", args,
-        inputs={"function": args.function},
-        columns=["segment", "lo", "hi", "lo_value", "hi_value"],
-        rows=rows,
-        extras={"valid": True, "segments": len(f.segments),
-                "jumps": [jp.x for jp in f.jumps]})
+        "validate", args, {"function": args.function},
+        {"segment": range(len(segments)),
+         "lo": [s.lo for s in segments],
+         "hi": [s.hi for s in segments],
+         "lo_value": [s.lo_value for s in segments],
+         "hi_value": [s.hi_value for s in segments]},
+        valid=True, segments=len(segments), jumps=[jp.x for jp in f.jumps])
 
 
 def _cmd_coeffs(args):
     n_max = _single(args.n, "--n")
-    f = load_spec(args.function)
-    c = fourier.coefficients(f, n_max, args.tol)
-    rows = [[0, c.a0, 0.0]]
-    rows += [[k, float(c.a[k - 1]), float(c.b[k - 1])] for k in range(1, n_max + 1)]
+    c = fourier.coefficients(load_spec(args.function), n_max, args.tol)
     return _record(
-        "coeffs", args,
-        inputs={"function": args.function, "n": n_max, "tol": args.tol},
-        columns=["k", "a_k", "b_k"], rows=rows)
+        "coeffs", args, {"function": args.function, "n": n_max, "tol": args.tol},
+        {"k": range(n_max + 1),
+         "a_k": np.concatenate(([c.a0], c.a)),
+         "b_k": np.concatenate(([0.0], c.b))})
 
 
 def _cmd_partialsum(args):
-    fourier._check_abscissa(args.x)
-    orders = sorted(set(check_integer(n, "n", 0) for n in args.n))
+    # refuse bad input before coefficients, which caps the largest order
+    check_abscissa(args.x)
+    orders = sorted({check_integer(n, "n", 0) for n in args.n})
     f = load_spec(args.function)
-    c = fourier.coefficients(f, max(orders), args.tol)
-    rows = []
-    for n in orders:
-        by_coeff = fourier.partial_sum(c, args.x, n)
-        by_kernel = fourier.partial_sum_kernel(f, args.x, n, args.tol)
-        rows.append([n, args.x, by_coeff, by_kernel, abs(by_coeff - by_kernel)])
+    c = fourier.coefficients(f, orders[-1], args.tol)
+    by_coeff = np.array([fourier.partial_sum(c, args.x, n) for n in orders])
+    by_kernel = np.array([fourier.partial_sum_kernel(f, args.x, n, args.tol)
+                          for n in orders])
     return _record(
         "partialsum", args,
-        inputs={"function": args.function, "x": args.x, "n": orders, "tol": args.tol},
-        columns=["n", "x", "coefficient_path", "kernel_path", "abs_difference"],
-        rows=rows)
+        {"function": args.function, "x": args.x, "n": orders, "tol": args.tol},
+        {"n": orders,
+         "x": [args.x] * len(orders),
+         "coefficient_path": by_coeff,
+         "kernel_path": by_kernel,
+         "abs_difference": np.abs(by_coeff - by_kernel)})
 
 
 def _cmd_converge(args):
-    f = load_spec(args.function)
-    report = fourier.convergence_report(f, args.x, args.n, args.tol)
-    rows = [[n, float(v), report.predicted, float(e)]
-            for n, v, e in zip(report.schedule, report.values, report.errors)]
+    report = fourier.convergence_report(load_spec(args.function), args.x, args.n,
+                                        args.tol)
     return _record(
         "converge", args,
-        inputs={"function": args.function, "x": args.x, "n": list(args.n),
-                "tol": args.tol},
-        columns=["n", "value", "predicted", "abs_error"], rows=rows,
-        extras={"jump_midpoint": report.extras["jump_midpoint"],
-                "jump_half_difference": report.extras["jump_half_difference"]})
+        {"function": args.function, "x": args.x, "n": args.n, "tol": args.tol},
+        {"n": report.schedule,
+         "value": report.values,
+         "predicted": [report.predicted] * len(report.schedule),
+         "abs_error": report.errors},
+        **report.extras)
 
 
 def _cmd_kernel(args):
-    rows = []
-    for n in args.n:
-        direct = kernel.cosine_sum(n, args.x)
-        closed = kernel.dirichlet_kernel(n, args.x)
-        rows.append([n, args.x, direct, closed, abs(direct - closed),
-                     kernel.kernel_mean(n, args.tol)])
+    direct = np.array([kernel.cosine_sum(n, args.x) for n in args.n])
+    closed = np.array([kernel.dirichlet_kernel(n, args.x) for n in args.n])
     return _record(
-        "kernel", args,
-        inputs={"n": list(args.n), "x": args.x, "tol": args.tol},
-        columns=["n", "t", "cosine_sum", "closed_form", "abs_difference", "mean"],
-        rows=rows)
+        "kernel", args, {"n": args.n, "x": args.x, "tol": args.tol},
+        {"n": args.n,
+         "t": [args.x] * len(args.n),
+         "cosine_sum": direct,
+         "closed_form": closed,
+         "abs_difference": np.abs(direct - closed),
+         "mean": [kernel.kernel_mean(n, args.tol) for n in args.n]})
 
 
 def _cmd_blocks(args):
     i = _single(args.i, "--i")
-    f = load_spec(args.function)
-    d = oscillatory.decompose(f, i, args.h, args.tol)
-    rows = [[nu + 1, float(d.boundaries[nu]), float(d.boundaries[nu + 1]),
-             float(d.block_values[nu]), float(d.weight_magnitudes[nu]),
-             float(d.block_means[nu])]
-            for nu in range(len(d.block_values))]
+    d = oscillatory.decompose(load_spec(args.function), i, args.h, args.tol)
     return _record(
         "blocks", args,
-        inputs={"function": args.function, "i": i, "h": args.h, "tol": args.tol},
-        columns=["block", "lo", "hi", "value", "weight_magnitude", "mean_factor"],
-        rows=rows,
-        extras={"full_blocks": d.full_blocks})
+        {"function": args.function, "i": i, "h": args.h, "tol": args.tol},
+        {"block": range(1, len(d.block_values) + 1),
+         "lo": d.boundaries[:-1],
+         "hi": d.boundaries[1:],
+         "value": d.block_values,
+         "weight_magnitude": d.weight_magnitudes,
+         "mean_factor": d.block_means},
+        full_blocks=d.full_blocks)
 
 
 def _cmd_tail(args):
     n_max = _single(args.n, "--n")
     t = oscillatory.tail(n_max, args.tol)
-    half_pi = math.pi / 2
-    rows = [[n + 1, float(t.terms[n]), float(t.partial_sums[n]),
-             abs(float(t.partial_sums[n]) - half_pi), float(t.terms[n + 1])]
-            for n in range(n_max)]
     return _record(
-        "tail", args,
-        inputs={"n": n_max, "tol": args.tol},
-        columns=["n", "term", "partial_sum", "abs_gap", "next_term"], rows=rows)
+        "tail", args, {"n": n_max, "tol": args.tol},
+        {"n": range(1, n_max + 1),
+         "term": t.terms[:-1],
+         "partial_sum": t.partial_sums,
+         "abs_gap": np.abs(t.partial_sums - math.pi / 2),
+         "next_term": t.terms[1:]})
 
 
 def _cmd_limit(args):
-    f = load_spec(args.function)
-    report = oscillatory.limit_verify(f, args.g, args.h, args.i, args.tol)
-    rows = [[float(i), float(v), report.predicted, float(e)]
-            for i, v, e in zip(report.schedule, report.values, report.errors)]
+    report = oscillatory.limit_verify(load_spec(args.function), args.g, args.h, args.i,
+                                      args.tol)
     return _record(
         "limit", args,
-        inputs={"function": args.function, "g": args.g, "h": args.h,
-                "i": list(args.i), "tol": args.tol},
-        columns=["i", "value", "predicted", "abs_error"], rows=rows)
+        {"function": args.function, "g": args.g, "h": args.h, "i": args.i,
+         "tol": args.tol},
+        {"i": report.schedule,
+         "value": report.values,
+         "predicted": [report.predicted] * len(report.schedule),
+         "abs_error": report.errors})
 
 
 def _cmd_cauchy(args):
-    n_terms = counterexample._check_terms(_single(args.n, "--n"))
-    bound = counterexample._check_bound(args.x if args.x is not None else -3.0)
-    rows = []
-    for kind in counterexample.KINDS:
-        s = counterexample.summarize(kind, n_terms, bound)
-        rows.append([kind, n_terms, s.last_sum, s.min_sum, s.max_sum, s.band_escape])
+    # summarize validates the term count and the bound before any array
+    n_terms = _single(args.n, "--n")
+    bound = args.x if args.x is not None else -3.0
+    s = [counterexample.summarize(kind, n_terms, bound) for kind in counterexample.KINDS]
     return _record(
-        "cauchy", args,
-        inputs={"n": n_terms, "bound": bound},
-        columns=["kind", "terms", "last_sum", "min_sum", "max_sum", "band_escape"],
-        rows=rows)
+        "cauchy", args, {"n": s[0].n_terms, "bound": s[0].bound},
+        {"kind": [r.kind for r in s],
+         "terms": [r.n_terms for r in s],
+         "last_sum": [r.last_sum for r in s],
+         "min_sum": [r.min_sum for r in s],
+         "max_sum": [r.max_sum for r in s],
+         "band_escape": [r.band_escape for r in s]})
 
 
 def _add_output_flags(sub):
@@ -303,14 +300,14 @@ def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        record = args.handler(args)
+        head, table = args.handler(args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except (TrigconvError, OSError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-    text = _render(record)
+    text = _render(head, table)
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)

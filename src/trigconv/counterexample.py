@@ -82,8 +82,8 @@ def _check_bound(bound):
         bound = float(bound)
     except (TypeError, ValueError):
         raise DomainError(f"bound must be a number, got {bound!r}") from None
-    if not bound < 0:
-        raise DomainError(f"bound must be negative, got {bound!r}")
+    if not -math.inf < bound < 0:
+        raise DomainError(f"bound must be finite and negative, got {bound!r}")
     return bound
 
 
@@ -165,10 +165,11 @@ def summarize(kind, n_terms, bound):
 def divergence_witness(kind, bound, n_max):
     """First index whose partial sum escapes the band ``[bound, -bound]``.
 
-    ``bound`` must be negative; the band is symmetric about zero, so an
-    escape on either side witnesses the sums leaving every bounded region
-    of that size.  Returns ``None`` when all ``n_max`` sums stay inside.
-    This is the escape index of :func:`summarize`'s single pass.
+    ``bound`` must be finite and negative; the band is symmetric about
+    zero, so an escape on either side witnesses the sums leaving every
+    bounded region of that size.  Returns ``None`` when all ``n_max`` sums
+    stay inside.  This is the escape index of :func:`summarize`'s single
+    pass.
     """
     n_max = _check_terms(n_max, "n_max")
     return summarize(kind, n_max, bound).band_escape

@@ -1,5 +1,5 @@
-"""Exception types shared across the package, and the integer and schedule
-validators."""
+"""Exception types shared across the package, and the integer, schedule and
+abscissa validators."""
 
 import math
 import numbers
@@ -57,3 +57,12 @@ def check_schedule(values, name):
     if any(b <= a for a, b in zip(values, values[1:])):
         raise DomainError(f"the {name} must be strictly increasing")
     return values
+
+
+def check_abscissa(x):
+    """Return ``x`` as a float after checking it lies in [-pi, pi]; NaN and
+    infinities are refused with the same :class:`DomainError`."""
+    x = float(x)
+    if not -math.pi <= x <= math.pi:
+        raise DomainError(f"x must lie in [-pi, pi], got {x!r}")
+    return x

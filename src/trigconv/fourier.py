@@ -17,8 +17,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DomainError, check_integer, check_schedule
-from .kernel import dirichlet_kernel
+from .errors import DomainError, check_abscissa, check_integer, check_schedule
+from .kernel import _MAX_ORDER, dirichlet_kernel
 from .oscillatory import ConvergenceReport
 from .piecewise import PiecewiseFunction
 from .quadrature import integrate, integrate_harmonics
@@ -53,21 +53,13 @@ def _check_function(f):
     return f
 
 
-def _check_abscissa(x):
-    """Return ``x`` as a float after checking it lies in [-pi, pi]."""
-    x = float(x)
-    if not -PI <= x <= PI:
-        raise DomainError(f"x must lie in [-pi, pi], got {x!r}")
-    return x
-
-
 def _wrap_abscissa(x):
     """Validate x in [-pi, pi] and fold ``-pi`` onto ``pi``.
 
     The fold makes the two endpoint evaluations of any partial sum agree
     bitwise, which is the finite-sum image of periodicity.
     """
-    x = _check_abscissa(x)
+    x = check_abscissa(x)
     return PI if x == -PI else x
 
 
@@ -80,11 +72,12 @@ def coefficients(f, n_max, tol=1e-10):
     the period of harmonic ``n_max``, on which ``f`` is evaluated once per
     node.  Each harmonic's cosine and sine integrals over each seeded
     interval meet the same ``max(tol * |value|, tol)`` budget as a
-    separate adaptive integral would.  An ``n_max`` whose seeded mesh
-    exceeds the panel cap is refused before ``f`` is evaluated.
+    separate adaptive integral would.  An ``n_max`` above the largest
+    order ``10**6``, or whose seeded mesh exceeds the panel cap, is refused
+    before ``f`` is evaluated.
     """
     f = _check_function(f)
-    n_max = check_integer(n_max, "n_max", 1)
+    n_max = check_integer(n_max, "n_max", 1, _MAX_ORDER)
     cos_int, sin_int, errors = integrate_harmonics(f.eval, -PI, PI, n_max, tol,
                                                    breakpoints=f.breakpoints)
     error = errors / PI
@@ -111,7 +104,7 @@ def partial_sum_kernel(f, x, n, tol=1e-9):
     ``D_n`` is the closed-form summation kernel.
     """
     f = _check_function(f)
-    n = check_integer(n, "n", 0)
+    n = check_integer(n, "n", 0, _MAX_ORDER)
     x = _wrap_abscissa(x)
     breaks = sorted(set(f.breakpoints) | ({x} if -PI < x < PI else set()))
     value = integrate(lambda alpha: f.eval(alpha) * dirichlet_kernel(n, alpha - x),
@@ -132,7 +125,7 @@ def beta_split_points(f, x, side):
     f = _check_function(f)
     if side not in ("lower", "upper"):
         raise DomainError(f"side must be 'lower' or 'upper', got {side!r}")
-    x = _check_abscissa(x)
+    x = check_abscissa(x)
     length = (PI + x) / 2.0 if side == "lower" else (PI - x) / 2.0
     features = f.extrema_and_jumps()
     if side == "lower":
@@ -154,8 +147,8 @@ def split_integrals(f, x, n, tol=1e-9):
     integral is empty and exactly ``0.0``.
     """
     f = _check_function(f)
-    n = check_integer(n, "n", 0)
-    x = _check_abscissa(x)
+    n = check_integer(n, "n", 0, _MAX_ORDER)
+    x = check_abscissa(x)
 
     def one_side(side):
         length = (PI + x) / 2.0 if side == "lower" else (PI - x) / 2.0
@@ -195,9 +188,10 @@ def convergence_report(f, x, schedule, tol=1e-10):
     points) so jump behaviour can be read off directly.
     """
     f = _check_function(f)
-    x = _check_abscissa(x)
-    orders = check_schedule((check_integer(n, "schedule entry", 1) for n in schedule),
-                            "order schedule")
+    x = check_abscissa(x)
+    orders = check_schedule(
+        (check_integer(n, "schedule entry", 1, _MAX_ORDER) for n in schedule),
+        "order schedule")
     coeff = coefficients(f, orders[-1], tol)
     values = np.array([partial_sum(coeff, x, n) for n in orders])
     predicted = predicted_limit(f, x)

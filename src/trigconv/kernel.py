@@ -15,10 +15,11 @@ import math
 
 import numpy as np
 
-from .errors import check_integer
+from .errors import DomainError, check_integer
 from .quadrature import integrate
 
-# the largest kernel order, tail length and sine-block frequency admitted
+# the largest order (of the kernel, a partial sum, a coefficient table or
+# the alternating tail) and sine-block frequency admitted
 _MAX_ORDER = 10**6
 _TWO_PI = 2.0 * math.pi
 
@@ -39,10 +40,13 @@ def _sin_ratio(m, u):
 
 def cosine_sum(n, t):
     """Direct summation of ``1/2 + sum_{k<=n} cos(k t)``; the cosines are
-    added exactly by :func:`math.fsum`."""
+    added exactly by :func:`math.fsum`.  A non-finite ``t`` is refused."""
     n = check_integer(n, "order", 0, _MAX_ORDER)
+    t = float(t)
+    if not math.isfinite(t):
+        raise DomainError(f"t must be finite, got {t!r}")
     k = np.arange(1, n + 1, dtype=np.float64)
-    return 0.5 + math.fsum(np.cos(k * float(t)))
+    return 0.5 + math.fsum(np.cos(k * t))
 
 
 def dirichlet_kernel(n, t):

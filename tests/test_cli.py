@@ -253,6 +253,52 @@ class TestOutputContract:
         assert out.count("\n") == 1
 
 
+class TestPinnedBytes:
+    """Exact output of records that involve no quadrature, so numerical
+    changes elsewhere leave them alone."""
+
+    def test_validate(self, capsys, square_file):
+        path = json.dumps(square_file)
+        expected = {
+            "json": (
+                '{"command": "validate", "format": "json", "inputs": {"function": '
+                + path + '}, "valid": true, "segments": 2, "jumps": [0], '
+                '"columns": ["segment", "lo", "hi", "lo_value", "hi_value"], '
+                '"rows": [[0, -3.1415926535897931, 0, -1, -1], '
+                '[1, 0, 3.1415926535897931, 1, 1]]}\n'),
+            "csv": ("segment,lo,hi,lo_value,hi_value\n"
+                    "0,-3.1415926535897931,0,-1,-1\n"
+                    "1,0,3.1415926535897931,1,1\n"),
+        }
+        for fmt, text in expected.items():
+            assert run_cli(capsys, "validate", "--function", square_file,
+                           "--format", fmt) == (0, text, "")
+
+    def test_cauchy(self, capsys):
+        expected = {
+            "json": (
+                '{"command": "cauchy", "format": "json", "inputs": {"n": 5, "bound": -3}, '
+                '"columns": ["kind", "terms", "last_sum", "min_sum", "max_sum", '
+                '"band_escape"], "rows": ['
+                '["u", 5, -0.81745708350303636, -1, -0.29289321881345254, null], '
+                '["v", 5, 1.4658762498302971, -0, 1.713089845330255, null], '
+                '["diff", 5, -2.2833333333333332, -2.2833333333333332, -1, null]]}\n'),
+            "csv": ("kind,terms,last_sum,min_sum,max_sum,band_escape\n"
+                    "u,5,-0.81745708350303636,-1,-0.29289321881345254,\n"
+                    "v,5,1.4658762498302971,-0,1.713089845330255,\n"
+                    "diff,5,-2.2833333333333332,-2.2833333333333332,-1,\n"),
+        }
+        for fmt, text in expected.items():
+            assert run_cli(capsys, "cauchy", "--n", "5", "--format", fmt) == (0, text, "")
+
+    def test_path_with_control_character_and_quote(self, capsys, tmp_path):
+        path = tmp_path / 'tab\tand "quote".json'
+        path.write_text(json.dumps(SQUARE))
+        code, out, _ = run_cli(capsys, "validate", "--function", str(path))
+        assert code == 0
+        assert json.loads(out)["inputs"]["function"] == str(path)
+
+
 class TestExitCodes:
     def test_missing_file_is_a_computation_error(self, capsys):
         code, out, err = run_cli(capsys, "validate", "--function", "/nope.json")
@@ -279,10 +325,25 @@ class TestExitCodes:
         ["blocks", "--i", "1e13", "--h", "1.0"],
         ["blocks", "--i", "1e300"],
         ["limit", "--i", "10,1e13"],
+        ["coeffs", "--n", "100000000000000000000"],
+        ["partialsum", "--x", "0.5", "--n", "100000000000000000000"],
+        ["converge", "--x", "0.5", "--n", "10,100000000000000000000"],
     ])
     def test_order_or_frequency_above_maximum(self, capsys, constant_file, argv):
         if argv[0] != "tail":
             argv = [argv[0], "--function", constant_file, *argv[1:]]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("DomainError:")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ["kernel", "--n", "5", "--x", "nan"],
+        ["kernel", "--n", "5", "--x", "inf"],
+        ["cauchy", "--n", "10", "--x=-inf"],
+    ], ids=["kernel-nan", "kernel-inf", "cauchy-inf"])
+    def test_non_finite_number_refused(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)
         assert code == 1
         assert out == ""

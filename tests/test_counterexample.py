@@ -214,6 +214,13 @@ class TestValidationComesFirst:
             with pytest.raises(tc.DomainError, match=r"^bound must"):
                 tc.summarize("u", 5, bound)
 
+    @pytest.mark.parametrize("bound", [-math.inf, math.nan])
+    def test_non_finite_bound_refused(self, no_terms, bound):
+        with pytest.raises(tc.DomainError, match=r"^bound must be finite"):
+            tc.summarize("u", 5, bound)
+        with pytest.raises(tc.DomainError, match=r"^bound must be finite"):
+            tc.divergence_witness("v", bound, 5)
+
     @pytest.mark.parametrize("argv", [
         ["cauchy", "--n", "10000000", "--x", "1.0"],
         ["cauchy", "--n", "0"],

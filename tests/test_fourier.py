@@ -232,6 +232,38 @@ class TestSplitIntegrals:
             tc.split_integrals(square, -3.5, 2)
 
 
+class TestLargestOrder:
+    """Orders up to 10**6 are admitted, and at 10**6 the seeded mesh is
+    refused by the panel cap before ``f`` is evaluated; larger orders are
+    refused before any array is built."""
+
+    CALLS = [
+        lambda f, n: tc.coefficients(f, n),
+        lambda f, n: tc.partial_sum_kernel(f, 0.5, n),
+        lambda f, n: tc.split_integrals(f, 0.5, n),
+        lambda f, n: tc.convergence_report(f, 0.5, (10, n)),
+    ]
+    IDS = ["coefficients", "partial_sum_kernel", "split_integrals", "convergence_report"]
+
+    @pytest.fixture
+    def unevaluated(self, square, monkeypatch):
+        def refuse(self, x):
+            raise AssertionError("f evaluated for an order the mesh cannot hold")
+        monkeypatch.setattr(tc.PiecewiseFunction, "eval", refuse)
+        return square
+
+    @pytest.mark.parametrize("call", CALLS, ids=IDS)
+    def test_maximum_reaches_the_panel_cap(self, unevaluated, call):
+        with pytest.raises(tc.QuadratureError, match="initial subdivision needs"):
+            call(unevaluated, 10**6)
+
+    @pytest.mark.parametrize("call", CALLS, ids=IDS)
+    @pytest.mark.parametrize("n", [10**6 + 1, 10**20])
+    def test_above_maximum_refused(self, unevaluated, call, n):
+        with pytest.raises(tc.DomainError, match=r"must lie in \[\d, 1000000\]"):
+            call(unevaluated, n)
+
+
 class TestBetaSplitPoints:
     def test_jump_behind_x_gives_no_points(self, square):
         assert tc.beta_split_points(square, 0.5, "upper") == []

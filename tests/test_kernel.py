@@ -25,6 +25,11 @@ class TestCosineSum:
         with pytest.raises(tc.DomainError):
             tc.cosine_sum(10**6 + 1, 0.3)
 
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_argument(self, t):
+        with pytest.raises(tc.DomainError, match=r"^t must be finite"):
+            tc.cosine_sum(5, t)
+
 
 class TestClosedFormKernel:
     def test_removable_singularity_value(self):
