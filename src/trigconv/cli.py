@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -74,8 +75,18 @@ def _scalar(value, fmt):
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, str):
-        return json.dumps(value, ensure_ascii=False) if fmt == "json" else value
+        return _json_string(value) if fmt == "json" else value
     return str(value)
+
+
+def _json_string(text):
+    """``text`` as a JSON string with non-ASCII characters kept, except
+    surrogates, which are escaped (``\\udcff``).  A path argument with a
+    byte that is not UTF-8 arrives as a lone surrogate; escaping it keeps
+    the output valid UTF-8, and ``json.loads`` then ``os.fsencode`` give
+    back the original bytes."""
+    return (json.dumps(text, ensure_ascii=False)
+            .encode("utf-8", "backslashreplace").decode("utf-8"))
 
 
 def _json(value):
@@ -238,6 +249,8 @@ def _add_output_flags(sub):
     sub.add_argument("--out", default=None, help="write to a file instead of stdout")
 
 
+# built once per process: parse_args leaves the parser as it was
+@functools.lru_cache(maxsize=None)
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="trigconv",

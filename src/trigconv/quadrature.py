@@ -18,13 +18,27 @@ tolerance are bisected, ``f`` is evaluated on the children only, at most
 and the children's moments replace the parents'.  A mesh may hold at most
 ``_MAX_PANELS`` panels.
 
-The harmonic rule uses ``exp(ikx) = exp(ikm) exp(ikh xi_j)`` at the nodes
-``m + h xi_j`` of a panel with midpoint ``m`` and half-width ``h``: panels
-of equal ``h`` share one table of node phases, their K15 and K15 - G7 sums
-are small matrix products against the cached node values, and only one
-phase ``exp(ikm)`` per panel and harmonic needs trigonometry.  The products
-are formed in tiles of at most ``_TILE`` harmonic-by-panel entries, so
-memory stays proportional to the panel count whatever ``n_max`` is.
+The harmonic rule writes ``exp(ikx) = exp(ikm) exp(ikh xi_j)`` at the
+nodes ``m + h xi_j`` of a panel with midpoint ``m`` and half-width ``h``.
+Its integrals come two ways.  On the chirp path, an interval's seeded
+panels are uniform, ``m_j = m_0 + 2hj``, so its K15 sums for every
+harmonic are ``h exp(ikm_0) sum_j w_j exp(ikh xi_j) Z_j(k)``, where
+``Z_j(k) = sum_p y[p, j] exp(2ihkp)`` is a chirp-z transform of node column
+``j`` (Bluestein's algorithm on ``numpy.fft``): ``O((P + K) log(P + K))``
+work for ``P`` panels and ``K = n_max + 1`` harmonics instead of ``O(PK)``.
+On the direct path, which serves refined children and intervals of fewer
+than ``_CHIRP_MIN`` panels, panels of equal ``h`` share one table of node
+phases, their K15 sums are small matrix products against the cached node
+values, and only one phase ``exp(ikm)`` per panel and harmonic needs
+trigonometry, in tiles of at most ``_TILE`` harmonic-by-panel entries.
+
+A transform yields only sums over panels, so the harmonic error rule does
+not look at any one panel's gap for any one harmonic.  A panel's K15 - G7
+gap for harmonic ``k`` is ``exp(ikm) G(kh)``, and the power series of
+``G`` bounds its modulus by ``sum_r (kh)^r |mu_r|`` with moments ``mu_r``
+that do not depend on ``k`` (see :func:`_gap_bounds`).  An interval's error
+for harmonic ``k`` is that bound summed over its panels, a polynomial in
+``k``; refinement splits a panel by its bound at ``k = n_max``, the largest.
 """
 
 from __future__ import annotations
@@ -73,11 +87,25 @@ _EPS = np.finfo(np.float64).eps
 # the integrand sees the nodes of at most _CHUNK panels per call
 _CHUNK = 1 << 11
 
-# integrate_harmonics works through harmonics in blocks of at most
-# _HARMONIC_BLOCK and through panels in chunks, so that every temporary has
-# at most _TILE (harmonic, panel) entries.
+# integrate_harmonics' direct sums work through harmonics in blocks of at
+# most _HARMONIC_BLOCK and through panels in chunks, so that every
+# temporary has at most _TILE (harmonic, panel) entries.
 _HARMONIC_BLOCK = 64
 _TILE = 1 << 13
+
+# Chirp-z transforms serve intervals of at least _CHIRP_MIN uniform panels,
+# as many node columns at a time as keep each FFT near _CHIRP_TILE entries.
+_CHIRP_MIN = 32
+_CHIRP_TILE = 1 << 15
+
+# A panel's K15 - G7 gap for harmonic k is a power series in k h (see
+# _gap_bounds).  Since k h <= pi/2 on every mesh integrate_harmonics
+# builds, _GAP_TERMS terms leave out less than (pi/2)^28 / 28! < 1e-24 of
+# the panel's sum of |g_n y_n|.  Bounds are formed _GAP_CHUNK panels at a time.
+_GAP_TERMS = 28
+_GAP_SERIES = (_GAP_WEIGHTS[:, None] * _NODES[:, None] ** np.arange(_GAP_TERMS)
+               / np.array([math.factorial(r) for r in range(_GAP_TERMS)], dtype=np.float64))
+_GAP_CHUNK = 1 << 12
 
 
 def _node_values(f, mid, half):
@@ -104,16 +132,25 @@ def _initial_panels(edges, max_panel_width):
     Returns the panel starts, ends and owning interval indices.  The edges
     are bitwise those of ``np.linspace`` on each interval: start plus
     ``local * (width / count)``, with the last end pinned to the next edge.
+    A width that is not positive and finite raises :class:`DomainError`,
+    and more than ``_MAX_PANELS`` panels raise :class:`QuadratureError`.
     """
     widths = np.diff(edges)
     if max_panel_width is not None:
-        counts = np.maximum(1, np.ceil(widths / float(max_panel_width) - 1e-12).astype(int))
+        width = float(max_panel_width)
+        if not (math.isfinite(width) and width > 0):
+            raise DomainError(f"max_panel_width must be a positive finite number, got {width}")
+        with np.errstate(over="ignore"):
+            counts = np.maximum(1.0, np.ceil(widths / width - 1e-12))
     else:
-        counts = np.ones(widths.shape[0], dtype=int)
-    n_panels = int(counts.sum())
+        counts = np.ones(widths.shape[0])
+    # compared in floating point, so that a huge count cannot wrap in the cast
+    n_panels = counts.sum()
     if n_panels > _MAX_PANELS:
         raise QuadratureError(
-            f"initial subdivision needs {n_panels} panels, above the cap {_MAX_PANELS}")
+            f"initial subdivision needs {n_panels:.0f} panels, above the cap {_MAX_PANELS}")
+    n_panels = int(n_panels)
+    counts = counts.astype(int)
     owner = np.repeat(np.arange(widths.shape[0]), counts)
     ends = np.cumsum(counts)
     local = np.arange(n_panels) - np.repeat(ends - counts, counts)
@@ -204,8 +241,9 @@ def integrate_intervals(f, edges, tol=1e-10, *, max_panel_width=None):
     ``(values, errors)`` with one entry per interval; when ``f`` returns
     several components per node, ``values`` has one row per interval.
 
-    ``max_panel_width`` caps the width of the initial panels, which is how
-    oscillatory integrands declare their finest relevant scale.  Every
+    ``max_panel_width``, positive and finite, caps the width of the initial
+    panels, which is how oscillatory integrands declare their finest
+    relevant scale.  Every
     panel costs 15 integrand evaluations, made ``_CHUNK`` panels per call.
     A call that needs more than ``_MAX_PANELS`` (32768) panels, at the
     start or during refinement, raises :class:`QuadratureError`; at the
@@ -256,15 +294,156 @@ def _edges(lo, hi, breakpoints):
 def _phase_table(k, h):
     """Weights that turn a panel's node values into its moments.
 
-    For panels of half-width ``h``, the rows are ``h w_j cos(k h xi_j)``
-    and ``h w_j sin(k h xi_j)`` for the K15 weights, then the same for the
-    K15 - G7 gap weights, one row per harmonic in ``k`` within each part.
+    For panels of half-width ``h``, the rows are ``h w_j cos(k h xi_j)``,
+    one per harmonic in ``k``, then ``h w_j sin(k h xi_j)``, with the K15
+    weights ``w_j``.
     """
     theta = np.outer(k, h * _NODES)
-    cos_t = np.cos(theta)
-    sin_t = np.sin(theta)
-    return h * np.concatenate([cos_t * _KRONROD_WEIGHTS, sin_t * _KRONROD_WEIGHTS,
-                               cos_t * _GAP_WEIGHTS, sin_t * _GAP_WEIGHTS])
+    return h * np.concatenate([np.cos(theta), np.sin(theta)]) * _KRONROD_WEIGHTS
+
+
+def _direct_moments(n_harm, mid, half, owner, y, panels, totals):
+    """Add the K15 integrals of ``y(x) exp(ikx)``, ``k < n_harm``, over
+    ``panels`` to ``totals``, shape ``(n_harm, 2, n_int)``.
+
+    Panels of one half-width share a phase table, and only one phase
+    ``exp(ikm)`` per panel and harmonic needs trigonometry.
+    """
+    if panels.shape[0] == 0:
+        return
+    # sorting the panels of one half-width by interval makes each
+    # interval's panels in a chunk one contiguous run
+    order = panels[np.lexsort((owner[panels], half[panels]))]
+    for group in np.split(order, np.flatnonzero(np.diff(half[order])) + 1):
+        # small groups, such as refined children, take more harmonics at once
+        block = min(n_harm, max(_HARMONIC_BLOCK, _TILE // max(group.shape[0], 15)))
+        chunk = _TILE // block
+        for k0 in range(0, n_harm, block):
+            rows = slice(k0, min(k0 + block, n_harm))
+            k = np.arange(rows.start, rows.stop, dtype=np.float64)
+            table = _phase_table(k, half[group[0]])
+            for start in range(0, group.shape[0], chunk):
+                part = group[start:start + chunk]
+                kc, ks = np.split(table @ y[part].T, 2)
+                phase = np.outer(k, mid[part])
+                c = np.cos(phase)
+                s = np.sin(phase)
+                own = owner[part]
+                runs = np.flatnonzero(np.r_[True, own[1:] != own[:-1]])
+                cols = own[runs]
+                totals[rows, 0, cols] += np.add.reduceat(c * kc - s * ks, runs, axis=1)
+                totals[rows, 1, cols] += np.add.reduceat(s * kc + c * ks, runs, axis=1)
+
+
+def _chirp(h, count):
+    """``exp(i h n^2)`` for ``n = 0 .. count - 1``.
+
+    ``h`` is split into a leading part short enough that its products with
+    the integers ``n^2`` are exact, and a remainder, so the phases are not
+    rounded at the scale of ``h n^2`` (up to ``1e5`` radians here).
+    """
+    squares = np.arange(count, dtype=np.float64) ** 2
+    mantissa, exponent = math.frexp(h)
+    bits = 53 - int(squares[-1]).bit_length()
+    lead = math.ldexp(round(math.ldexp(mantissa, bits)), exponent - bits)
+    return np.exp(1j * (lead * squares)) * np.exp(1j * ((h - lead) * squares))
+
+
+def _fft_length(n):
+    """The smallest ``2^a 3^b 5^c`` at least ``n``, a fast FFT length."""
+    best = 1 << (n - 1).bit_length()
+    p3 = 1
+    while p3 < best:
+        p35 = p3
+        while p35 < best:
+            best = min(best, p35 << ((n - 1) // p35).bit_length())
+            p35 *= 5
+        p3 *= 3
+    return best
+
+
+def _chirp_z(theta, n_in, n_out):
+    """The chirp-z transform ``x -> sum_j x[j] exp(i theta k j)``, ``k = 0
+    .. n_out - 1``, of the columns of ``(n_in, C)`` arrays, by Bluestein's
+    algorithm (Bluestein 1970; Rabiner, Schafer and Rader 1969).
+
+    With ``kj = (k^2 + j^2 - (k - j)^2) / 2`` every sum is the chirp
+    ``exp(i theta k^2 / 2)`` times a convolution of ``x[j] exp(i theta j^2
+    / 2)`` with ``exp(-i theta m^2 / 2)``, which FFTs of a length of at
+    least ``n_in + n_out - 1`` compute.  Returns the transform
+    as a function, so that the chirp and its spectrum serve many columns.
+    """
+    length = _fft_length(n_in + n_out - 1)
+    chirp = _chirp(0.5 * theta, max(n_in, n_out))
+    kernel = np.zeros(length, dtype=np.complex128)
+    kernel[:n_out] = chirp[:n_out].conj()
+    kernel[length - n_in + 1:] = chirp[n_in - 1:0:-1].conj()
+    spectrum = np.fft.fft(kernel)[:, None]
+
+    def transform(x):
+        z = np.fft.fft(x * chirp[:n_in, None], length, axis=0)
+        z *= spectrum
+        z = np.fft.ifft(z, axis=0, out=z)[:n_out]
+        z *= chirp[:n_out, None]
+        return z
+    return transform
+
+
+def _chirp_moments(n_harm, m0, h, y):
+    """K15 integrals of ``y(x) exp(ikx)``, ``k < n_harm``, as complex numbers,
+    over panels of half-width ``h`` with midpoints ``m0 + 2hj``, ``j = 0 ..
+    P - 1``, whose node values are the rows of ``y``.
+
+    The integral is ``h exp(ikm0) sum_n w_n exp(ikh xi_n) sum_j y[j, n]
+    exp(2ihkj)``; the inner sums are chirp-z transforms of the node columns
+    of ``y``, a few at a time.
+    """
+    transform = _chirp_z(2.0 * h, y.shape[0], n_harm)
+    step = max(1, _CHIRP_TILE // (y.shape[0] + n_harm))
+    k = np.arange(n_harm, dtype=np.float64)
+    total = np.zeros(n_harm, dtype=np.complex128)
+    for start in range(0, _NODES.shape[0], step):
+        cols = slice(start, start + step)
+        z = transform(y[:, cols])
+        z *= _KRONROD_WEIGHTS[cols] * np.exp(1j * np.outer(k * h, _NODES[cols]))
+        total += z.sum(axis=1)
+    return h * np.exp(1j * (k * m0)) * total
+
+
+def _gap_bounds(n_max, half, owner, y, n_int):
+    """Bounds on the K15 - G7 gaps of ``y(x) exp(ikx)``, ``k = 0 .. n_max``,
+    summed per interval, shape ``(n_max + 1, n_int)``, and every panel's
+    bound at ``k = n_max``, the largest.
+
+    A panel with midpoint ``m`` and half-width ``h`` has the gap ``exp(ikm)
+    G(kh)`` with ``G(t) = sum_r (it)^r mu_r`` and ``mu_r = h sum_n g_n
+    xi_n^r / r! y_n`` (``g`` the gap weights), so ``|gap| <= sum_r (kh)^r
+    |mu_r|`` whatever the phase.  With ``h_ref`` the largest half-width,
+    every interval's bound is one polynomial in ``k h_ref`` whose
+    coefficients are the interval's sums of ``(h / h_ref)^r |mu_r|``.
+    """
+    h_ref = half.max()
+    # powers[r, k] = (k h_ref)^r
+    powers = np.empty((_GAP_TERMS, n_max + 1))
+    powers[0] = 1.0
+    t = np.arange(n_max + 1) * h_ref
+    for r in range(1, _GAP_TERMS):
+        np.multiply(powers[r - 1], t, out=powers[r])
+    sums = np.zeros((_GAP_TERMS, n_int))
+    worst = np.empty(half.shape[0])
+    cells = np.arange(_GAP_TERMS)[:, None] * n_int
+    for start in range(0, half.shape[0], _GAP_CHUNK):
+        part = slice(start, start + _GAP_CHUNK)
+        terms = np.abs(_GAP_SERIES.T @ y[part].T)
+        ratio = half[part] / h_ref
+        scale = half[part].copy()
+        for row in terms:
+            row *= scale
+            scale *= ratio
+        worst[part] = powers[:, -1] @ terms
+        sums += np.bincount((cells + owner[part]).ravel(), terms.ravel(),
+                            sums.size).reshape(sums.shape)
+    return powers.T @ sums, worst
 
 
 def _harmonic_moments(n_max, mid, half, owner, y, n_int):
@@ -272,38 +451,33 @@ def _harmonic_moments(n_max, mid, half, owner, y, n_int):
 
     Panels are given by their midpoints, half-widths and owning intervals,
     ``y`` holds their node values.  Returns ``(totals, err, worst)``: the
-    cosine and sine integrals, shape ``(n_max + 1, 2, n_int)``, the summed
-    ``max(|Re|, |Im|)`` of the panels' K15 - G7 gaps, shape ``(n_max + 1,
-    n_int)``, and every panel's largest gap over the harmonics.
+    cosine and sine integrals, shape ``(n_max + 1, 2, n_int)``, and the
+    gap bounds of :func:`_gap_bounds`.  An interval whose panels here are
+    at least ``_CHIRP_MIN`` of one half-width ``h`` that tile a stretch
+    with no gap, midpoints ``2h`` apart, gets its integrals from
+    :func:`_chirp_moments`; every other panel goes to
+    :func:`_direct_moments`.
     """
     n_harm = n_max + 1
     totals = np.zeros((n_harm, 2, n_int))
-    err = np.zeros((n_harm, n_int))
-    worst = np.zeros(mid.shape[0])
-    block = min(n_harm, _HARMONIC_BLOCK)
-    chunk = _TILE // block
-    # panels of one half-width share a phase table; sorting them by
-    # interval makes each interval's panels in a chunk one contiguous run
-    order = np.lexsort((owner, half))
-    for group in np.split(order, np.flatnonzero(np.diff(half[order])) + 1):
-        for k0 in range(0, n_harm, block):
-            rows = slice(k0, min(k0 + block, n_harm))
-            k = np.arange(rows.start, rows.stop, dtype=np.float64)
-            table = _phase_table(k, half[group[0]])
-            for start in range(0, group.shape[0], chunk):
-                panels = group[start:start + chunk]
-                kc, ks, gc, gs = np.split(table @ y[panels].T, 4)
-                phase = np.outer(k, mid[panels])
-                c = np.cos(phase)
-                s = np.sin(phase)
-                own = owner[panels]
-                runs = np.flatnonzero(np.r_[True, own[1:] != own[:-1]])
-                cols = own[runs]
-                totals[rows, 0, cols] += np.add.reduceat(c * kc - s * ks, runs, axis=1)
-                totals[rows, 1, cols] += np.add.reduceat(s * kc + c * ks, runs, axis=1)
-                gap = np.maximum(np.abs(c * gc - s * gs), np.abs(s * gc + c * gs))
-                err[rows, cols] += np.add.reduceat(gap, runs, axis=1)
-                worst[panels] = np.maximum(worst[panels], gap.max(axis=0))
+    order = np.lexsort((mid, owner))
+    own = owner[order]
+    starts = np.flatnonzero(np.r_[True, own[1:] != own[:-1]])
+    counts = np.diff(np.r_[starts, order.shape[0]])
+    first = order[starts]
+    last = order[starts + counts - 1]
+    h = half[first]
+    uniform = ((counts >= _CHIRP_MIN)
+               & (np.maximum.reduceat(half[order], starts) == h)
+               & (np.minimum.reduceat(half[order], starts) == h)
+               & (np.abs(mid[last] - mid[first] - 2.0 * h * (counts - 1)) < h))
+    for j in np.flatnonzero(uniform):
+        run = order[starts[j]:starts[j] + counts[j]]
+        moment = _chirp_moments(n_harm, mid[first[j]], h[j], y[run])
+        totals[:, 0, owner[first[j]]] = moment.real
+        totals[:, 1, owner[first[j]]] = moment.imag
+    _direct_moments(n_harm, mid, half, owner, y, order[np.repeat(~uniform, counts)], totals)
+    err, worst = _gap_bounds(n_max, half, owner, y, n_int)
     return totals, err, worst
 
 
@@ -312,24 +486,31 @@ def integrate_harmonics(f, lo, hi, n_max, tol=1e-10, *, breakpoints=()):
     for every ``k = 0 .. n_max``, from one shared adaptive mesh.
 
     The mesh is split at ``breakpoints`` (as in :func:`integrate`) and
-    seeded with panels no wider than ``pi / (n_max + 1)``, half the period
-    of the highest harmonic.  ``f`` is evaluated once per Kronrod node,
-    ``_CHUNK`` panels per call, and its values are kept per panel.  The
-    mesh is refined by the same loop as :func:`integrate_intervals`, with
-    the harmonic moment rule: each seeded interval is refined until, for
-    every harmonic, its summed panel errors (``max(|Re|, |Im|)`` of the
-    K15 - G7 gap of ``f(x) exp(ikx)``) fall below ``max(tol * max(|cos
-    integral|, |sin integral|), tol)``.
+    seeded with equal panels no wider than ``pi / (n_max + 1)``, half the
+    period of the highest harmonic.  ``f`` is evaluated once per Kronrod
+    node, ``_CHUNK`` panels per call, and its values are kept per panel.
+    Every seeded interval of at least ``_CHIRP_MIN`` panels gets all its
+    harmonics from chirp-z transforms of its node columns, in ``O((P + K)
+    log(P + K))`` work; shorter intervals and refined children get them
+    from direct phase-factored sums.  The mesh is refined by the same loop
+    as :func:`integrate_intervals` until, for every harmonic ``k``, each
+    seeded interval's error falls below ``max(tol * max(|cos integral|,
+    |sin integral|), tol)``.  That error is the sum over the interval's
+    panels of ``sum_r (kh)^r |mu_r|``, ``r < 28``, a bound on the modulus
+    of the panel's K15 - G7 gap of ``f(x) exp(ikx)`` that holds at every
+    phase (the series is cut where ``kh <= pi/2`` leaves out less than
+    ``1e-24`` relative; see :func:`_gap_bounds`).
 
     Returns ``(cos_integrals, sin_integrals, errors)``, each of length
     ``n_max + 1``.  ``errors[k]`` estimates harmonic ``k``'s absolute error:
-    its K15 - G7 gaps summed over all intervals, plus a rounding term
-    ``eps * (50 + k * max|x|) * integral of |f|``.  The gaps measure
-    truncation only; rounding the phase ``k x`` costs up to
-    ``eps * k * |x|`` relative per node, and QUADPACK's ``50 * eps``
-    allowance covers the rest of the arithmetic.  A mesh that needs more than
-    ``_MAX_PANELS`` panels raises :class:`QuadratureError`; when the seeded
-    mesh alone is too large, that happens before ``f`` is evaluated.
+    its gap bounds summed over all intervals, plus a rounding term ``eps *
+    (50 + k * max|x|) * integral of |f|``.  The gap bounds measure
+    truncation only.  Rounding the phase ``k x`` costs up to ``eps * k *
+    |x|`` relative per node; QUADPACK's ``50 * eps`` allowance covers the
+    rest of the arithmetic, the FFTs included, whose chirps are formed
+    without rounding ``h n^2`` (see :func:`_chirp`).  A mesh that needs more
+    than ``_MAX_PANELS`` panels raises :class:`QuadratureError`; when the
+    seeded mesh alone is too large, that happens before ``f`` is evaluated.
     """
     edges, tol = _check_edges(_edges(lo, hi, breakpoints), tol)
     n_int = edges.shape[0] - 1
@@ -337,7 +518,7 @@ def integrate_harmonics(f, lo, hi, n_max, tol=1e-10, *, breakpoints=()):
         a, b, owner = _initial_panels(edges, math.pi / (n_max + 1))
     except QuadratureError as exc:
         raise QuadratureError(f"n_max={n_max}: {exc}") from None
-    # one half-width per interval, so that its panels share phase tables
+    # one half-width per interval, so that its panels form one uniform grid
     half = 0.5 * (np.diff(edges) / np.bincount(owner, minlength=n_int))[owner]
     totals, err, half, y = _refine(f, 0.5 * (a + b), half, owner, n_int, tol,
                                    functools.partial(_harmonic_moments, n_max))

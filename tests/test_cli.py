@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import trigconv as tc
+from trigconv import cli
 from trigconv.cli import main
 from conftest import CONSTANT_ONE, SAWTOOTH, SQUARE
 
@@ -297,6 +298,73 @@ class TestPinnedBytes:
         code, out, _ = run_cli(capsys, "validate", "--function", str(path))
         assert code == 0
         assert json.loads(out)["inputs"]["function"] == str(path)
+
+
+class TestNonUtf8Path:
+    """A spec path with a byte that is not UTF-8 reaches ``main`` as a lone
+    surrogate; the JSON record escapes it, so the output stays valid UTF-8
+    and gives the original bytes back."""
+
+    @pytest.fixture
+    def byte_path(self, tmp_path):
+        raw = os.path.join(os.fsencode(tmp_path), b"x\xff.json")
+        with open(raw, "w") as fh:
+            fh.write(json.dumps(SQUARE))
+        return raw
+
+    def test_json_stdout_and_out_file(self, capsys, tmp_path, byte_path):
+        path = os.fsdecode(byte_path)
+        code, out, err = run_cli(capsys, "validate", "--function", path)
+        assert (code, err) == (0, "")
+        assert "\\udcff" in out
+        assert os.fsencode(json.loads(out.encode("utf-8"))["inputs"]["function"]) == byte_path
+        target = tmp_path / "record.json"
+        code, out, err = run_cli(capsys, "validate", "--function", path, "--out", str(target))
+        assert (code, out, err) == (0, "", "")
+        text = target.read_bytes().decode("utf-8")
+        assert os.fsencode(json.loads(text)["inputs"]["function"]) == byte_path
+
+    def test_csv_out_file(self, capsys, tmp_path, byte_path):
+        target = tmp_path / "record.csv"
+        code, out, err = run_cli(capsys, "validate", "--function", os.fsdecode(byte_path),
+                                 "--format", "csv", "--out", str(target))
+        assert (code, out, err) == (0, "", "")
+        assert target.read_bytes().startswith(b"segment,lo,hi,lo_value,hi_value\n")
+
+    def test_process_stdout_is_valid_utf8(self, byte_path):
+        package_root = os.path.dirname(os.path.dirname(tc.__file__))
+        path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+        result = subprocess.run(
+            [sys.executable, "-m", "trigconv.cli", "validate", "--function", byte_path],
+            capture_output=True, env={**os.environ, "PYTHONPATH": path})
+        assert result.returncode == 0, result.stderr
+        record = json.loads(result.stdout.decode("utf-8"))
+        assert os.fsencode(record["inputs"]["function"]) == byte_path
+
+
+class TestParserCache:
+    def test_one_parser_serves_every_call(self, capsys, sawtooth_file):
+        calls = [["coeffs", "--function", sawtooth_file, "--n", "4"],
+                 ["coeffs", "--function", sawtooth_file, "--n", "3,5"],
+                 ["kernel", "--n", "3", "--x", "zero"],
+                 ["cauchy", "--n", "7", "--format", "csv"]]
+
+        def outcome(argv):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            return (code, *capsys.readouterr())
+
+        fresh = []
+        for argv in calls:
+            cli._build_parser.cache_clear()
+            fresh.append(outcome(argv))
+        cli._build_parser.cache_clear()
+        cached = [outcome(argv) for argv in calls]
+        assert cli._build_parser.cache_info().misses == 1
+        assert cached == fresh
+        assert [c[0] for c in cached] == [0, 2, 2, 0]
 
 
 class TestExitCodes:

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import trigconv as tc
-from conftest import SAWTOOTH, SQUARE, build, many_segment_spec, random_spec
+from trigconv import quadrature
+from conftest import SAWTOOTH, SQUARE, build, many_segment_spec, random_spec, traced_peak
 from oracles import (qawo_coefficients, sawtooth_partial_sum, sawtooth_sine_coefficient,
                      square_partial_sum, square_sine_coefficient)
 
@@ -133,6 +134,79 @@ class TestCoefficients:
             tc.coefficients(square, 0)
         with pytest.raises(tc.DomainError):
             tc.coefficients(square, 2.5)
+
+
+def _seeded_mesh(f, n_max):
+    """The seeded mesh of ``coefficients(f, n_max)`` with every third panel
+    bisected, so that half-widths mix within intervals, and its node values."""
+    edges = quadrature._edges(-PI, PI, f.breakpoints)
+    n_int = edges.shape[0] - 1
+    a, b, owner = quadrature._initial_panels(edges, PI / (n_max + 1))
+    mid = 0.5 * (a + b)
+    half = 0.5 * (np.diff(edges) / np.bincount(owner, minlength=n_int))[owner]
+    split = np.arange(mid.shape[0]) % 3 == 0
+    quarter = 0.5 * half[split]
+    mid = np.concatenate([mid[~split], mid[split] - quarter, mid[split] + quarter])
+    half = np.concatenate([half[~split], quarter, quarter])
+    owner = np.concatenate([owner[~split], owner[split], owner[split]])
+    y = f.eval((mid[:, None] + half[:, None] * quadrature._NODES).ravel()).reshape(-1, 15)
+    return mid, half, owner, y, n_int
+
+
+class TestChirpPath:
+    """Coefficients whose seeded intervals go through chirp-z transforms,
+    and the error bound that does not depend on the harmonic."""
+
+    @pytest.mark.parametrize("spec", ["square", "power-and-table", "200-segments"])
+    def test_gap_bound_covers_every_panel_gap(self, spec):
+        f = build({"square": SQUARE, "power-and-table": POWER_AND_TABLE}.get(spec)
+                  or many_segment_spec(np.random.default_rng(4), 200))
+        n_max = 60
+        mid, half, owner, y, n_int = _seeded_mesh(f, n_max)
+        _, err, worst = quadrature._harmonic_moments(n_max, mid, half, owner, y, n_int)
+        # the reference: every panel's max(|Re|, |Im|) of the K15 - G7 gap
+        # of f(x) exp(ikx), formed node by node
+        k = np.arange(n_max + 1)
+        nodes = mid[:, None] + half[:, None] * quadrature._NODES
+        weighted = half[:, None] * quadrature._GAP_WEIGHTS * y
+        gap = np.einsum("kpn,pn->kp", np.exp(1j * k[:, None, None] * nodes), weighted)
+        gap = np.maximum(np.abs(gap.real), np.abs(gap.imag))
+        reference = np.stack([np.bincount(owner, weights=row, minlength=n_int) for row in gap])
+        scale = (half * (np.abs(y) @ quadrature._KRONROD_WEIGHTS)).sum()
+        assert (err >= reference - 1e-15 * scale).all()
+        assert (worst >= gap.max(axis=0) - 1e-15 * scale).all()
+        # and it is not much looser than the per-panel gaps
+        assert err.sum() <= 4.0 * reference.sum() + 1e-15 * scale * err.size
+
+    @pytest.mark.parametrize("spec", [SQUARE, POWER_AND_TABLE], ids=["square", "power-and-table"])
+    def test_low_harmonics_match_the_direct_path(self, spec, monkeypatch):
+        f = build(spec)
+        chirp = tc.coefficients(f, 1000)
+        monkeypatch.setattr(quadrature, "_CHIRP_MIN", 10**9)
+        direct = tc.coefficients(f, 1000)
+        # integral of |f| in coefficient units
+        scale = tc.integrate(lambda x: np.abs(f.eval(x)), -PI, PI,
+                             breakpoints=f.breakpoints) / PI
+        assert abs(chirp.a0 - direct.a0) <= 1e-13 * scale
+        assert np.abs(chirp.a[:16] - direct.a[:16]).max() <= 1e-13 * scale
+        assert np.abs(chirp.b[:16] - direct.b[:16]).max() <= 1e-13 * scale
+
+    @pytest.mark.parametrize("n_max", [4000, 16000])
+    @pytest.mark.parametrize("spec, oracle", [(SQUARE, square_sine_coefficient),
+                                              (SAWTOOTH, sawtooth_sine_coefficient)],
+                             ids=["square", "sawtooth"])
+    def test_error_bounds_closed_form_at_large_orders(self, spec, oracle, n_max):
+        c = tc.coefficients(build(spec), n_max)
+        b = np.array([oracle(k) for k in range(1, n_max + 1)])
+        assert abs(c.a0) <= c.error[0]
+        assert (np.abs(c.a) <= c.error[1:]).all()
+        assert (np.abs(c.b - b) <= c.error[1:]).all()
+
+    def test_memory_at_order_4000(self, square):
+        # the seeded mesh holds 15 * 8002 node values, about 1 MB
+        c, peak = traced_peak(lambda: tc.coefficients(square, 4000))
+        assert c.b[0] == pytest.approx(4.0 / PI, abs=1e-12)
+        assert peak <= 6 * 2**20
 
 
 class TestPartialSum:

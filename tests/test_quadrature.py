@@ -108,6 +108,24 @@ class TestIntegrate:
         with pytest.raises(tc.QuadratureError, match="panel budget 32 exhausted"):
             tc.integrate(jump, 0.0, 1.0, 1e-12)
 
+    @pytest.mark.parametrize("width", [0.0, -1.0, math.nan, math.inf])
+    def test_rejects_bad_max_panel_width(self, width):
+        def refuse(x):
+            raise AssertionError("integrand evaluated for a bad panel width")
+
+        with pytest.raises(tc.DomainError, match="max_panel_width"):
+            tc.integrate(refuse, 0.0, 1.0, max_panel_width=width)
+        with pytest.raises(tc.DomainError, match="max_panel_width"):
+            tc.integrate_intervals(refuse, [0.0, 0.5, 1.0], max_panel_width=width)
+
+    def test_tiny_max_panel_width_hits_the_cap_before_evaluation(self):
+        # 1e25 panels: the count is compared with the cap before any cast
+        def refuse(x):
+            raise AssertionError("integrand evaluated above the panel cap")
+
+        with pytest.raises(tc.QuadratureError, match="above the cap 32768"):
+            tc.integrate(refuse, 0.0, 1.0, max_panel_width=1e-25)
+
     def test_non_finite_integrand_error(self):
         bad = lambda x: np.where(x < 0.5, np.inf, 1.0)
         with pytest.raises(tc.QuadratureError):
@@ -172,15 +190,30 @@ class TestIntegrateHarmonics:
         assert (np.abs(sin_int - exact.imag) <= errors).all()
 
     def test_tiling_does_not_change_results(self, monkeypatch):
-        # a square root refines towards 0; small tiles split both the
-        # harmonics and every panel group
+        # a square root refines towards 0 inside [0, 0.1], an interval of 5
+        # seeded panels, so the direct sums serve both a short interval and
+        # the refined children; small tiles split both the harmonics and
+        # every panel group
+        tables = []
+        phase_table = quadrature._phase_table
+
+        def counted(k, h):
+            tables.append(k.shape[0])
+            return phase_table(k, h)
+
+        monkeypatch.setattr(quadrature, "_phase_table", counted)
+
         def run():
+            tables.clear()
             return quadrature.integrate_harmonics(np.sqrt, 0.0, 3.0, 150, 1e-10,
-                                                  breakpoints=[1.0])
+                                                  breakpoints=[0.1, 1.0])
         default = run()
+        default_tables = len(tables)
         monkeypatch.setattr(quadrature, "_HARMONIC_BLOCK", 7)
         monkeypatch.setattr(quadrature, "_TILE", 7 * 5)
         tiled = run()
+        assert 0 < default_tables < len(tables)
+        assert max(tables) == 7
         for got, want in zip(tiled, default):
             assert np.abs(got - want).max() <= 1e-14
 
@@ -194,6 +227,56 @@ class TestIntegrateHarmonics:
         bad = lambda x: np.where(x < 0.5, np.inf, 1.0)
         with pytest.raises(tc.QuadratureError, match="non-finite"):
             quadrature.integrate_harmonics(bad, 0.0, 1.0, 3, 1e-8)
+
+
+class TestChirpZ:
+    """The Bluestein chirp-z transform and the chirp path of the harmonic
+    moments, checked against scipy and against the direct sums."""
+
+    @pytest.mark.parametrize("n_in, n_out", [(40, 97), (64, 64), (150, 33)],
+                             ids=["P<K", "P=K", "P>K"])
+    def test_matches_scipy_czt(self, n_in, n_out):
+        czt = pytest.importorskip("scipy.signal").czt
+        rng = np.random.default_rng(n_in)
+        x = rng.standard_normal((n_in, 3)) + 1j * rng.standard_normal((n_in, 3))
+        theta = rng.uniform(0.001, 0.5)
+        got = quadrature._chirp_z(theta, n_in, n_out)(x)
+        want = czt(x, m=n_out, w=np.exp(1j * theta), a=1.0, axis=0)
+        assert got.shape == (n_out, 3)
+        assert (np.abs(got - want) <= 1e-13 * np.abs(x).sum(axis=0)).all()
+
+    def test_chirp_is_exact_at_large_phases(self):
+        # h n^2 reaches 4e4 radians; the split keeps each phase to a few eps
+        h = math.pi / 40001 * 1.000137
+        n = np.arange(0, 40001, 997)
+        got = quadrature._chirp(h, 40001)[n]
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 40
+        want = [complex(mpmath.expj(mpmath.mpf(h) * int(j) ** 2)) for j in n]
+        assert np.abs(got - np.array(want)).max() <= 1e-15
+
+    @pytest.mark.parametrize("fn", [np.exp, np.sqrt, lambda x: np.sign(x - 0.3)],
+                             ids=["exp", "sqrt", "jump"])
+    def test_low_harmonics_match_the_direct_path(self, monkeypatch, fn):
+        chirped = []
+        chirp_moments = quadrature._chirp_moments
+
+        def counted(*args):
+            chirped.append(args[3].shape[0])
+            return chirp_moments(*args)
+
+        monkeypatch.setattr(quadrature, "_chirp_moments", counted)
+
+        def run():
+            return quadrature.integrate_harmonics(fn, 0.0, 3.0, 2000, 1e-10,
+                                                  breakpoints=[1.0])
+        chirp = run()
+        assert sorted(chirped) == [637, 1274]
+        monkeypatch.setattr(quadrature, "_CHIRP_MIN", 10**9)
+        direct = run()
+        scale = quadrature.integrate(lambda x: np.abs(fn(x)), 0.0, 3.0, breakpoints=[0.3, 1.0])
+        for got, want in zip(chirp[:2], direct[:2]):
+            assert np.abs(got[:17] - want[:17]).max() <= 1e-13 * scale
 
 
 class TestChunkedEvaluation:
