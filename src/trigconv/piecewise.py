@@ -114,7 +114,10 @@ def _as_number(value, where, *, allow_pi=False):
         raise SpecSyntaxError(f"{where}: only 'pi' and '-pi' are accepted as strings")
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SpecSyntaxError(f"{where}: expected a number, got {value!r}")
-    value = float(value)
+    try:
+        value = float(value)
+    except OverflowError:
+        raise SpecSyntaxError(f"{where}: integer too large for a float") from None
     if not math.isfinite(value):
         raise SpecSyntaxError(f"{where}: number must be finite")
     return value
@@ -333,7 +336,10 @@ def parse_spec(text):
     """Parse a JSON function-spec document into a :class:`PiecewiseFunction`."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except RecursionError:
+        raise SpecSyntaxError("invalid JSON: nested too deeply") from None
+    except ValueError as exc:
+        # a JSONDecodeError, or an integer literal above Python's digit limit
         raise SpecSyntaxError(f"invalid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise SpecSyntaxError("top level must be an object")
@@ -348,6 +354,11 @@ def parse_spec(text):
 
 
 def load_spec(path):
-    """Read and parse a function-spec file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_spec(fh.read())
+    """Read and parse a function-spec file, which must be UTF-8 text."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise SpecSyntaxError(f"not UTF-8: byte {data[exc.start]:#04x} at offset {exc.start}") from None
+    return parse_spec(text)

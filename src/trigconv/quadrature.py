@@ -27,18 +27,26 @@ harmonic are ``h exp(ikm_0) sum_j w_j exp(ikh xi_j) Z_j(k)``, where
 ``j`` (Bluestein's algorithm on ``numpy.fft``): ``O((P + K) log(P + K))``
 work for ``P`` panels and ``K = n_max + 1`` harmonics instead of ``O(PK)``.
 On the direct path, which serves refined children and intervals of fewer
-than ``_CHIRP_MIN`` panels, panels of equal ``h`` share one table of node
-phases, their K15 sums are small matrix products against the cached node
-values, and only one phase ``exp(ikm)`` per panel and harmonic needs
-trigonometry, in tiles of at most ``_TILE`` harmonic-by-panel entries.
+than ``_CHIRP_MIN`` panels, a panel's K15 sum is ``exp(ikm)`` times a power
+series in ``kh``, so its integrals are two real products of fixed
+per-panel coefficients with the powers of ``k``, and only one phase
+``exp(ikm)`` per panel and harmonic needs trigonometry, whatever the
+panel's half-width, in tiles of about ``_TILE`` panel-by-harmonic entries.
 
-A transform yields only sums over panels, so the harmonic error rule does
-not look at any one panel's gap for any one harmonic.  A panel's K15 - G7
-gap for harmonic ``k`` is ``exp(ikm) G(kh)``, and the power series of
-``G`` bounds its modulus by ``sum_r (kh)^r |mu_r|`` with moments ``mu_r``
-that do not depend on ``k`` (see :func:`_gap_bounds`).  An interval's error
-for harmonic ``k`` is that bound summed over its panels, a polynomial in
-``k``; refinement splits a panel by its bound at ``k = n_max``, the largest.
+One power series serves the direct sums and every error bound.  With
+``exp(ikh xi_n) = sum_r (ikh xi_n)^r / r!``, a panel's K15 sum is
+``exp(ikm) sum_r (ikh)^r nu_r`` with ``nu_r = h sum_n w_n xi_n^r / r!
+y_n``, and its K15 - G7 gap is ``exp(ikm) sum_r (ikh)^r mu_r``, the same
+sum with the gap weights ``g_n`` in place of ``w_n``.  The moments do not
+depend on ``k``, and one constant 15 x 56 matrix maps a panel's node
+values to both (see :func:`_series_moments`).  Since ``kh <= pi/2`` on
+every mesh :func:`integrate_harmonics` builds, 28 terms of each leave out
+less than ``1e-24`` of the panel's ``sum_n |w_n y_n|``.  A transform yields
+only sums over panels, so the harmonic error rule does not look at any one
+panel's gap for any one harmonic: it bounds the gap's modulus by ``sum_r
+(kh)^r |mu_r|`` at every phase.  An interval's error for harmonic ``k`` is
+that bound summed over its panels, a polynomial in ``k``; refinement
+splits a panel by its bound at ``k = n_max``, the largest.
 """
 
 from __future__ import annotations
@@ -87,25 +95,24 @@ _EPS = np.finfo(np.float64).eps
 # the integrand sees the nodes of at most _CHUNK panels per call
 _CHUNK = 1 << 11
 
-# integrate_harmonics' direct sums work through harmonics in blocks of at
-# most _HARMONIC_BLOCK and through panels in chunks, so that every
-# temporary has at most _TILE (harmonic, panel) entries.
-_HARMONIC_BLOCK = 64
-_TILE = 1 << 13
-
 # Chirp-z transforms serve intervals of at least _CHIRP_MIN uniform panels,
 # as many node columns at a time as keep each FFT near _CHIRP_TILE entries.
 _CHIRP_MIN = 32
 _CHIRP_TILE = 1 << 15
 
-# A panel's K15 - G7 gap for harmonic k is a power series in k h (see
-# _gap_bounds).  Since k h <= pi/2 on every mesh integrate_harmonics
-# builds, _GAP_TERMS terms leave out less than (pi/2)^28 / 28! < 1e-24 of
-# the panel's sum of |g_n y_n|.  Bounds are formed _GAP_CHUNK panels at a time.
-_GAP_TERMS = 28
-_GAP_SERIES = (_GAP_WEIGHTS[:, None] * _NODES[:, None] ** np.arange(_GAP_TERMS)
-               / np.array([math.factorial(r) for r in range(_GAP_TERMS)], dtype=np.float64))
-_GAP_CHUNK = 1 << 12
+# The power series of the direct sums and of the gap bounds (see
+# _series_moments) have _SERIES_TERMS terms.  The columns of _SERIES are
+# sign(i^r) w_n xi_n^r / r!, then g_n xi_n^r / r!, r < _SERIES_TERMS.
+# Series are formed _SERIES_CHUNK panels at a time, and summed over
+# harmonics in tiles of about _TILE (panel, harmonic) entries.
+_SERIES_TERMS = 28
+_SERIES = (np.concatenate([weights[:, None] * _NODES[:, None] ** np.arange(_SERIES_TERMS)
+                           / np.array([math.factorial(r) for r in range(_SERIES_TERMS)],
+                                      dtype=np.float64)
+                           for weights in (_KRONROD_WEIGHTS, _GAP_WEIGHTS)], axis=1)
+           * np.r_[(-1.0) ** (np.arange(_SERIES_TERMS) // 2), np.ones(_SERIES_TERMS)])
+_SERIES_CHUNK = 1 << 12
+_TILE = 1 << 14
 
 
 def _node_values(f, mid, half):
@@ -291,50 +298,6 @@ def _edges(lo, hi, breakpoints):
     return np.asarray(edges)
 
 
-def _phase_table(k, h):
-    """Weights that turn a panel's node values into its moments.
-
-    For panels of half-width ``h``, the rows are ``h w_j cos(k h xi_j)``,
-    one per harmonic in ``k``, then ``h w_j sin(k h xi_j)``, with the K15
-    weights ``w_j``.
-    """
-    theta = np.outer(k, h * _NODES)
-    return h * np.concatenate([np.cos(theta), np.sin(theta)]) * _KRONROD_WEIGHTS
-
-
-def _direct_moments(n_harm, mid, half, owner, y, panels, totals):
-    """Add the K15 integrals of ``y(x) exp(ikx)``, ``k < n_harm``, over
-    ``panels`` to ``totals``, shape ``(n_harm, 2, n_int)``.
-
-    Panels of one half-width share a phase table, and only one phase
-    ``exp(ikm)`` per panel and harmonic needs trigonometry.
-    """
-    if panels.shape[0] == 0:
-        return
-    # sorting the panels of one half-width by interval makes each
-    # interval's panels in a chunk one contiguous run
-    order = panels[np.lexsort((owner[panels], half[panels]))]
-    for group in np.split(order, np.flatnonzero(np.diff(half[order])) + 1):
-        # small groups, such as refined children, take more harmonics at once
-        block = min(n_harm, max(_HARMONIC_BLOCK, _TILE // max(group.shape[0], 15)))
-        chunk = _TILE // block
-        for k0 in range(0, n_harm, block):
-            rows = slice(k0, min(k0 + block, n_harm))
-            k = np.arange(rows.start, rows.stop, dtype=np.float64)
-            table = _phase_table(k, half[group[0]])
-            for start in range(0, group.shape[0], chunk):
-                part = group[start:start + chunk]
-                kc, ks = np.split(table @ y[part].T, 2)
-                phase = np.outer(k, mid[part])
-                c = np.cos(phase)
-                s = np.sin(phase)
-                own = owner[part]
-                runs = np.flatnonzero(np.r_[True, own[1:] != own[:-1]])
-                cols = own[runs]
-                totals[rows, 0, cols] += np.add.reduceat(c * kc - s * ks, runs, axis=1)
-                totals[rows, 1, cols] += np.add.reduceat(s * kc + c * ks, runs, axis=1)
-
-
 def _chirp(h, count):
     """``exp(i h n^2)`` for ``n = 0 .. count - 1``.
 
@@ -410,39 +373,64 @@ def _chirp_moments(n_harm, m0, h, y):
     return h * np.exp(1j * (k * m0)) * total
 
 
-def _gap_bounds(n_max, half, owner, y, n_int):
-    """Bounds on the K15 - G7 gaps of ``y(x) exp(ikx)``, ``k = 0 .. n_max``,
-    summed per interval, shape ``(n_max + 1, n_int)``, and every panel's
-    bound at ``k = n_max``, the largest.
+def _series_moments(n_max, mid, half, owner, y, direct, totals):
+    """Add the K15 integrals of ``y(x) exp(ikx)``, ``k = 0 .. n_max``, over
+    the ``direct`` panels to ``totals``, shape ``(n_max + 1, 2, n_int)``, and
+    bound the K15 - G7 gap of every panel.
 
-    A panel with midpoint ``m`` and half-width ``h`` has the gap ``exp(ikm)
-    G(kh)`` with ``G(t) = sum_r (it)^r mu_r`` and ``mu_r = h sum_n g_n
-    xi_n^r / r! y_n`` (``g`` the gap weights), so ``|gap| <= sum_r (kh)^r
-    |mu_r|`` whatever the phase.  With ``h_ref`` the largest half-width,
-    every interval's bound is one polynomial in ``k h_ref`` whose
-    coefficients are the interval's sums of ``(h / h_ref)^r |mu_r|``.
+    A panel with midpoint ``m`` and half-width ``h`` has the integral
+    ``exp(ikm) sum_r (ikh)^r nu_r`` with ``nu_r = h sum_n w_n xi_n^r / r!
+    y_n``, and the gap ``exp(ikm) sum_r (ikh)^r mu_r`` with the gap weights
+    ``g_n`` in place of ``w_n``, so ``|gap| <= sum_r (kh)^r |mu_r|`` whatever
+    the phase.  With ``h_ref`` the largest half-width, each series is a
+    polynomial in ``k h_ref`` with the coefficients ``(h / h_ref)^r nu_r``
+    (or ``|mu_r|``): the real and imaginary parts of an integral are
+    products of its even and odd terms with the powers of ``k h_ref``.
+    Returns the gap bounds summed per interval, shape ``(n_max + 1,
+    n_int)``, and every panel's bound at ``k = n_max``, the largest.
     """
+    n_int = totals.shape[2]
     h_ref = half.max()
+    k = np.arange(n_max + 1, dtype=np.float64)
     # powers[r, k] = (k h_ref)^r
-    powers = np.empty((_GAP_TERMS, n_max + 1))
+    powers = np.empty((_SERIES_TERMS, n_max + 1))
     powers[0] = 1.0
-    t = np.arange(n_max + 1) * h_ref
-    for r in range(1, _GAP_TERMS):
+    t = k * h_ref
+    for r in range(1, _SERIES_TERMS):
         np.multiply(powers[r - 1], t, out=powers[r])
-    sums = np.zeros((_GAP_TERMS, n_int))
+    tile = max(1, _TILE // (n_max + 1))
+    sums = np.zeros((_SERIES_TERMS, n_int))
     worst = np.empty(half.shape[0])
-    cells = np.arange(_GAP_TERMS)[:, None] * n_int
-    for start in range(0, half.shape[0], _GAP_CHUNK):
-        part = slice(start, start + _GAP_CHUNK)
-        terms = np.abs(_GAP_SERIES.T @ y[part].T)
+    cells = np.arange(_SERIES_TERMS)[:, None] * n_int
+    for start in range(0, half.shape[0], _SERIES_CHUNK):
+        part = slice(start, start + _SERIES_CHUNK)
+        # the chunk's direct panels, grouped by interval
+        pick = np.flatnonzero(direct[part])
+        pick = pick[np.argsort(owner[part][pick], kind="stable")]
+        nu = _SERIES[:, :_SERIES_TERMS].T @ y[part][pick].T
+        mu = np.abs(_SERIES[:, _SERIES_TERMS:].T @ y[part].T)
+        # row r of both is scaled by h (h / h_ref)^r
         ratio = half[part] / h_ref
         scale = half[part].copy()
-        for row in terms:
-            row *= scale
+        for nu_row, mu_row in zip(nu, mu):
+            nu_row *= scale[pick]
+            mu_row *= scale
             scale *= ratio
-        worst[part] = powers[:, -1] @ terms
-        sums += np.bincount((cells + owner[part]).ravel(), terms.ravel(),
+        worst[part] = powers[:, -1] @ mu
+        sums += np.bincount((cells + owner[part]).ravel(), mu.ravel(),
                             sums.size).reshape(sums.shape)
+        pick += start
+        for j in range(0, pick.shape[0], tile):
+            panels = pick[j:j + tile]
+            re = nu[0::2, j:j + tile].T @ powers[0::2]
+            im = nu[1::2, j:j + tile].T @ powers[1::2]
+            phase = np.outer(mid[panels], k)
+            c = np.cos(phase)
+            s = np.sin(phase)
+            own = owner[panels]
+            runs = np.flatnonzero(np.r_[True, own[1:] != own[:-1]])
+            totals[:, 0, own[runs]] += np.add.reduceat(c * re - s * im, runs).T
+            totals[:, 1, own[runs]] += np.add.reduceat(s * re + c * im, runs).T
     return powers.T @ sums, worst
 
 
@@ -452,11 +440,11 @@ def _harmonic_moments(n_max, mid, half, owner, y, n_int):
     Panels are given by their midpoints, half-widths and owning intervals,
     ``y`` holds their node values.  Returns ``(totals, err, worst)``: the
     cosine and sine integrals, shape ``(n_max + 1, 2, n_int)``, and the
-    gap bounds of :func:`_gap_bounds`.  An interval whose panels here are
-    at least ``_CHIRP_MIN`` of one half-width ``h`` that tile a stretch
+    gap bounds of :func:`_series_moments`.  An interval whose panels here
+    are at least ``_CHIRP_MIN`` of one half-width ``h`` that tile a stretch
     with no gap, midpoints ``2h`` apart, gets its integrals from
-    :func:`_chirp_moments`; every other panel goes to
-    :func:`_direct_moments`.
+    :func:`_chirp_moments`; every other panel gets them from
+    :func:`_series_moments`.
     """
     n_harm = n_max + 1
     totals = np.zeros((n_harm, 2, n_int))
@@ -476,8 +464,9 @@ def _harmonic_moments(n_max, mid, half, owner, y, n_int):
         moment = _chirp_moments(n_harm, mid[first[j]], h[j], y[run])
         totals[:, 0, owner[first[j]]] = moment.real
         totals[:, 1, owner[first[j]]] = moment.imag
-    _direct_moments(n_harm, mid, half, owner, y, order[np.repeat(~uniform, counts)], totals)
-    err, worst = _gap_bounds(n_max, half, owner, y, n_int)
+    chirped = np.zeros(n_int, dtype=bool)
+    chirped[owner[first[uniform]]] = True
+    err, worst = _series_moments(n_max, mid, half, owner, y, ~chirped[owner], totals)
     return totals, err, worst
 
 
@@ -492,14 +481,15 @@ def integrate_harmonics(f, lo, hi, n_max, tol=1e-10, *, breakpoints=()):
     Every seeded interval of at least ``_CHIRP_MIN`` panels gets all its
     harmonics from chirp-z transforms of its node columns, in ``O((P + K)
     log(P + K))`` work; shorter intervals and refined children get them
-    from direct phase-factored sums.  The mesh is refined by the same loop
+    from a power series in ``kh`` per panel, ``r < 28`` terms times one
+    phase ``exp(ikm)`` per harmonic.  The mesh is refined by the same loop
     as :func:`integrate_intervals` until, for every harmonic ``k``, each
     seeded interval's error falls below ``max(tol * max(|cos integral|,
     |sin integral|), tol)``.  That error is the sum over the interval's
     panels of ``sum_r (kh)^r |mu_r|``, ``r < 28``, a bound on the modulus
     of the panel's K15 - G7 gap of ``f(x) exp(ikx)`` that holds at every
-    phase (the series is cut where ``kh <= pi/2`` leaves out less than
-    ``1e-24`` relative; see :func:`_gap_bounds`).
+    phase (both series are cut where ``kh <= pi/2`` leaves out less than
+    ``1e-24`` relative; see :func:`_series_moments`).
 
     Returns ``(cos_integrals, sin_integrals, errors)``, each of length
     ``n_max + 1``.  ``errors[k]`` estimates harmonic ``k``'s absolute error:

@@ -28,6 +28,20 @@ CONSTANT_ONE = {"segments": [
 ]}
 
 
+def _constant_spec(literal):
+    return ('{"segments": [{"lo": "-pi", "hi": "pi", "kind": "constant", '
+            '"params": {"c": %s}}]}' % literal).encode()
+
+
+# malformed spec files, as bytes, with a phrase of the error that refuses each
+MALFORMED_SPECS = {
+    "non-utf8": (b'{"segments": [\xff]}', "not UTF-8: byte 0xff at offset 14"),
+    "deep-nesting": (b"[" * 100_000, "nested too deeply"),
+    "huge-integer": (_constant_spec("1" + "0" * 400), "integer too large for a float"),
+    "long-integer": (_constant_spec("1" * 5000), "invalid JSON"),
+}
+
+
 def build(spec_dict):
     return tc.parse_spec(json.dumps(spec_dict))
 

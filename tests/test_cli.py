@@ -10,7 +10,7 @@ import pytest
 import trigconv as tc
 from trigconv import cli
 from trigconv.cli import main
-from conftest import CONSTANT_ONE, SAWTOOTH, SQUARE
+from conftest import CONSTANT_ONE, MALFORMED_SPECS, SAWTOOTH, SQUARE
 
 
 @pytest.fixture(scope="module")
@@ -380,6 +380,28 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "validate", "--function", str(bad))
         assert code == 1
         assert "SpecSyntaxError" in err
+
+    @pytest.mark.parametrize("name", MALFORMED_SPECS)
+    def test_malformed_spec_file(self, capsys, tmp_path, name):
+        data, phrase = MALFORMED_SPECS[name]
+        path = tmp_path / "spec.json"
+        path.write_bytes(data)
+        code, out, err = run_cli(capsys, "validate", "--function", str(path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("SpecSyntaxError:")
+        assert phrase in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("target, error", [("missing/x.json", "FileNotFoundError"),
+                                               (".", "IsADirectoryError")],
+                             ids=["missing-directory", "directory"])
+    def test_out_path_that_cannot_be_written(self, capsys, tmp_path, target, error):
+        code, out, err = run_cli(capsys, "tail", "--n", "3", "--out", str(tmp_path / target))
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"{error}:")
+        assert "Traceback" not in err
 
     def test_domain_error_is_a_computation_error(self, capsys, constant_file):
         code, _, err = run_cli(capsys, "blocks", "--function", constant_file,

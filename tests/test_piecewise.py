@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 import trigconv as tc
-from conftest import (SAWTOOTH, SQUARE, TRIANGLE, build, many_segment_spec,
-                      random_spec)
+from conftest import (MALFORMED_SPECS, SAWTOOTH, SQUARE, TRIANGLE, build,
+                      many_segment_spec, random_spec)
 
 
 def spec_text(segments):
@@ -29,6 +29,17 @@ class TestParsing:
     def test_rejects_invalid_json(self):
         with pytest.raises(tc.SpecSyntaxError):
             tc.parse_spec("{not json")
+
+    @pytest.mark.parametrize("name", MALFORMED_SPECS)
+    def test_rejects_malformed_file(self, tmp_path, name):
+        data, phrase = MALFORMED_SPECS[name]
+        path = tmp_path / "spec.json"
+        path.write_bytes(data)
+        with pytest.raises(tc.SpecSyntaxError, match=phrase):
+            tc.load_spec(str(path))
+        if name != "non-utf8":
+            with pytest.raises(tc.SpecSyntaxError, match=phrase):
+                tc.parse_spec(data.decode())
 
     def test_rejects_missing_keys(self):
         with pytest.raises(tc.SpecSyntaxError):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import trigconv as tc
 from conftest import SQUARE, build, traced_peak
@@ -192,28 +194,36 @@ class TestIntegrateHarmonics:
     def test_tiling_does_not_change_results(self, monkeypatch):
         # a square root refines towards 0 inside [0, 0.1], an interval of 5
         # seeded panels, so the direct sums serve both a short interval and
-        # the refined children; small tiles split both the harmonics and
-        # every panel group
-        tables = []
-        phase_table = quadrature._phase_table
+        # the refined children; small chunks and tiles split both into
+        # tiles of at most 2 panels
+        tiles = []
 
-        def counted(k, h):
-            tables.append(k.shape[0])
-            return phase_table(k, h)
+        class RecordingNumpy:
+            """numpy, with the panel count of every tile's phases recorded."""
 
-        monkeypatch.setattr(quadrature, "_phase_table", counted)
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            @staticmethod
+            def outer(a, b):
+                if len(b) == 151:
+                    tiles.append(len(a))
+                return np.outer(a, b)
+
+        monkeypatch.setattr(quadrature, "np", RecordingNumpy())
 
         def run():
-            tables.clear()
+            tiles.clear()
             return quadrature.integrate_harmonics(np.sqrt, 0.0, 3.0, 150, 1e-10,
                                                   breakpoints=[0.1, 1.0])
         default = run()
-        default_tables = len(tables)
-        monkeypatch.setattr(quadrature, "_HARMONIC_BLOCK", 7)
-        monkeypatch.setattr(quadrature, "_TILE", 7 * 5)
+        default_tiles = list(tiles)
+        monkeypatch.setattr(quadrature, "_SERIES_CHUNK", 3)
+        monkeypatch.setattr(quadrature, "_TILE", 2 * 151)
         tiled = run()
-        assert 0 < default_tables < len(tables)
-        assert max(tables) == 7
+        assert max(default_tiles) > 2
+        assert 0 < len(default_tiles) < len(tiles)
+        assert max(tiles) == 2
         for got, want in zip(tiled, default):
             assert np.abs(got - want).max() <= 1e-14
 
@@ -277,6 +287,33 @@ class TestChirpZ:
         scale = quadrature.integrate(lambda x: np.abs(fn(x)), 0.0, 3.0, breakpoints=[0.3, 1.0])
         for got, want in zip(chirp[:2], direct[:2]):
             assert np.abs(got[:17] - want[:17]).max() <= 1e-13 * scale
+
+
+class TestSeriesMoments:
+    """The direct path's power series against plain sums over the nodes."""
+
+    @pytest.mark.parametrize("harmonics", [11, 201, 2001, 16001])
+    @settings(derandomize=True, max_examples=5, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_matches_node_sums(self, harmonics, seed):
+        rng = np.random.default_rng(seed)
+        n_panels = 12
+        # one panel per interval, each too short for the chirp path
+        half = math.pi / (2 * harmonics) / 2.0 ** rng.integers(0, 12, n_panels)
+        mid = rng.uniform(-math.pi, math.pi, n_panels)
+        y = rng.standard_normal((n_panels, 15)) * 10.0 ** rng.uniform(-3, 3, (n_panels, 1))
+        totals, _, _ = quadrature._harmonic_moments(
+            harmonics - 1, mid, half, np.arange(n_panels), y, n_panels)
+        k = np.arange(harmonics, dtype=np.float64)
+        weighted = half[:, None] * quadrature._KRONROD_WEIGHTS * y
+        for p in range(n_panels):
+            # h sum_n w_n y_n exp(ik(m + h xi_n)), with exp(ikm) taken out
+            # so that the reference does not round k (m + h xi_n)
+            inner = np.exp(1j * np.outer(k * half[p], quadrature._NODES)) @ weighted[p]
+            want = np.exp(1j * k * mid[p]) * inner
+            bound = 1e-15 * np.abs(weighted[p]).sum()
+            assert np.abs(totals[:, 0, p] - want.real).max() <= bound
+            assert np.abs(totals[:, 1, p] - want.imag).max() <= bound
 
 
 class TestChunkedEvaluation:
