@@ -10,7 +10,8 @@ decide convergence.
 """
 
 from .counterexample import (KINDS, SeriesProbe, SeriesSummary,
-                             divergence_witness, probe, summarize)
+                             divergence_witness, probe, summarize,
+                             summarize_all)
 from .errors import (CoverageError, DomainError, MonotonicityError,
                      QuadratureError, SpecSyntaxError, TrigconvError,
                      UnboundedError)
@@ -66,6 +67,7 @@ __all__ = [
     "sine_ratio",
     "split_integrals",
     "summarize",
+    "summarize_all",
     "tail",
     "__version__",
 ]

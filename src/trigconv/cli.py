@@ -230,10 +230,10 @@ def _cmd_limit(args):
 
 
 def _cmd_cauchy(args):
-    # summarize validates the term count and the bound before any array
+    # summarize_all validates the term count and the bound before any array
     n_terms = _single(args.n, "--n")
     bound = args.x if args.x is not None else -3.0
-    s = [counterexample.summarize(kind, n_terms, bound) for kind in counterexample.KINDS]
+    s = counterexample.summarize_all(n_terms, bound)
     return _record(
         "cauchy", args, {"n": s[0].n_terms, "bound": s[0].bound},
         {"kind": [r.kind for r in s],

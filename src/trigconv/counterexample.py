@@ -17,14 +17,14 @@ The probe kinds are:
 Together they witness that term-ratio comparison cannot decide convergence
 for series of mixed sign.
 
-Every series is summed in one pass over consecutive chunks of ``_CHUNK``
-terms, carrying the running total from chunk to chunk, so only one chunk's
-terms and sums are in memory at a time.  :func:`summarize` and
-:func:`divergence_witness` keep nothing else; :func:`probe` copies each
-chunk into the full arrays it returns.  The sums are bit-identical to a
-plain float64 cumulative sum of all terms at once; its rounding drift stays
-orders of magnitude below the tolerances used anywhere in the package.
-Arguments are validated before any array is built.
+The series share one pass over consecutive chunks of ``_CHUNK`` terms that
+builds each chunk's terms once for every series asked for (all three in
+:func:`summarize_all`) and carries each running total to the next chunk, so
+only one chunk's terms and sums are in memory at a time.  The summaries keep
+nothing else; :func:`probe` copies each chunk into the arrays it returns.
+The sums are bit-identical to a plain float64 cumulative sum of all terms at
+once; its rounding drift stays orders of magnitude below the tolerances used
+anywhere in the package.  Arguments are validated before any array is built.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ KINDS = ("u", "v", "diff")
 
 _MAX_TERMS = 10**8
 
-# terms per chunk of the summing pass: a few hundred kB of temporaries
+# terms per chunk of the summing pass: a few hundred kB of buffers
 _CHUNK = 1 << 14
 
 
@@ -87,39 +87,47 @@ def _check_bound(bound):
     return bound
 
 
-def _alternating(start, stop):
-    """``(-1)^n / sqrt(n)`` for ``n = start + 1 .. stop``."""
-    index = np.arange(start + 1, stop + 1)
-    return np.where(index % 2 == 0, 1.0, -1.0) / np.sqrt(index)
+def _chunk_terms(kinds, start, index, alternating, terms):
+    """Write into ``terms`` the terms ``n = start + 1 ..`` (held in ``index``)
+    of each series in ``kinds``, from the alternating terms ``(-1)^n / sqrt(n)``
+    written once into ``alternating`` (left as is when only ``diff`` is asked
+    for)."""
+    if kinds != ("diff",):
+        # -1 / sqrt(n) is exactly -(1 / sqrt(n)); n is odd at every second
+        # position, from the first when the absolute index start + 1 is odd
+        np.divide(1.0, np.sqrt(index, out=alternating), out=alternating)
+        alternating[start % 2::2] *= -1.0
+    for kind, series in zip(kinds, terms):
+        if kind == "diff":
+            np.divide(-1.0, index, out=series)
+        elif kind == "v":
+            np.multiply(alternating, np.add(alternating, 1.0, out=series), out=series)
+        else:
+            series[...] = alternating
 
 
-def _terms(kind, start, stop):
-    """Terms ``start + 1 .. stop`` of the series ``kind``."""
-    if kind == "diff":
-        return -1.0 / np.arange(start + 1, stop + 1)
-    alternating = _alternating(start, stop)
-    if kind == "u":
-        return alternating
-    return alternating * (1.0 + alternating)
+def _chunk_sums(kinds, n_terms):
+    """Yield ``(start, alternating, sums)`` chunk by chunk: ``sums`` holds
+    each series' partial sums ``start + 1 ..`` over one :func:`_chunk_terms`,
+    in buffers that the next chunk overwrites (fresh ones cost page faults).
 
-
-def _partial_sums(kind, n_terms):
-    """Yield ``(start, sums)`` chunk by chunk, where ``sums`` holds partial
-    sums ``start + 1 .. start + len(sums)``.
-
-    ``np.cumsum`` adds strictly left to right, so adding the carried total
-    into a chunk's first term reproduces the one-shot sums bit for bit.  The
-    first chunk gets no carry: adding ``0.0`` would turn ``v``'s first sum,
-    ``-0.0``, into ``0.0``.
+    ``np.cumsum`` adds strictly left to right, so adding a series' carried
+    total into a chunk's first term reproduces the one-shot sums bit for bit.
+    The first chunk gets no carry: adding ``0.0`` would turn ``v``'s first
+    sum, ``-0.0``, into ``0.0``.
     """
-    total = None
+    work = np.empty((len(kinds) + 2, _CHUNK))
+    work[0] = np.arange(1.0, _CHUNK + 1.0)
+    totals = [None] * len(kinds)
     for start in range(0, n_terms, _CHUNK):
-        terms = _terms(kind, start, min(start + _CHUNK, n_terms))
-        if start:
-            terms[0] += total
-        sums = np.cumsum(terms, out=terms)
-        total = sums[-1]
-        yield start, sums
+        index, alternating, *terms = work[:, :min(_CHUNK, n_terms - start)]
+        _chunk_terms(kinds, start, index, alternating, terms)
+        for k, series in enumerate(terms):
+            if start:
+                series[0] += totals[k]
+            totals[k] = series.cumsum(out=series)[-1]
+        yield start, alternating, terms
+        work[0] += _CHUNK
 
 
 def probe(kind, n_terms):
@@ -133,11 +141,11 @@ def probe(kind, n_terms):
     n_terms = _check_terms(n_terms)
     sums = np.empty(n_terms)
     ratios = np.empty(n_terms) if kind == "v" else None
-    for start, chunk in _partial_sums(kind, n_terms):
+    for start, alternating, (chunk,) in _chunk_sums((kind,), n_terms):
         stop = start + chunk.size
         sums[start:stop] = chunk
         if ratios is not None:
-            ratios[start:stop] = 1.0 + _alternating(start, stop)
+            np.add(alternating, 1.0, out=ratios[start:stop])
     return SeriesProbe(kind=kind, n_terms=n_terms, partial_sums=sums, ratios=ratios)
 
 
@@ -148,18 +156,29 @@ def summarize(kind, n_terms, bound):
     n_terms).partial_sums``.
     """
     _check_kind(kind)
+    return _summaries((kind,), n_terms, bound)[0]
+
+
+def summarize_all(n_terms, bound):
+    """:func:`summarize` of each kind in :data:`KINDS`, in that order, from
+    one pass that builds each chunk's terms once for all three series."""
+    return _summaries(KINDS, n_terms, bound)
+
+
+def _summaries(kinds, n_terms, bound):
     n_terms = _check_terms(n_terms)
     bound = _check_bound(bound)
-    lo, hi, escape = math.inf, -math.inf, None
-    for start, sums in _partial_sums(kind, n_terms):
-        chunk_lo, chunk_hi = sums.min(), sums.max()
-        if escape is None and (chunk_lo < bound or chunk_hi > -bound):
-            outside = (sums < bound) | (sums > -bound)
-            escape = start + int(np.argmax(outside)) + 1
-        lo, hi = min(lo, chunk_lo), max(hi, chunk_hi)
-    return SeriesSummary(kind=kind, n_terms=n_terms, bound=bound,
-                         last_sum=float(sums[-1]), min_sum=float(lo),
-                         max_sum=float(hi), band_escape=escape)
+    lo, hi, escape = [math.inf] * len(kinds), [-math.inf] * len(kinds), [None] * len(kinds)
+    for start, _, chunk in _chunk_sums(kinds, n_terms):
+        for k, sums in enumerate(chunk):
+            chunk_lo, chunk_hi = sums.min(), sums.max()
+            if escape[k] is None and (chunk_lo < bound or chunk_hi > -bound):
+                escape[k] = start + int(np.argmax((sums < bound) | (sums > -bound))) + 1
+            lo[k], hi[k] = min(lo[k], chunk_lo), max(hi[k], chunk_hi)
+    return tuple(SeriesSummary(kind=kind, n_terms=n_terms, bound=bound,
+                               last_sum=float(chunk[k][-1]), min_sum=float(lo[k]),
+                               max_sum=float(hi[k]), band_escape=escape[k])
+                 for k, kind in enumerate(kinds))
 
 
 def divergence_witness(kind, bound, n_max):
@@ -168,8 +187,14 @@ def divergence_witness(kind, bound, n_max):
     ``bound`` must be finite and negative; the band is symmetric about
     zero, so an escape on either side witnesses the sums leaving every
     bounded region of that size.  Returns ``None`` when all ``n_max`` sums
-    stay inside.  This is the escape index of :func:`summarize`'s single
-    pass.
+    stay inside.  This is the escape index of :func:`summarize`, from a
+    pass that stops at the first chunk holding it.
     """
     n_max = _check_terms(n_max, "n_max")
-    return summarize(kind, n_max, bound).band_escape
+    _check_kind(kind)
+    bound = _check_bound(bound)
+    for start, _, (sums,) in _chunk_sums((kind,), n_max):
+        outside = (sums < bound) | (sums > -bound)
+        if outside.any():
+            return start + int(np.argmax(outside)) + 1
+    return None

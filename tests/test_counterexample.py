@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import trigconv as tc
 from conftest import traced_peak
@@ -31,7 +33,7 @@ def chunk_of_7(monkeypatch):
 def no_terms(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("series terms built before input was validated")
-    monkeypatch.setattr(tc.counterexample, "_terms", refuse)
+    monkeypatch.setattr(tc.counterexample, "_chunk_terms", refuse)
 
 
 class TestProbe:
@@ -187,6 +189,62 @@ class TestChunkedPass:
         assert tc.summarize("u", 10, -2.0).band_escape is None
 
 
+@pytest.fixture
+def chunk_builds(monkeypatch):
+    """The ``kinds`` of every chunk whose terms get built, in order."""
+    builds, build = [], tc.counterexample._chunk_terms
+
+    def counted(kinds, *args):
+        builds.append(kinds)
+        return build(kinds, *args)
+    monkeypatch.setattr(tc.counterexample, "_chunk_terms", counted)
+    return builds
+
+
+class TestFusedPass:
+    @pytest.mark.parametrize("chunk", (7, None), ids=("chunk-7", "default-chunk"))
+    @pytest.mark.parametrize("size", ("1", "C-1", "C", "C+1", "3C+5"))
+    @pytest.mark.parametrize("bound", (-1.0, -3.0))
+    def test_rows_are_one_shot_cumsum(self, monkeypatch, chunk, size, bound):
+        if chunk is not None:
+            monkeypatch.setattr(tc.counterexample, "_CHUNK", chunk)
+        c = tc.counterexample._CHUNK
+        n = {"1": 1, "C-1": c - 1, "C": c, "C+1": c + 1, "3C+5": 3 * c + 5}[size]
+        rows = tc.summarize_all(n, bound)
+        assert tuple(r.kind for r in rows) == tc.KINDS
+        for r in rows:
+            sums = np.cumsum(reference_terms(r.kind, n))
+            assert (r.n_terms, r.bound) == (n, bound)
+            for got, want in ((r.last_sum, sums[-1]), (r.min_sum, sums.min()),
+                              (r.max_sum, sums.max())):
+                assert got == want and np.signbit(got) == np.signbit(want), r
+            assert r.band_escape == escape_index(sums, bound)
+        if n == 1:
+            assert np.signbit(rows[1].last_sum)  # v's first sum is -0.0
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(n=st.integers(1, 2 * 10**5),
+           bound=st.floats(-5.0, -0.5, exclude_min=True, exclude_max=True))
+    def test_all_kinds_equal_one_kind_passes(self, n, bound):
+        rows = tc.summarize_all(n, bound)
+        single = tuple(tc.summarize(kind, n, bound) for kind in tc.KINDS)
+        # a float's repr round-trips, so equal reprs mean equal bits, -0.0 too
+        assert repr(rows) == repr(single)
+
+    def test_cauchy_builds_each_chunk_once(self, capsys, chunk_builds):
+        n = 3 * tc.counterexample._CHUNK + 5
+        assert main(["cauchy", "--n", str(n)]) == 0
+        capsys.readouterr()
+        assert chunk_builds == [tc.KINDS] * math.ceil(n / tc.counterexample._CHUNK)
+
+    @pytest.mark.parametrize("kind, bound, escape, builds",
+                             [("diff", -2.0, 4, 1), ("v", -3.0, 18, 3)])
+    def test_witness_stops_at_the_escape_chunk(self, chunk_of_7, chunk_builds,
+                                               kind, bound, escape, builds):
+        assert tc.divergence_witness(kind, bound, 10**6) == escape
+        assert chunk_builds == [(kind,)] * builds
+
+
 class TestValidationComesFirst:
     @pytest.mark.parametrize("call", [
         lambda: tc.probe("w", 10**7),
@@ -195,6 +253,8 @@ class TestValidationComesFirst:
         lambda: tc.summarize("u", 10**7, 1.0),
         lambda: tc.summarize("u", 10**7, float("nan")),
         lambda: tc.summarize("u", 10**8 + 1, -3.0),
+        lambda: tc.summarize_all(10**7, 1.0),
+        lambda: tc.summarize_all(10**8 + 1, -3.0),
         lambda: tc.divergence_witness("w", -3.0, 10**7),
         lambda: tc.divergence_witness("u", 0.0, 10**7),
         lambda: tc.divergence_witness("u", -3.0, 0),
