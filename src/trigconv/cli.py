@@ -3,9 +3,9 @@
 Each subcommand runs one operation pipeline and emits a single record —
 JSON by default, CSV on request — with the command name, an echo of the
 inputs, column labels, and data rows.  Each handler builds its table as one
-mapping from column label to column; one scalar formatter writes every
-value, floats with 17 significant digits, so JSON output round-trips
-bit-exactly and repeated invocations are byte-identical.
+mapping from column label to column; every value is written as one scalar
+rule (``_scalar``) writes it, floats with 17 significant digits, so JSON
+output round-trips bit-exactly and repeated invocations are byte-identical.
 
 Exit status: 0 on success, 1 on any computational error (the error class
 name goes to standard error), 2 on usage errors.
@@ -98,19 +98,50 @@ def _json(value):
     return _scalar(value, "json")
 
 
+def _csv_field(text, alone):
+    """``text`` as the csv module writes it as one field of a row: of a
+    row of one field when ``alone``, where an empty field is quoted, else
+    of a row of several."""
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\n").writerow((text,) if alone else (text, ""))
+    return buffer.getvalue()[:-1 if alone else -2]
+
+
 def _render(head, table):
+    """The record's text: ``head``'s fields, then one row per table row.
+
+    Each column gets one %-format, chosen once: ``%.17g`` for a column of
+    floats, ``%d`` for a column of ints (bools excluded), and ``%s`` of the
+    :func:`_scalar` text of each cell for any other column (CSV-quoted by
+    the csv module).  Each row is then one substitution into one template,
+    so the bytes are those of :func:`_scalar` on every cell, since
+    ``'%.17g' % v`` and ``format(v, '.17g')`` agree on every float, without
+    a Python call per cell.  Rows are formatted one at a time, so the cells
+    are never all held as strings at once.
+    """
     fmt = head["format"]
-    # row by row, so that the cells are never all held as strings at once
-    rows = ([_scalar(v, fmt) for v in row] for row in zip(*table.values()))
+    specs, columns = [], []
+    for column in table.values():
+        kinds = set(map(type, column))
+        if kinds <= {float}:
+            specs.append("%.17g")
+        elif kinds <= {int}:
+            specs.append("%d")
+        else:
+            specs.append("%s")
+            column = [_scalar(v, fmt) for v in column]
+            if fmt == "csv":
+                alone = len(table) == 1
+                column = [_csv_field(text, alone) for text in column]
+        columns.append(column)
+    rows = zip(*columns)
     if fmt == "csv":
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(table)
-        writer.writerows(rows)
-        return buffer.getvalue()
+        header = io.StringIO()
+        csv.writer(header, lineterminator="\n").writerow(table)
+        return header.getvalue() + "".join(map((",".join(specs) + "\n").__mod__, rows))
     head = {**head, "columns": list(table)}
     fields = ", ".join(f"{_json(k)}: {_json(v)}" for k, v in head.items())
-    body = ", ".join("[" + ", ".join(row) + "]" for row in rows)
+    body = ", ".join(map(("[" + ", ".join(specs) + "]").__mod__, rows))
     return "{" + fields + f', "rows": [{body}]}}\n'
 
 

@@ -30,12 +30,16 @@ def _sin_ratio(m, u):
     ``sin`` keeps full relative accuracy for small arguments, so the plain
     quotient is accurate arbitrarily close to the singularity and only an
     exact zero needs the substitution.  Callers keep ``u`` away from the
-    other zeros of ``sin(u)``.
+    other zeros of ``sin(u)``.  The quotient is formed in one buffer; its
+    ``0/0`` at ``u == 0`` is then overwritten with ``m``.
     """
     u = np.asarray(u, dtype=np.float64)
-    zero = u == 0.0
-    safe = np.where(zero, 1.0, u)
-    return np.where(zero, m, np.sin(m * safe) / np.sin(safe))
+    out = np.multiply(m, u, out=np.empty(u.shape))
+    np.sin(out, out=out)
+    with np.errstate(invalid="ignore"):
+        np.divide(out, np.sin(u), out=out)
+    out[u == 0.0] = m
+    return out
 
 
 def cosine_sum(n, t):
@@ -58,8 +62,14 @@ def dirichlet_kernel(n, t):
     """
     n = check_integer(n, "order", 0, _MAX_ORDER)
     arr = np.asarray(t, dtype=np.float64)
-    reduced = arr - _TWO_PI * np.round(arr / _TWO_PI)
-    out = 0.5 * _sin_ratio(2 * n + 1, 0.5 * reduced)
+    # half of t - 2 pi round(t / (2 pi)), formed in one buffer
+    half = np.divide(arr, _TWO_PI, out=np.empty(arr.shape))
+    np.round(half, out=half)
+    half *= _TWO_PI
+    np.subtract(arr, half, out=half)
+    half *= 0.5
+    out = _sin_ratio(2 * n + 1, half)
+    out *= 0.5
     return float(out) if arr.ndim == 0 else out
 
 

@@ -269,26 +269,39 @@ class PiecewiseFunction:
 
         At a jump the owning segment is the one to the right; ``x = pi``
         belongs to the last segment.
+
+        Each segment evaluates one contiguous slice of the abscissae in
+        ascending order, found by searching the interior edges in them, so
+        the cost does not grow with segments x points.  Quadrature meshes
+        hand over their nodes ascending (or, mapped through ``x - 2 beta``,
+        descending), so the sort is skipped in those cases: ascending
+        input is used as it is, descending input as a contiguous reversed
+        copy, and only other orders are sorted.  Once sorted, only the two
+        ends need the range check; a NaN never passes the order checks and
+        sorts last, so it fails that check too.
         """
         arr = np.asarray(x, dtype=np.float64)
-        scalar = arr.ndim == 0
         flat = arr.reshape(-1)
-        if flat.size and ((flat < -PI).any() or (flat > PI).any() or
-                          not np.isfinite(flat).all()):
+        order = None
+        if flat.size > 1 and not (flat[1:] >= flat[:-1]).all():
+            order = (slice(None, None, -1) if (flat[1:] <= flat[:-1]).all()
+                     else np.argsort(flat))
+        xs = flat if order is None else np.ascontiguousarray(flat[order])
+        if xs.size and not (-PI <= xs[0] and xs[-1] <= PI):
             raise DomainError("abscissae must lie in [-pi, pi]")
-        idx = np.searchsorted(self._edges, flat, side="right") - 1
-        np.clip(idx, 0, len(self.segments) - 1, out=idx)
-        # one stable sort groups the points by segment; each segment then
-        # evaluates one contiguous slice, so the cost does not grow with
-        # segments x points
-        order = np.argsort(idx, kind="stable")
-        bounds = np.searchsorted(idx[order], np.arange(len(self.segments) + 1))
-        ordered = flat[order]
-        out = np.empty(flat.shape)
-        for j in np.flatnonzero(np.diff(bounds)):
-            lo, hi = bounds[j], bounds[j + 1]
-            out[order[lo:hi]] = self.segments[j].values(ordered[lo:hi])
-        return float(out[0]) if scalar else out.reshape(arr.shape)
+        values = np.empty(xs.shape)
+        stops = np.searchsorted(xs, self._edges[1:-1]).tolist() + [xs.size]
+        start = 0
+        for seg, stop in zip(self.segments, stops):
+            if stop > start:
+                values[start:stop] = seg.values(xs[start:stop])
+            start = stop
+        if order is None:
+            out = values
+        else:
+            out = np.empty_like(values)
+            out[order] = values
+        return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
     __call__ = eval
 

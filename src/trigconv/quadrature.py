@@ -120,16 +120,20 @@ def _node_values(f, mid, half):
 
     ``f`` maps a 1-D node array of length N to shape ``(N,)`` or
     ``(N, ncomp)``; the result has shape ``(P, 15)`` or ``(P, 15, ncomp)``.
+    Each chunk is written into that one array as it is evaluated.
     """
-    parts = []
+    out = None
     for start in range(0, mid.shape[0], _CHUNK):
         m = mid[start:start + _CHUNK, None]
         y = np.asarray(f((m + half[start:start + _CHUNK, None] * _NODES).ravel()),
                        dtype=np.float64)
         if not np.isfinite(y).all():
             raise QuadratureError("integrand returned non-finite values")
-        parts.append(y.reshape(m.shape[0], _NODES.shape[0], *y.shape[1:]))
-    return np.concatenate(parts)
+        y = y.reshape(m.shape[0], _NODES.shape[0], *y.shape[1:])
+        if out is None:
+            out = np.empty((mid.shape[0], *y.shape[1:]))
+        out[start:start + m.shape[0]] = y
+    return out
 
 
 def _initial_panels(edges, max_panel_width):

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 import os
@@ -255,8 +257,9 @@ class TestOutputContract:
 
 
 class TestPinnedBytes:
-    """Exact output of records that involve no quadrature, so numerical
-    changes elsewhere leave them alone."""
+    """Exact output bytes.  ``validate`` and ``cauchy`` involve no
+    quadrature, so numerical changes elsewhere leave them alone; the
+    ``_TABLES`` records change only with a deliberate numerical change."""
 
     def test_validate(self, capsys, square_file):
         path = json.dumps(square_file)
@@ -292,12 +295,140 @@ class TestPinnedBytes:
         for fmt, text in expected.items():
             assert run_cli(capsys, "cauchy", "--n", "5", "--format", fmt) == (0, text, "")
 
+    # Commands whose tables run long in the benchmark, at small sizes;
+    # "<one.json>" and "<square.json>" stand for the JSON-quoted spec paths.
+    _TABLES = {
+        "tail --n 3": {
+            "json": (
+                '{"command": "tail", "format": "json", "inputs": {"n": 3, "tol": 1e-10}, '
+                '"columns": ["n", "term", "partial_sum", "abs_gap", "next_term"], "rows": ['
+                '[1, 1.8519370519824665, 1.8519370519824665, 0.28114072518756994, '
+                '0.43378547584983768], '
+                '[2, 0.43378547584983768, 1.4181515761326289, 0.15264475066226768, '
+                '0.25661022284733287], '
+                '[3, 0.25661022284733287, 1.6747617989799617, 0.10396547218506513, '
+                '0.18260057339550126]]}\n'),
+            "csv": (
+                "n,term,partial_sum,abs_gap,next_term\n"
+                "1,1.8519370519824665,1.8519370519824665,0.28114072518756994,0.43378547584983768\n"
+                "2,0.43378547584983768,1.4181515761326289,0.15264475066226768,0.25661022284733287\n"
+                "3,0.25661022284733287,1.6747617989799617,0.10396547218506513,0.18260057339550126\n"),
+        },
+        "blocks --function <one.json> --i 10 --h pi/2": {
+            "json": (
+                '{"command": "blocks", "format": "json", "inputs": {"function": <one.json>, '
+                '"i": 10, "h": 1.5707963267948966, "tol": 1e-08}, "full_blocks": 5, '
+                '"columns": ["block", "lo", "hi", "value", "weight_magnitude", "mean_factor"], '
+                '"rows": ['
+                '[1, 0, 0.31415926535897931, 1.8571968075395158, 1.8571968075395158, 1], '
+                '[2, 0.31415926535897931, 0.62831853071795862, -0.44993800360553671, '
+                '0.44993800360553671, 1], '
+                '[3, 0.62831853071795862, 0.94247779607693793, 0.2848586385261716, '
+                '0.2848586385261716, 1], '
+                '[4, 0.94247779607693793, 1.2566370614359172, -0.22526849372939112, '
+                '0.22526849372939112, 1], '
+                '[5, 1.2566370614359172, 1.5707963267948966, 0.20299232111051047, '
+                '0.20299232111051047, 1]]}\n'),
+            "csv": (
+                "block,lo,hi,value,weight_magnitude,mean_factor\n"
+                "1,0,0.31415926535897931,1.8571968075395158,1.8571968075395158,1\n"
+                "2,0.31415926535897931,0.62831853071795862,-0.44993800360553671,"
+                "0.44993800360553671,1\n"
+                "3,0.62831853071795862,0.94247779607693793,0.2848586385261716,"
+                "0.2848586385261716,1\n"
+                "4,0.94247779607693793,1.2566370614359172,-0.22526849372939112,"
+                "0.22526849372939112,1\n"
+                "5,1.2566370614359172,1.5707963267948966,0.20299232111051047,"
+                "0.20299232111051047,1\n"),
+        },
+        "kernel --n 5,8 --x 0.3": {
+            "json": (
+                '{"command": "kernel", "format": "json", "inputs": {"n": [5, 8], '
+                '"x": 0.29999999999999999, "tol": 1e-10}, "columns": ["n", "t", '
+                '"cosine_sum", "closed_form", "abs_difference", "mean"], "rows": ['
+                '[5, 0.29999999999999999, 3.3353770284503255, 3.3353770284503255, 0, 1], '
+                '[8, 0.29999999999999999, 1.8659351136161355, 1.8659351136161357, '
+                '2.2204460492503131e-16, 1]]}\n'),
+            "csv": (
+                "n,t,cosine_sum,closed_form,abs_difference,mean\n"
+                "5,0.29999999999999999,3.3353770284503255,3.3353770284503255,0,1\n"
+                "8,0.29999999999999999,1.8659351136161355,1.8659351136161357,"
+                "2.2204460492503131e-16,1\n"),
+        },
+        "coeffs --function <square.json> --n 4": {
+            "json": (
+                '{"command": "coeffs", "format": "json", "inputs": {"function": '
+                '<square.json>, "n": 4, "tol": 1e-10}, "columns": ["k", "a_k", "b_k"], '
+                '"rows": [[0, 0, 0], [1, 0, 1.2732395447351628], '
+                '[2, 0, -3.5339496460705743e-17], [3, 0, 0.42441318157838753], '
+                '[4, 0, -3.5339496460705743e-17]]}\n'),
+            "csv": (
+                "k,a_k,b_k\n0,0,0\n1,0,1.2732395447351628\n2,0,-3.5339496460705743e-17\n"
+                "3,0,0.42441318157838753\n4,0,-3.5339496460705743e-17\n"),
+        },
+    }
+
+    @pytest.mark.parametrize("command", list(_TABLES))
+    def test_table(self, capsys, constant_file, square_file, command):
+        paths = {"<one.json>": constant_file, "<square.json>": square_file}
+        argv = [paths.get(word, word) for word in command.split()]
+        for fmt, text in self._TABLES[command].items():
+            for token, path in paths.items():
+                text = text.replace(token, json.dumps(path))
+            assert run_cli(capsys, *argv, "--format", fmt) == (0, text, "")
+
     def test_path_with_control_character_and_quote(self, capsys, tmp_path):
         path = tmp_path / 'tab\tand "quote".json'
         path.write_text(json.dumps(SQUARE))
         code, out, _ = run_cli(capsys, "validate", "--function", str(path))
         assert code == 0
         assert json.loads(out)["inputs"]["function"] == str(path)
+
+
+def _render_per_cell(head, table):
+    """The record as formatting every cell with ``cli._scalar`` writes it."""
+    fmt = head["format"]
+    rows = [[cli._scalar(v, fmt) for v in row] for row in zip(*table.values())]
+    if fmt == "csv":
+        buffer = io.StringIO()
+        writer = csv.writer(buffer, lineterminator="\n")
+        writer.writerow(table)
+        writer.writerows(rows)
+        return buffer.getvalue()
+    head = {**head, "columns": list(table)}
+    fields = ", ".join(f"{cli._json(k)}: {cli._json(v)}" for k, v in head.items())
+    body = ", ".join("[" + ", ".join(row) + "]" for row in rows)
+    return "{" + fields + f', "rows": [{body}]}}\n'
+
+
+class TestRender:
+    """``_render`` picks one format per column; its bytes are those of the
+    per-cell ``_scalar`` rule."""
+
+    TABLES = {
+        "mixed": {"mixed": [None, True, 'a, "b"', 7, 2.5],
+                  "x": [math.nan, math.inf, -math.inf, -0.0, 5e-324],
+                  "k": [0, -3, 10**30, 1, 2],
+                  "flag": [False, True, False, True, False]},
+        "one-column-empty-cell": {"text": [None, "", "x"]},
+        "one-column-floats": {"x": [0.1, -0.0]},
+        "no-rows": {"a": [], "b": []},
+        "no-columns": {},
+    }
+
+    @pytest.mark.parametrize("name", list(TABLES))
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_matches_per_cell_rule(self, name, fmt):
+        table = self.TABLES[name]
+        head = {"command": "t", "format": fmt, "inputs": {"n": 1}}
+        assert cli._render(head, table) == _render_per_cell(head, table)
+
+    def test_float_column_cells(self):
+        head = {"command": "t", "format": "csv"}
+        text = cli._render(head, {"x": [math.nan, math.inf, -math.inf, -0.0, 5e-324],
+                                  "s": ['a, "b"', None, True, 1, 0.5]})
+        assert text == ('x,s\nnan,"a, ""b"""\ninf,\n-inf,true\n-0,1\n'
+                        '4.9406564584124654e-324,0.5\n')
 
 
 class TestNonUtf8Path:

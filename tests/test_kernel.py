@@ -119,3 +119,52 @@ class TestKernelMean:
         reference = composite_simpson(lambda t: tc.dirichlet_kernel(12, t),
                                       -math.pi, math.pi, 10**5) / math.pi
         assert tc.kernel_mean(12) == pytest.approx(reference, abs=1e-9)
+
+
+def _bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.uint64)
+
+
+def _where_ratio(m, u):
+    """The formula ``np.where(u == 0, m, sin(m u) / sin(u))``."""
+    u = np.asarray(u, dtype=np.float64)
+    with np.errstate(invalid="ignore"):
+        return np.where(u == 0, m, np.sin(m * u) / np.sin(u))
+
+
+def _where_kernel(n, t):
+    t = np.asarray(t, dtype=np.float64)
+    reduced = t - 2.0 * math.pi * np.round(t / (2.0 * math.pi))
+    return 0.5 * _where_ratio(2 * n + 1, 0.5 * reduced)
+
+
+class TestBitIdentity:
+    """``dirichlet_kernel`` and ``sine_ratio`` equal the ``np.where``
+    formula bit for bit, at exact zeros and multiples of 2 pi too; a
+    ``RuntimeWarning`` fails the test."""
+
+    @staticmethod
+    def points(scale):
+        rng = np.random.default_rng(12)
+        k = np.arange(-5, 6)
+        return np.concatenate([rng.uniform(-scale, scale, 997),
+                               [0.0, -0.0, 0.0, 5e-324, -5e-324, 1e-300],
+                               k * 2.0 * math.pi, k * math.pi])
+
+    @pytest.mark.parametrize("n", [0, 1, 7, 5000, 10**6])
+    def test_dirichlet_kernel(self, n):
+        t = self.points(10.0)
+        assert np.array_equal(_bits(tc.dirichlet_kernel(n, t)), _bits(_where_kernel(n, t)))
+        for value in t[-30:]:
+            got = tc.dirichlet_kernel(n, float(value))
+            assert type(got) is float
+            assert _bits(got) == _bits(_where_kernel(n, value))
+
+    @pytest.mark.parametrize("i", [1, 7, 2.5, 1e4, 1e6])
+    def test_sine_ratio(self, i):
+        beta = self.points(1.5)
+        assert np.array_equal(_bits(tc.sine_ratio(i, beta)), _bits(_where_ratio(i, beta)))
+        for value in beta[-30:]:
+            got = tc.sine_ratio(i, float(value))
+            assert np.shape(got) == ()
+            assert _bits(got) == _bits(_where_ratio(i, value))

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import trigconv as tc
 from conftest import (MALFORMED_SPECS, SAWTOOTH, SQUARE, TRIANGLE, build,
@@ -167,6 +169,71 @@ class TestEval:
             sawtooth.eval(3.5)
         with pytest.raises(tc.DomainError):
             sawtooth.eval(np.array([0.0, -4.0]))
+
+
+def _bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.uint64)
+
+
+def _eval_spec(rng, many):
+    if many:
+        return build(many_segment_spec(rng, int(rng.integers(2, 80))))
+    return build(random_spec(rng))
+
+
+def _arranged(xs, order, rng):
+    ascending = np.sort(xs)
+    if order == "ascending":
+        return ascending
+    if order == "descending":
+        return ascending[::-1]
+    return rng.permutation(xs)
+
+
+_ORDERS = ["ascending", "descending", "shuffled"]
+
+
+class TestEvalProperties:
+    """``eval`` against the per-point definition, on inputs in every order."""
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), many=st.booleans(),
+           order=st.sampled_from(_ORDERS), size=st.integers(0, 400))
+    def test_matches_per_point_definition(self, seed, many, order, size):
+        # each point is owned by the segment with lo <= x < hi (x = pi by
+        # the last), so a jump abscissa takes the right-hand segment's value
+        rng = np.random.default_rng(seed)
+        f = _eval_spec(rng, many)
+        knots = [x for seg in f.segments if seg.kind == "monotone-table"
+                 for x in seg.params["xs"]]
+        special = np.array([seg.lo for seg in f.segments] + knots
+                           + [math.pi, -math.pi, 0.0, -0.0])
+        xs = np.concatenate([rng.uniform(-math.pi, math.pi, size), special,
+                             rng.choice(special, 8)])
+        xs = np.concatenate([xs, xs[rng.integers(0, xs.size, 8)]])  # duplicates
+        xs = _arranged(xs, order, rng)
+        expected = [next((s for s in f.segments if s.lo <= x < s.hi), f.segments[-1])
+                    .values(np.array([x]))[0] for x in xs]
+        assert np.array_equal(_bits(f.eval(xs)), _bits(expected))
+        for x, want in zip(xs[:20], expected):
+            assert _bits(f.eval(float(x))) == _bits(want)
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), many=st.booleans(),
+           order=st.sampled_from(_ORDERS), size=st.integers(0, 200),
+           bad=st.sampled_from([math.nan, math.inf, -math.inf, 4.0,
+                                math.nextafter(math.pi, 4.0),
+                                math.nextafter(-math.pi, -4.0)]))
+    def test_bad_abscissa_anywhere_is_refused(self, seed, many, order, size, bad):
+        rng = np.random.default_rng(seed)
+        f = _eval_spec(rng, many)
+        xs = _arranged(rng.uniform(-math.pi, math.pi, size), order, rng)
+        # anywhere, and so also inside an otherwise ascending array
+        xs = np.insert(xs, int(rng.integers(0, size + 1)), bad)
+        with pytest.raises(tc.DomainError):
+            f.eval(xs)
+        with pytest.raises(tc.DomainError):
+            f.eval(bad)
 
 
 class TestOneSidedLimits:
