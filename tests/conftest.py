@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import trigconv as tc
+from trigconv import quadrature
 
 SQUARE = {"segments": [
     {"lo": "-pi", "hi": 0.0, "kind": "constant", "params": {"c": -1.0}},
@@ -54,6 +55,19 @@ def traced_peak(call):
         return result, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def route_through_series(monkeypatch):
+    """Make :func:`trigconv.quadrature.integrate_harmonics` take every
+    panel, grid panels included, through the power series of
+    ``_series_moments`` instead of the real FFT of the grid."""
+    def rule(n_max, lo, size):
+        def moments(mid, half, owner, y, n_int):
+            totals, err, worst = quadrature._series_moments(
+                n_max, mid, half, y, np.ones(mid.shape[0], dtype=bool))
+            return totals[:, :, None], err[:, None], worst
+        return moments
+    monkeypatch.setattr(quadrature, "_harmonic_rule", rule)
 
 
 @pytest.fixture

@@ -76,3 +76,54 @@ def qawo_coefficients(f, k):
                 sums[weight] += quad(piece, lo, hi, weight=weight, wvar=k,
                                      epsabs=1e-12, epsrel=1e-12, limit=400)[0]
     return sums["cos"] / math.pi, sums["sin"] / math.pi
+
+
+
+def exact_harmonic_integrals(f, ks, dps=30):
+    """``integral of f(x) exp(ikx)`` over ``[-pi, pi]`` for each ``k`` of
+    ``ks``, in closed form segment by segment, in ``dps``-digit arithmetic.
+
+    Constant, affine, exponential and monotone-table (linear between knots)
+    pieces have elementary antiderivatives; a power piece ``a (x - x0)^p``
+    is ``a exp(ikx0) integral of u^p exp(iku) du``, an incomplete gamma
+    function of ``-iku`` (``mpmath.gammainc``).  Segment ends and parameters
+    are taken exactly as the floats the spec parsed to.
+    """
+    import mpmath  # imported on use: the other oracles need only numpy
+
+    def linear(a, b, c, lo, hi):
+        # integral of (a + b x) exp(cx) over [lo, hi]
+        if c == 0:
+            return a * (hi - lo) + b * (hi ** 2 - lo ** 2) / 2
+        def antiderivative(x):
+            return mpmath.exp(c * x) * ((a + b * x) / c - b / c ** 2)
+        return antiderivative(hi) - antiderivative(lo)
+
+    def segment(seg, k):
+        p = {key: mpmath.mpf(v) for key, v in seg.params.items() if key not in ("xs", "ys")}
+        lo, hi, ik = mpmath.mpf(seg.lo), mpmath.mpf(seg.hi), mpmath.mpc(0, k)
+        if seg.kind == "constant":
+            return linear(p["c"], 0, ik, lo, hi)
+        if seg.kind == "affine":
+            return linear(p["a"], p["b"], ik, lo, hi)
+        if seg.kind == "exponential":
+            return p["a"] * linear(1, 0, p["b"] + ik, lo, hi)
+        if seg.kind == "monotone-table":
+            xs = [mpmath.mpf(x) for x in seg.params["xs"]]
+            ys = [mpmath.mpf(y) for y in seg.params["ys"]]
+            total = mpmath.mpc(0)
+            for x0, x1, y0, y1 in zip(xs[:-1], xs[1:], ys[:-1], ys[1:]):
+                slope = (y1 - y0) / (x1 - x0)
+                total += linear(y0 - slope * x0, slope, ik, x0, x1)
+            return total
+        if seg.kind == "power":
+            u1, u2, q = lo - p["x0"], hi - p["x0"], p["p"]
+            if k == 0:
+                return p["a"] * (u2 ** (q + 1) - u1 ** (q + 1)) / (q + 1)
+            return (p["a"] * mpmath.expj(k * p["x0"]) * (1j / mpmath.mpf(k)) ** (q + 1)
+                    * mpmath.gammainc(q + 1, -ik * u1, -ik * u2))
+        raise ValueError(f"no closed form for kind {seg.kind!r}")
+
+    with mpmath.workdps(dps):
+        return np.array([complex(mpmath.fsum(segment(seg, int(k)) for seg in f.segments))
+                         for k in ks])

@@ -359,12 +359,13 @@ class TestPinnedBytes:
             "json": (
                 '{"command": "coeffs", "format": "json", "inputs": {"function": '
                 '<square.json>, "n": 4, "tol": 1e-10}, "columns": ["k", "a_k", "b_k"], '
-                '"rows": [[0, 0, 0], [1, 0, 1.2732395447351628], '
-                '[2, 0, -3.5339496460705743e-17], [3, 0, 0.42441318157838753], '
-                '[4, 0, -3.5339496460705743e-17]]}\n'),
+                '"rows": [[0, 0, 0], [1, -7.2955881419868447e-17, 1.2732395447351625], '
+                '[2, 0, 0], [3, -1.2563979944471942e-16, 0.42441318157838764], '
+                '[4, 6.3929749670069989e-17, -2.0772034843044854e-17]]}\n'),
             "csv": (
-                "k,a_k,b_k\n0,0,0\n1,0,1.2732395447351628\n2,0,-3.5339496460705743e-17\n"
-                "3,0,0.42441318157838753\n4,0,-3.5339496460705743e-17\n"),
+                "k,a_k,b_k\n0,0,0\n1,-7.2955881419868447e-17,1.2732395447351625\n2,0,0\n"
+                "3,-1.2563979944471942e-16,0.42441318157838764\n"
+                "4,6.3929749670069989e-17,-2.0772034843044854e-17\n"),
         },
     }
 

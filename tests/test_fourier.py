@@ -2,12 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import trigconv as tc
 from trigconv import quadrature
-from conftest import SAWTOOTH, SQUARE, build, many_segment_spec, random_spec, traced_peak
-from oracles import (qawo_coefficients, sawtooth_partial_sum, sawtooth_sine_coefficient,
-                     square_partial_sum, square_sine_coefficient)
+from conftest import (SAWTOOTH, SQUARE, build, many_segment_spec, random_spec,
+                      route_through_series, traced_peak)
+from oracles import (exact_harmonic_integrals, qawo_coefficients, sawtooth_partial_sum,
+                     sawtooth_sine_coefficient, square_partial_sum, square_sine_coefficient)
 
 PI = math.pi
 
@@ -96,7 +99,7 @@ class TestCoefficients:
 
         monkeypatch.setattr(tc.PiecewiseFunction, "eval", refuse)
         with pytest.raises(tc.QuadratureError,
-                           match=r"n_max=16384: .* needs 32770 panels, above the cap 32768"):
+                           match=r"n_max=16384: .* needs 32806 panels, above the cap 32768"):
             tc.coefficients(square, 16384)
 
     # per seeded interval, the larger of |integral f cos kx| and
@@ -137,33 +140,31 @@ class TestCoefficients:
 
 
 def _seeded_mesh(f, n_max):
-    """The seeded mesh of ``coefficients(f, n_max)`` with every third panel
-    bisected, so that half-widths mix within intervals, and its node values."""
-    edges = quadrature._edges(-PI, PI, f.breakpoints)
-    n_int = edges.shape[0] - 1
-    a, b, owner = quadrature._initial_panels(edges, PI / (n_max + 1))
-    mid = 0.5 * (a + b)
-    half = 0.5 * (np.diff(edges) / np.bincount(owner, minlength=n_int))[owner]
+    """The seeded grid of ``coefficients(f, n_max)`` with every third panel
+    bisected, so that half-widths mix, and its node values, as one interval,
+    and the grid's panel count per period."""
+    size = quadrature._fft_length(2 * (n_max + 1))
+    mid, half = quadrature._grid_panels(quadrature._edges(-PI, PI, f.breakpoints), size)
     split = np.arange(mid.shape[0]) % 3 == 0
     quarter = 0.5 * half[split]
     mid = np.concatenate([mid[~split], mid[split] - quarter, mid[split] + quarter])
     half = np.concatenate([half[~split], quarter, quarter])
-    owner = np.concatenate([owner[~split], owner[split], owner[split]])
+    owner = np.zeros(mid.shape[0], dtype=int)
     y = f.eval((mid[:, None] + half[:, None] * quadrature._NODES).ravel()).reshape(-1, 15)
-    return mid, half, owner, y, n_int
+    return mid, half, owner, y, 1, size
 
 
 class TestChirpPath:
-    """Coefficients whose seeded intervals go through chirp-z transforms,
-    and the error bound that does not depend on the harmonic."""
+    """Coefficients whose grid panels go through one real FFT per node
+    column, and the error bound that does not depend on the harmonic."""
 
     @pytest.mark.parametrize("spec", ["square", "power-and-table", "200-segments"])
     def test_gap_bound_covers_every_panel_gap(self, spec):
         f = build({"square": SQUARE, "power-and-table": POWER_AND_TABLE}.get(spec)
                   or many_segment_spec(np.random.default_rng(4), 200))
         n_max = 60
-        mid, half, owner, y, n_int = _seeded_mesh(f, n_max)
-        _, err, worst = quadrature._harmonic_moments(n_max, mid, half, owner, y, n_int)
+        mid, half, owner, y, n_int, size = _seeded_mesh(f, n_max)
+        _, err, worst = quadrature._harmonic_rule(n_max, -PI, size)(mid, half, owner, y, n_int)
         # the reference: every panel's max(|Re|, |Im|) of the K15 - G7 gap
         # of f(x) exp(ikx), formed node by node
         k = np.arange(n_max + 1)
@@ -181,15 +182,15 @@ class TestChirpPath:
     @pytest.mark.parametrize("spec", [SQUARE, POWER_AND_TABLE], ids=["square", "power-and-table"])
     def test_low_harmonics_match_the_direct_path(self, spec, monkeypatch):
         f = build(spec)
-        chirp = tc.coefficients(f, 1000)
-        monkeypatch.setattr(quadrature, "_CHIRP_MIN", 10**9)
+        grid = tc.coefficients(f, 1000)
+        route_through_series(monkeypatch)
         direct = tc.coefficients(f, 1000)
         # integral of |f| in coefficient units
         scale = tc.integrate(lambda x: np.abs(f.eval(x)), -PI, PI,
                              breakpoints=f.breakpoints) / PI
-        assert abs(chirp.a0 - direct.a0) <= 1e-13 * scale
-        assert np.abs(chirp.a[:16] - direct.a[:16]).max() <= 1e-13 * scale
-        assert np.abs(chirp.b[:16] - direct.b[:16]).max() <= 1e-13 * scale
+        assert abs(grid.a0 - direct.a0) <= 1e-13 * scale
+        assert np.abs(grid.a[:16] - direct.a[:16]).max() <= 1e-13 * scale
+        assert np.abs(grid.b[:16] - direct.b[:16]).max() <= 1e-13 * scale
 
     @pytest.mark.parametrize("n_max", [4000, 16000])
     @pytest.mark.parametrize("spec, oracle", [(SQUARE, square_sine_coefficient),
@@ -203,10 +204,45 @@ class TestChirpPath:
         assert (np.abs(c.b - b) <= c.error[1:]).all()
 
     def test_memory_at_order_4000(self, square):
-        # the seeded mesh holds 15 * 8002 node values, about 1 MB
+        # the seeded mesh holds 15 * 8100 node values, about 1 MB
         c, peak = traced_peak(lambda: tc.coefficients(square, 4000))
         assert c.b[0] == pytest.approx(4.0 / PI, abs=1e-12)
         assert peak <= 6 * 2**20
+
+    def test_memory_at_order_16000_on_200_segments(self):
+        # about 32 600 panels: node values, their folded columns and their
+        # transforms take about 4 MB each; no array has a row per interval
+        f = build(many_segment_spec(np.random.default_rng(4), 200))
+        c, peak = traced_peak(lambda: tc.coefficients(f, 16000))
+        assert c.error.shape == (16001,)
+        assert peak < 40 * 2**20
+
+
+class TestClosedFormOracle:
+    """Coefficients at order 10^4, far beyond QAWO's reach, against the
+    closed-form integrals of every piece (``oracles.exact_harmonic_integrals``)."""
+
+    N = 10_000
+    HARMONICS = [0, 1, 2, 3, 7, 10, 31, 100, 316, 1000, 2024, 3162, 4999, 6561, 8100,
+                 9001, 9973, 9998, 9999, 10_000]
+
+    def check(self, f):
+        c = tc.coefficients(f, self.N)
+        k = np.array(self.HARMONICS)
+        exact = exact_harmonic_integrals(f, k)
+        a = np.where(k == 0, exact.real / (2 * PI), exact.real / PI)
+        got_a = np.concatenate([[c.a0], c.a])[k]
+        got_b = np.concatenate([[0.0], c.b])[k]
+        assert (np.abs(got_a - a) <= c.error[k]).all()
+        assert (np.abs(got_b - exact.imag / PI) <= c.error[k]).all()
+
+    @settings(derandomize=True, max_examples=4, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_random_specs(self, seed):
+        self.check(build(random_spec(np.random.default_rng(seed))))
+
+    def test_200_segment_spec(self):
+        self.check(build(many_segment_spec(np.random.default_rng(4), 200)))
 
 
 class TestPartialSum:

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import trigconv as tc
-from conftest import SQUARE, build, traced_peak
+from conftest import SQUARE, build, route_through_series, traced_peak
 from oracles import composite_simpson
 from trigconv import quadrature
 
@@ -227,6 +227,52 @@ class TestIntegrateHarmonics:
         for got, want in zip(tiled, default):
             assert np.abs(got - want).max() <= 1e-14
 
+    # the grid of n_max = 40 has 90 panels of width 2 pi / 90 per period
+    GRID_EDGE = 0.0 + 2.0 * (math.pi / 90) * 7
+    INSIDE = np.nextafter(np.nextafter(np.nextafter(GRID_EDGE, 4.0), 4.0), 4.0)
+
+    @pytest.mark.parametrize("lo, hi, n_max, breakpoints", [
+        (0.0, 3.0, 40, ()),
+        (0.0, 2.0 * math.pi, 40, ()),
+        (-4.0, 9.0, 40, ()),
+        (0.0, 3.0, 40, (GRID_EDGE,)),
+        (0.0, 3.0, 40, (INSIDE,)),
+        (-math.pi, math.pi, 600, (0.0,)),
+    ], ids=["[0,3]", "[0,2pi]", "[-4,9]-folded", "breakpoint-on-grid-edge",
+            "breakpoint-3-ulps-inside", "n_max=600"])
+    def test_exp_on_any_span(self, lo, hi, n_max, breakpoints):
+        mpmath = pytest.importorskip("mpmath")
+        cos_int, sin_int, errors = quadrature.integrate_harmonics(
+            np.exp, lo, hi, n_max, 1e-10, breakpoints=breakpoints)
+        # (exp((1 + ik) hi) - exp((1 + ik) lo)) / (1 + ik), in 30 digits
+        with mpmath.workdps(30):
+            exact = np.array([complex((mpmath.exp((1 + 1j * k) * mpmath.mpf(hi))
+                                       - mpmath.exp((1 + 1j * k) * mpmath.mpf(lo))) / (1 + 1j * k))
+                              for k in range(n_max + 1)])
+        assert (np.abs(cos_int - exact.real) <= errors).all()
+        assert (np.abs(sin_int - exact.imag) <= errors).all()
+
+    @pytest.mark.parametrize("breakpoint, cut", [(GRID_EDGE, False), (INSIDE, True)],
+                             ids=["on-grid-edge", "3-ulps-inside"])
+    def test_grid_cut_only_inside_a_panel(self, breakpoint, cut):
+        size = quadrature._fft_length(2 * 41)
+        _, half = quadrature._grid_panels(quadrature._edges(0.0, 3.0, [breakpoint]), size)
+        pieces = half != math.pi / size
+        # the last panel ends at 3, and a breakpoint inside a panel cuts it
+        # into a piece of 3 ulps and the rest
+        assert pieces[-1] and pieces.sum() == 1 + 2 * cut
+        assert (half[pieces][:-1] < 1e-15).sum() == cut
+        if cut:
+            assert half[pieces][:2].sum() == pytest.approx(math.pi / size, abs=1e-15)
+
+    def test_grid_of_order_600_takes_the_next_5_smooth_size(self):
+        # 2 (600 + 1) = 2 * 601 has a large prime factor; the grid takes the
+        # next 5-smooth size, which is odd, so the jump at 0 cuts a panel
+        size = quadrature._fft_length(2 * 601)
+        assert size == 1215
+        _, half = quadrature._grid_panels(quadrature._edges(-math.pi, math.pi, [0.0]), size)
+        assert (half != math.pi / size).sum() >= 2
+
     def test_panel_budget_error(self, monkeypatch):
         monkeypatch.setattr(quadrature, "_MAX_PANELS", 32)
         jump = lambda x: np.where(x < 1.0 / 3.0, 0.0, 1.0)
@@ -239,53 +285,88 @@ class TestIntegrateHarmonics:
             quadrature.integrate_harmonics(bad, 0.0, 1.0, 3, 1e-8)
 
 
-class TestChirpZ:
-    """The Bluestein chirp-z transform and the chirp path of the harmonic
-    moments, checked against scipy and against the direct sums."""
+class TestGridTransform:
+    """The real FFT of the grid's node columns against the power series of
+    the direct path, and its phases against high-precision node sums."""
 
-    @pytest.mark.parametrize("n_in, n_out", [(40, 97), (64, 64), (150, 33)],
-                             ids=["P<K", "P=K", "P>K"])
-    def test_matches_scipy_czt(self, n_in, n_out):
-        czt = pytest.importorskip("scipy.signal").czt
-        rng = np.random.default_rng(n_in)
-        x = rng.standard_normal((n_in, 3)) + 1j * rng.standard_normal((n_in, 3))
-        theta = rng.uniform(0.001, 0.5)
-        got = quadrature._chirp_z(theta, n_in, n_out)(x)
-        want = czt(x, m=n_out, w=np.exp(1j * theta), a=1.0, axis=0)
-        assert got.shape == (n_out, 3)
-        assert (np.abs(got - want) <= 1e-13 * np.abs(x).sum(axis=0)).all()
+    @staticmethod
+    def grid_mesh(lo, hi, n_max, breakpoints=()):
+        size = quadrature._fft_length(2 * (n_max + 1))
+        mid, half = quadrature._grid_panels(quadrature._edges(lo, hi, breakpoints), size)
+        return size, mid, half
 
-    def test_chirp_is_exact_at_large_phases(self):
-        # h n^2 reaches 4e4 radians; the split keeps each phase to a few eps
-        h = math.pi / 40001 * 1.000137
-        n = np.arange(0, 40001, 997)
-        got = quadrature._chirp(h, 40001)[n]
+    @pytest.mark.parametrize("lo, hi", [(0.0, 3.0), (-math.pi, math.pi), (-4.0, 9.0)],
+                             ids=["P<M", "P=M", "P>M"])
+    def test_matches_series_path(self, lo, hi):
+        # a span shorter than a period pads the columns, a longer one folds them
+        n_max = 150
+        size, mid, half = self.grid_mesh(lo, hi, n_max, breakpoints=[1.0])
+        grid = half == math.pi / size
+        assert grid.sum() >= (hi - lo) / (2.0 * math.pi) * size - 3
+        rng = np.random.default_rng(size)
+        y = rng.standard_normal((mid.shape[0], 15))
+        got, err, worst = quadrature._harmonic_rule(n_max, lo, size)(
+            mid, half, np.zeros(mid.shape[0], dtype=int), y, 1)
+        want, want_err, want_worst = quadrature._series_moments(
+            n_max, mid, half, y, np.ones(mid.shape[0], dtype=bool))
+        assert np.array_equal(err[:, 0], want_err) and np.array_equal(worst, want_worst)
+        # the series path rounds the phase k m of each panel
+        k = np.arange(n_max + 1)
+        scale = (half * (np.abs(y) @ quadrature._KRONROD_WEIGHTS)).sum()
+        bound = 1e-15 * (50 + k * max(abs(lo), abs(hi))) * scale
+        assert got.shape == (n_max + 1, 2, 1)
+        assert (np.abs(got[:, :, 0] - want) <= bound[:, None]).all()
+
+    def test_phases_are_exact_at_large_orders(self):
+        # grid panels up to 2 pi from the anchor, at harmonics up to 16000:
+        # every phase is a root of unity, so the sums keep a few eps even
+        # where k m reaches 1e5 radians
         mpmath = pytest.importorskip("mpmath")
-        mpmath.mp.dps = 40
-        want = [complex(mpmath.expj(mpmath.mpf(h) * int(j) ** 2)) for j in n]
-        assert np.abs(got - np.array(want)).max() <= 1e-15
+        n_max = 16000
+        size = quadrature._fft_length(2 * (n_max + 1))
+        h = math.pi / size
+        p = np.array([0, 12345, size - 1])
+        mid = (2 * p + 1) * h
+        rng = np.random.default_rng(5)
+        y = rng.standard_normal((p.shape[0], 15))
+        got = quadrature._harmonic_rule(n_max, 0.0, size)(
+            mid, np.full(p.shape[0], h), np.zeros(p.shape[0], dtype=int), y, 1)[0][:, :, 0]
+        ks = [1, 997, 9999, 12345, 16000]
+        with mpmath.workdps(40):
+            step = mpmath.pi / size
+            want = [complex(mpmath.fsum(
+                step * mpmath.mpf(float(w)) * mpmath.mpf(float(v))
+                * mpmath.expj(k * step * ((2 * int(q) + 1) + mpmath.mpf(float(x))))
+                for q, row in zip(p, y)
+                for w, v, x in zip(quadrature._KRONROD_WEIGHTS, row, quadrature._NODES)))
+                for k in ks]
+        scale = h * np.abs(y).sum()
+        assert np.abs(got[ks, 0] - np.real(want)).max() <= 4e-16 * scale
+        assert np.abs(got[ks, 1] - np.imag(want)).max() <= 4e-16 * scale
 
     @pytest.mark.parametrize("fn", [np.exp, np.sqrt, lambda x: np.sign(x - 0.3)],
                              ids=["exp", "sqrt", "jump"])
     def test_low_harmonics_match_the_direct_path(self, monkeypatch, fn):
-        chirped = []
-        chirp_moments = quadrature._chirp_moments
+        transformed = []
+        rfft = np.fft.rfft
 
-        def counted(*args):
-            chirped.append(args[3].shape[0])
-            return chirp_moments(*args)
+        def counted(x, *args, **kwargs):
+            transformed.append(x.shape)
+            return rfft(x, *args, **kwargs)
 
-        monkeypatch.setattr(quadrature, "_chirp_moments", counted)
+        monkeypatch.setattr(np.fft, "rfft", counted)
 
         def run():
             return quadrature.integrate_harmonics(fn, 0.0, 3.0, 2000, 1e-10,
                                                   breakpoints=[1.0])
-        chirp = run()
-        assert sorted(chirped) == [637, 1274]
-        monkeypatch.setattr(quadrature, "_CHIRP_MIN", 10**9)
+        grid = run()
+        assert transformed[0] == (15, 4050)
+        route_through_series(monkeypatch)
+        transformed.clear()
         direct = run()
+        assert transformed == []
         scale = quadrature.integrate(lambda x: np.abs(fn(x)), 0.0, 3.0, breakpoints=[0.3, 1.0])
-        for got, want in zip(chirp[:2], direct[:2]):
+        for got, want in zip(grid[:2], direct[:2]):
             assert np.abs(got[:17] - want[:17]).max() <= 1e-13 * scale
 
 
@@ -298,22 +379,22 @@ class TestSeriesMoments:
     def test_matches_node_sums(self, harmonics, seed):
         rng = np.random.default_rng(seed)
         n_panels = 12
-        # one panel per interval, each too short for the chirp path
+        # panels of mixed half-widths, summed one at a time
         half = math.pi / (2 * harmonics) / 2.0 ** rng.integers(0, 12, n_panels)
         mid = rng.uniform(-math.pi, math.pi, n_panels)
         y = rng.standard_normal((n_panels, 15)) * 10.0 ** rng.uniform(-3, 3, (n_panels, 1))
-        totals, _, _ = quadrature._harmonic_moments(
-            harmonics - 1, mid, half, np.arange(n_panels), y, n_panels)
         k = np.arange(harmonics, dtype=np.float64)
         weighted = half[:, None] * quadrature._KRONROD_WEIGHTS * y
         for p in range(n_panels):
+            totals, _, _ = quadrature._series_moments(harmonics - 1, mid, half, y,
+                                                      np.arange(n_panels) == p)
             # h sum_n w_n y_n exp(ik(m + h xi_n)), with exp(ikm) taken out
             # so that the reference does not round k (m + h xi_n)
             inner = np.exp(1j * np.outer(k * half[p], quadrature._NODES)) @ weighted[p]
             want = np.exp(1j * k * mid[p]) * inner
             bound = 1e-15 * np.abs(weighted[p]).sum()
-            assert np.abs(totals[:, 0, p] - want.real).max() <= bound
-            assert np.abs(totals[:, 1, p] - want.imag).max() <= bound
+            assert np.abs(totals[:, 0] - want.real).max() <= bound
+            assert np.abs(totals[:, 1] - want.imag).max() <= bound
 
 
 class TestChunkedEvaluation:
