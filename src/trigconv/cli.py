@@ -6,6 +6,8 @@ inputs, column labels, and data rows.  Each handler builds its table as one
 mapping from column label to column; every value is written as one scalar
 rule (``_scalar``) writes it, floats with 17 significant digits, so JSON
 output round-trips bit-exactly and repeated invocations are byte-identical.
+Two columns that are one float array shifted by a row (``tail``'s terms,
+``blocks``' edges) share one formatting pass (``_shifted_text``).
 
 Exit status: 0 on success, 1 on any computational error (the error class
 name goes to standard error), 2 on usage errors.
@@ -33,6 +35,11 @@ _PI_LITERALS = {"pi": math.pi, "-pi": -math.pi, "pi/2": math.pi / 2,
 
 class _UsageError(Exception):
     """A structurally valid parse with semantically unusable flags."""
+
+
+class _Text(list):
+    """A table column whose cells are already ``_scalar`` text of floats,
+    written as they are (floats' text needs no quoting in JSON or CSV)."""
 
 
 def _float_arg(text):
@@ -98,6 +105,13 @@ def _json(value):
     return _scalar(value, "json")
 
 
+def _shifted_text(values):
+    """``values[:-1]`` and ``values[1:]`` of a float array as two ``_Text``
+    columns, each value formatted once."""
+    cells = list(map("%.17g".__mod__, values.tolist()))
+    return _Text(cells[:-1]), _Text(cells[1:])
+
+
 def _csv_field(text, alone):
     """``text`` as the csv module writes it as one field of a row: of a
     row of one field when ``alone``, where an empty field is quoted, else
@@ -110,18 +124,24 @@ def _csv_field(text, alone):
 def _render(head, table):
     """The record's text: ``head``'s fields, then one row per table row.
 
-    Each column gets one %-format, chosen once: ``%.17g`` for a column of
-    floats, ``%d`` for a column of ints (bools excluded), and ``%s`` of the
-    :func:`_scalar` text of each cell for any other column (CSV-quoted by
-    the csv module).  Each row is then one substitution into one template,
-    so the bytes are those of :func:`_scalar` on every cell, since
-    ``'%.17g' % v`` and ``format(v, '.17g')`` agree on every float, without
-    a Python call per cell.  Rows are formatted one at a time, so the cells
-    are never all held as strings at once.
+    Each column gets one %-format, chosen once: ``%s`` for a :class:`_Text`
+    column, whose cells are already float text and are written as they are
+    (unquoted in CSV, as the csv module writes a float's text), ``%.17g``
+    for a column of floats, ``%d`` for a column of ints (bools excluded),
+    and ``%s`` of the :func:`_scalar` text of each cell for any other column
+    (CSV-quoted by the csv module).  Each row is then one substitution into
+    one template, so the bytes are those of :func:`_scalar` on every cell,
+    since ``'%.17g' % v`` and ``format(v, '.17g')`` agree on every float,
+    without a Python call per cell.  Rows are formatted one at a time, so
+    the cells of the other columns are never all held as strings at once.
     """
     fmt = head["format"]
     specs, columns = [], []
     for column in table.values():
+        if isinstance(column, _Text):
+            specs.append("%s")
+            columns.append(column)
+            continue
         kinds = set(map(type, column))
         if kinds <= {float}:
             specs.append("%.17g")
@@ -146,9 +166,11 @@ def _render(head, table):
 
 
 def _record(command, args, inputs, table, **extras):
-    """The record's leading fields, and ``table`` with each column a list."""
+    """The record's leading fields, and ``table`` with each column a list
+    (a ``_Text`` column kept as it is)."""
     head = {"command": command, "format": args.format, "inputs": inputs, **extras}
-    return head, {label: c.tolist() if isinstance(c, np.ndarray) else list(c)
+    return head, {label: c.tolist() if isinstance(c, np.ndarray)
+                  else c if isinstance(c, _Text) else list(c)
                   for label, c in table.items()}
 
 
@@ -223,12 +245,13 @@ def _cmd_kernel(args):
 def _cmd_blocks(args):
     i = _single(args.i, "--i")
     d = oscillatory.decompose(load_spec(args.function), i, args.h, args.tol)
+    lo, hi = _shifted_text(d.boundaries)
     return _record(
         "blocks", args,
         {"function": args.function, "i": i, "h": args.h, "tol": args.tol},
         {"block": range(1, len(d.block_values) + 1),
-         "lo": d.boundaries[:-1],
-         "hi": d.boundaries[1:],
+         "lo": lo,
+         "hi": hi,
          "value": d.block_values,
          "weight_magnitude": d.weight_magnitudes,
          "mean_factor": d.block_means},
@@ -238,13 +261,14 @@ def _cmd_blocks(args):
 def _cmd_tail(args):
     n_max = _single(args.n, "--n")
     t = oscillatory.tail(n_max, args.tol)
+    term, next_term = _shifted_text(t.terms)
     return _record(
         "tail", args, {"n": n_max, "tol": args.tol},
         {"n": range(1, n_max + 1),
-         "term": t.terms[:-1],
+         "term": term,
          "partial_sum": t.partial_sums,
          "abs_gap": np.abs(t.partial_sums - math.pi / 2),
-         "next_term": t.terms[1:]})
+         "next_term": next_term})
 
 
 def _cmd_limit(args):

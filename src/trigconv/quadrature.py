@@ -300,7 +300,10 @@ def _grid_panels(edges, size):
     """The seeded mesh of :func:`integrate_harmonics`: panels of half-width
     ``h = pi / size`` with edges ``lo + 2hp`` from ``lo = edges[0]`` to
     ``hi = edges[-1]``, where each grid panel that holds an edge strictly
-    inside is cut there and the last one ends at ``hi``.
+    inside is cut there and the last one ends at ``hi``.  A ``hi`` within
+    the merge distance of :func:`_edges`, ``1e-13 (hi - lo)``, above a grid
+    edge is taken as that edge, so no panel is left as wide as the rounding
+    of ``lo + 2hp``.
 
     Returns the midpoints and half-widths in ascending order.  The uncut
     grid panels have half-width ``h``, by which :func:`_harmonic_rule`
@@ -318,6 +321,7 @@ def _grid_panels(edges, size):
         index -= lo + index * width > edges
         index += lo + (index + 1.0) * width <= edges
         inside = lo + index * width != edges
+        inside[-1] &= edges[-1] - (lo + index[-1] * width) > 1e-13 * (edges[-1] - lo)
     # the grid edges below hi, then one panel more for each inner edge
     # strictly inside a panel; compared in floating point, so that a huge
     # count cannot wrap in the cast

@@ -431,6 +431,62 @@ class TestRender:
         assert text == ('x,s\nnan,"a, ""b"""\ninf,\n-inf,true\n-0,1\n'
                         '4.9406564584124654e-324,0.5\n')
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("labels", [("lo", "hi", "n"), ("lo",)], ids=["three", "alone"])
+    def test_preformatted_columns(self, fmt, labels):
+        # one array shifted by a row, formatted once, against its floats
+        values = np.array([math.nan, math.inf, -math.inf, -0.0, 5e-324, 0.1, 1e22, -2.5])
+        lo, hi = cli._shifted_text(values)
+        assert type(lo) is type(hi) is cli._Text
+        columns = {"lo": (lo, values[:-1].tolist()), "hi": (hi, values[1:].tolist()),
+                   "n": (list(range(7)), list(range(7)))}
+        head = {"command": "t", "format": fmt, "inputs": {"n": 1}}
+        text = {label: columns[label][0] for label in labels}
+        plain = {label: columns[label][1] for label in labels}
+        assert cli._render(head, text) == _render_per_cell(head, plain)
+
+
+MONOTONE = {"segments": [
+    {"lo": "-pi", "hi": "pi", "kind": "exponential", "params": {"a": 1.5, "b": -0.7}},
+]}
+
+
+class TestSharedFloatColumns:
+    """``tail`` and ``blocks`` format their shifted float columns once; the
+    bytes are those of the per-cell rule on the plain float table."""
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_tail(self, capsys, fmt):
+        t = tc.tail(3000, 1e-10)
+        plain = {"n": list(range(1, 3001)),
+                 "term": t.terms[:-1].tolist(),
+                 "partial_sum": t.partial_sums.tolist(),
+                 "abs_gap": np.abs(t.partial_sums - math.pi / 2).tolist(),
+                 "next_term": t.terms[1:].tolist()}
+        head = {"command": "tail", "format": fmt, "inputs": {"n": 3000, "tol": 1e-10}}
+        expected = _render_per_cell(head, plain)
+        assert run_cli(capsys, "tail", "--n", "3000", "--format", fmt) == (0, expected, "")
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_blocks(self, capsys, tmp_path, fmt):
+        path = tmp_path / "monotone.json"
+        path.write_text(json.dumps(MONOTONE))
+        h = 1.5
+        d = tc.decompose(tc.load_spec(str(path)), 2000.0, h, 1e-8)
+        plain = {"block": list(range(1, len(d.block_values) + 1)),
+                 "lo": d.boundaries[:-1].tolist(),
+                 "hi": d.boundaries[1:].tolist(),
+                 "value": d.block_values.tolist(),
+                 "weight_magnitude": d.weight_magnitudes.tolist(),
+                 "mean_factor": d.block_means.tolist()}
+        head = {"command": "blocks", "format": fmt,
+                "inputs": {"function": str(path), "i": 2000.0, "h": h, "tol": 1e-8},
+                "full_blocks": d.full_blocks}
+        expected = _render_per_cell(head, plain)
+        assert len(plain["lo"]) > 900
+        assert run_cli(capsys, "blocks", "--function", str(path), "--i", "2000", "--h", "1.5",
+                       "--format", fmt) == (0, expected, "")
+
 
 class TestNonUtf8Path:
     """A spec path with a byte that is not UTF-8 reaches ``main`` as a lone

@@ -226,9 +226,9 @@ class TestClosedFormOracle:
     HARMONICS = [0, 1, 2, 3, 7, 10, 31, 100, 316, 1000, 2024, 3162, 4999, 6561, 8100,
                  9001, 9973, 9998, 9999, 10_000]
 
-    def check(self, f):
-        c = tc.coefficients(f, self.N)
-        k = np.array(self.HARMONICS)
+    def check(self, f, n_max=N, harmonics=HARMONICS):
+        c = tc.coefficients(f, n_max)
+        k = np.array(harmonics)
         exact = exact_harmonic_integrals(f, k)
         a = np.where(k == 0, exact.real / (2 * PI), exact.real / PI)
         got_a = np.concatenate([[c.a0], c.a])[k]
@@ -243,6 +243,12 @@ class TestClosedFormOracle:
 
     def test_200_segment_spec(self):
         self.check(build(many_segment_spec(np.random.default_rng(4), 200)))
+
+    @pytest.mark.parametrize("spec", [SQUARE, POWER_AND_TABLE], ids=["square", "power-and-table"])
+    def test_order_whose_last_grid_edge_rounds_below_pi(self, spec):
+        # at n_max = 600 the grid's 1215th edge is pi - 8.9e-16, and pi is
+        # taken as that edge
+        self.check(build(spec), 600, [*range(0, 600, 7), 599, 600])
 
 
 class TestPartialSum:

@@ -2,9 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import trigconv as tc
+from conftest import traced_peak
 from oracles import composite_simpson, dirichlet_kernel_mp
+from trigconv import kernel
 
 
 class TestCosineSum:
@@ -168,3 +172,86 @@ class TestBitIdentity:
             got = tc.sine_ratio(i, float(value))
             assert np.shape(got) == ()
             assert _bits(got) == _bits(_where_ratio(i, value))
+
+
+def _one_fsum(n, t):
+    """The cosine sum as one ``math.fsum`` over an array of every term."""
+    return 0.5 + math.fsum(np.cos(np.arange(1, n + 1, dtype=np.float64) * t))
+
+
+def _extracted_total(values):
+    """``math.fsum`` of the parts :func:`kernel._extract` gives for ``values``."""
+    x = np.array(values, dtype=np.float64)
+    parts = []
+    kernel._extract(x, parts, np.empty(x.shape[0]))
+    return math.fsum(parts)
+
+
+_C = kernel._CHUNK
+_T_GRID = (0.0, 5.3e-7, -5.3e-7, 0.3, -0.3, math.pi, -math.pi, 2.3, 1e3)
+# magnitudes from the least subnormal to 1e300, either sign, zeros of both signs
+_FLOATS = st.floats(min_value=-1e300, max_value=1e300)
+
+
+class TestExactSum:
+    """``cosine_sum`` adds the cosines a chunk at a time through an exact
+    extraction and one ``math.fsum`` of a few parts per chunk; the result
+    is bit for bit that of one ``math.fsum`` over every term."""
+
+    @pytest.mark.parametrize("n", [0, 1, _C - 1, _C, _C + 1, 3 * _C + 5, 436_000, 10**6])
+    def test_cosine_sum_matches_one_fsum(self, n):
+        for t in _T_GRID:
+            assert _bits(tc.cosine_sum(n, t)) == _bits(_one_fsum(n, t)), t
+
+    def test_fsum_sees_a_few_parts_per_chunk(self, monkeypatch):
+        # at t = pi/2 every odd term is a cosine near zero, whose lowest bits
+        # only the third level reaches
+        seen = []
+        fsum = math.fsum
+        monkeypatch.setattr(math, "fsum", lambda parts: seen.append(len(parts)) or fsum(parts))
+        for t in _T_GRID + (math.pi / 2,):
+            tc.cosine_sum(10**6, t)
+        chunks = -(-10**6 // _C)
+        assert max(seen) <= kernel._LEVELS * chunks
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(values=st.lists(_FLOATS, max_size=40), cancel=st.booleans())
+    @example(values=[1e300, 5e-324, -1e300, -5e-324, -0.0], cancel=False)
+    @example(values=[-0.0, -0.0], cancel=False)
+    # with sigma = 2^2 the level sum 5 - 2^-51 would round, a tie to even,
+    # and the remainder -2^-60 would then fall on the wrong side of it
+    @example(values=[1.0] * 5 + [-(2.0**-51 + 2.0**-60)], cancel=False)
+    def test_extraction_matches_fsum_on_short_lists(self, values, cancel):
+        if cancel:
+            values = values + [-v for v in values[::-2]]
+        assert _bits(_extracted_total(values)) == _bits(math.fsum(values))
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(size=st.integers(0, 3 * _C + 5), low=st.integers(-1074, 996),
+           spread=st.integers(0, 2070), cancel=st.booleans(),
+           seed=st.integers(0, 2**32 - 1))
+    def test_extraction_matches_fsum_on_long_arrays(self, size, low, spread, cancel, seed):
+        # 53-bit mantissas times 2^e, e uniform in [low, low + spread] (at
+        # most 996, so below 1e300); subnormals where e is low
+        rng = np.random.default_rng(seed)
+        exponents = rng.integers(low, min(low + spread, 996), size, endpoint=True)
+        x = np.ldexp(rng.uniform(-1.0, 1.0, size), exponents)
+        if cancel:
+            half = size // 2
+            x[half:2 * half] = -rng.permutation(x[:half])
+        assert _bits(_extracted_total(x)) == _bits(math.fsum(x.tolist()))
+
+    @pytest.mark.parametrize("values", [[1e308, 5.0, -1e308], [5e-324, -1e-320, 3e-310]],
+                             ids=["sigma-overflows", "sigma-subnormal"])
+    def test_values_out_of_range_go_to_fsum_as_they_are(self, values):
+        parts = []
+        kernel._extract(np.array(values), parts, np.empty(3))
+        assert parts == values
+
+
+class TestMemory:
+    def test_cosine_sum_holds_two_chunks(self):
+        # the terms at once would take 8 MB, and their Python floats 24 MB more
+        value, peak = traced_peak(lambda: tc.cosine_sum(10**6, 5.3e-7))
+        assert value == pytest.approx(tc.dirichlet_kernel(10**6, 5.3e-7), abs=1e-6)
+        assert peak < 2 * 2**20

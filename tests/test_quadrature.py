@@ -273,6 +273,16 @@ class TestIntegrateHarmonics:
         _, half = quadrature._grid_panels(quadrature._edges(-math.pi, math.pi, [0.0]), size)
         assert (half != math.pi / size).sum() >= 2
 
+    def test_no_panel_of_rounding_width_at_hi(self):
+        # lo + M 2h rounds below pi at 83 of these orders (M = 1215 at
+        # n_max = 600 leaves 8.9e-16); hi is then the last grid edge
+        edges = quadrature._edges(-math.pi, math.pi, ())
+        for n_max in range(100, 601):
+            size = quadrature._fft_length(2 * (n_max + 1))
+            _, half = quadrature._grid_panels(edges, size)
+            assert half.shape[0] == size, n_max
+            assert 2.0 * half.min() >= 1e-13 * 2.0 * math.pi, n_max
+
     def test_panel_budget_error(self, monkeypatch):
         monkeypatch.setattr(quadrature, "_MAX_PANELS", 32)
         jump = lambda x: np.where(x < 1.0 / 3.0, 0.0, 1.0)
