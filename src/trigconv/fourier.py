@@ -166,13 +166,13 @@ def split_integrals(f, x, n, tol=1e-9):
             alpha = np.clip(x + sign * beta, -PI, PI)
             return 2.0 * f.eval(alpha) * dirichlet_kernel(n, 2.0 * beta)
 
-        # seed panels at every mapped non-smooth point of f, not only the
-        # jump/extremum features that beta_split_points reports
-        seeds = set(beta_split_points(f, x, side))
-        seeds.update(b for b in ((p - x) / sign for p in f.breakpoints)
-                     if 0.0 < b < length)
-        return integrate(integrand, 0.0, length, tol,
-                         breakpoints=sorted(seeds),
+        # seed panels at every mapped non-smooth point of f, which holds
+        # every jump and extremum that beta_split_points reports, and at
+        # the peak pi/2 of the weight's denominator
+        seeds = [b for b in ((p - x) / sign for p in f.breakpoints) if 0.0 < b < length]
+        if length > PI / 2.0:
+            seeds.append(PI / 2.0)
+        return integrate(integrand, 0.0, length, tol, breakpoints=seeds,
                          max_panel_width=PI / (2 * n + 1))
 
     return one_side("lower"), one_side("upper")

@@ -331,10 +331,7 @@ class PiecewiseFunction:
         starts.  Boundaries between a monotone piece and a plateau are not
         extrema on their own.
         """
-        points = set()
-        for left, right in zip(self.segments, self.segments[1:]):
-            if left.hi_value != right.lo_value:
-                points.add(float(left.hi))
+        points = {float(jump.x) for jump in self.jumps}
         last_direction = None
         for seg in self.segments:
             if seg.direction == CONSTANT:

@@ -8,29 +8,37 @@ same panel, used as it is without QUADPACK's ``(200 * err) ** 1.5``
 rescaling, is the panel's error estimate.  G7's nodes are K15's
 odd-indexed nodes, so a panel costs 15 integrand evaluations.
 
+:func:`integrate` and :func:`integrate_harmonics` seed their mesh the same
+way (:func:`_grid_panels`): one grid of equal panels anchored at the lower
+limit, each grid panel that holds a breakpoint cut there, and the last
+clipped at the upper limit.  Both hold one error budget over the whole
+range, as QUADPACK's QAG does; :func:`integrate_intervals` seeds one panel
+per interval and holds one budget per interval, since its callers report
+every interval.
+
 The mesh holds each panel's midpoint, half-width, owning interval and
-node values.  A moment rule turns node values into per-interval integrals
-and error sums: plain K15 sums for :func:`integrate_intervals`, and the
-integrals of ``f(x) cos(kx)`` and ``f(x) sin(kx)``, ``k = 0 .. n_max``, for
-:func:`integrate_harmonics`.  Panels that fail their share of the
-tolerance are bisected, ``f`` is evaluated on the children only, at most
-``_CHUNK`` panels per call (so integrands must accept 1-D numpy arrays),
-and the children's moments replace the parents'.  A mesh may hold at most
-``_MAX_PANELS`` panels.
+node values.  A moment rule is a pure function of the mesh: it turns node
+values into per-interval integrals and error sums, plain K15 sums for
+:func:`integrate` and :func:`integrate_intervals`, and the integrals of
+``f(x) cos(kx)`` and ``f(x) sin(kx)``, ``k = 0 .. n_max``, for
+:func:`integrate_harmonics`.  Each round takes the moments of the whole
+mesh once; panels that fail their share of the tolerance are bisected,
+and ``f`` is evaluated on the children only, at most ``_CHUNK`` panels per
+call (so integrands must accept 1-D numpy arrays).  A mesh may hold at
+most ``_MAX_PANELS`` panels.
 
 The harmonic rule writes ``exp(ikx) = exp(ikm) exp(ikh xi_j)`` at the
 nodes ``m + h xi_j`` of a panel with midpoint ``m`` and half-width ``h``.
-Its integrals come two ways.  :func:`integrate_harmonics` seeds one grid
-of panels of half-width ``h = pi / M``, anchored at the lower limit, so the
-phases ``exp(2ihkp)`` of grid panel ``p`` are ``M``-th roots of unity and
-one real FFT per node column gives every uncut grid panel's integrals for
-all ``K = n_max + 1`` harmonics in ``O(M log M)`` work instead of
-``O(MK)``.  The pieces of grid panels cut at a breakpoint, and refined
-children, take the direct path: a panel's K15 sum is ``exp(ikm)`` times a
-power series in ``kh``, so its integrals are two real products of fixed
-per-panel coefficients with the powers of ``k``, and only one phase
-``exp(ikm)`` per panel and harmonic needs trigonometry, in tiles of about
-``_TILE`` panel-by-harmonic entries.
+Its integrals come two ways.  The grid of :func:`integrate_harmonics` has
+panels of half-width ``h = pi / M``, so the phases ``exp(2ihkp)`` of grid
+panel ``p`` are ``M``-th roots of unity and one real FFT per node column
+gives every uncut grid panel's integrals for all ``K = n_max + 1``
+harmonics in ``O(M log M)`` work instead of ``O(MK)``.  The pieces of grid
+panels cut at a breakpoint, and refined children, take the direct path: a
+panel's K15 sum is ``exp(ikm)`` times a power series in ``kh``, so its
+integrals are two real products of fixed per-panel coefficients with the
+powers of ``k``, and only one phase ``exp(ikm)`` per panel and harmonic
+needs trigonometry, in tiles of about ``_TILE`` panel-by-harmonic entries.
 
 One power series serves the direct sums and every error bound.  With
 ``exp(ikh xi_n) = sum_r (ikh xi_n)^r / r!``, a panel's K15 sum is
@@ -130,42 +138,6 @@ def _node_values(f, mid, half):
     return out
 
 
-def _initial_panels(edges, max_panel_width):
-    """Split every interval of ``edges`` into equal panels at most
-    ``max_panel_width`` wide (one panel each when it is ``None``).
-
-    Returns the panel starts, ends and owning interval indices.  The edges
-    are bitwise those of ``np.linspace`` on each interval: start plus
-    ``local * (width / count)``, with the last end pinned to the next edge.
-    A width that is not positive and finite raises :class:`DomainError`,
-    and more than ``_MAX_PANELS`` panels raise :class:`QuadratureError`.
-    """
-    widths = np.diff(edges)
-    if max_panel_width is not None:
-        width = float(max_panel_width)
-        if not (math.isfinite(width) and width > 0):
-            raise DomainError(f"max_panel_width must be a positive finite number, got {width}")
-        with np.errstate(over="ignore"):
-            counts = np.maximum(1.0, np.ceil(widths / width - 1e-12))
-    else:
-        counts = np.ones(widths.shape[0])
-    # compared in floating point, so that a huge count cannot wrap in the cast
-    n_panels = counts.sum()
-    if n_panels > _MAX_PANELS:
-        raise QuadratureError(
-            f"initial subdivision needs {n_panels:.0f} panels, above the cap {_MAX_PANELS}")
-    n_panels = int(n_panels)
-    counts = counts.astype(int)
-    owner = np.repeat(np.arange(widths.shape[0]), counts)
-    ends = np.cumsum(counts)
-    local = np.arange(n_panels) - np.repeat(ends - counts, counts)
-    step = (widths / counts)[owner]
-    a = edges[owner] + local * step
-    b = edges[owner] + (local + 1) * step
-    b[ends - 1] = edges[1:]
-    return a, b, owner
-
-
 def _check_edges(edges, tol):
     """``edges`` as a strictly increasing float array and ``tol`` as a float."""
     edges = np.asarray(edges, dtype=np.float64)
@@ -183,18 +155,19 @@ def _refine(f, mid, half, owner, n_int, tol, moments):
     """Refine a seeded mesh of ``n_int`` intervals until ``moments`` meets ``tol``.
 
     Panels are given by their midpoints, half-widths and owning intervals.
-    ``moments(mid, half, owner, y, n_int)`` maps panels and their node
-    values to ``(totals, err, worst)``: integrals of shape ``(rows, ncomp,
-    n_int)``, summed panel errors ``(rows, n_int)`` and every panel's
-    largest error over the rows.  Each interval must get every row's error
-    below ``max(tol * max over components |total|, tol)``.  A round bisects
-    the panels whose largest error exceeds the smallest share of a failing
-    budget in their interval, and swaps the parents' moments for the
-    children's.  Returns ``(totals, err, half, y)`` of the final mesh.
+    ``moments(mid, half, owner, y, n_int)``, a pure function of the mesh
+    and its node values, returns ``(totals, err, worst)``: integrals of
+    shape ``(rows, ncomp, n_int)``, summed panel errors ``(rows, n_int)``
+    and every panel's largest error over the rows.  Each round takes the
+    moments of the whole mesh once.  Each interval must get every row's
+    error below ``max(tol * max over components |total|, tol)``; a round
+    bisects the panels whose largest error exceeds the smallest share of a
+    failing budget in their interval, and evaluates ``f`` on the children
+    only.  Returns ``(totals, err, half, y)`` of the final mesh.
     """
     y = _node_values(f, mid, half)
-    totals, err, worst = moments(mid, half, owner, y, n_int)
     for _ in range(_MAX_ROUNDS):
+        totals, err, worst = moments(mid, half, owner, y, n_int)
         budgets = np.maximum(tol * np.abs(totals).max(axis=1), tol)
         bad = err > budgets
         if not bad.any():
@@ -208,21 +181,14 @@ def _refine(f, mid, half, owner, n_int, tol, moments):
             raise QuadratureError(
                 f"panel budget {_MAX_PANELS} exhausted at tol={tol}; "
                 "integrand is too rough or the tolerance too tight")
-        old = moments(mid[split], half[split], owner[split], y[split], n_int)
         quarter = 0.5 * half[split]
         child_mid = np.concatenate([mid[split] - quarter, mid[split] + quarter])
         child_half = np.tile(quarter, 2)
-        child_owner = np.tile(owner[split], 2)
-        child_y = _node_values(f, child_mid, child_half)
-        new = moments(child_mid, child_half, child_owner, child_y, n_int)
-        totals += new[0] - old[0]
-        err += new[1] - old[1]
         keep = ~split
+        y = np.concatenate([y[keep], _node_values(f, child_mid, child_half)])
         mid = np.concatenate([mid[keep], child_mid])
         half = np.concatenate([half[keep], child_half])
-        owner = np.concatenate([owner[keep], child_owner])
-        y = np.concatenate([y[keep], child_y])
-        worst = np.concatenate([worst[keep], new[2]])
+        owner = np.concatenate([owner[keep], np.tile(owner[split], 2)])
     raise QuadratureError(
         f"refinement limit reached ({_MAX_ROUNDS} rounds) without meeting tol={tol}")
 
@@ -237,27 +203,28 @@ def _plain_moments(mid, half, owner, y, n_int):
     return totals[None], np.bincount(owner, weights=gaps, minlength=n_int)[None], gaps
 
 
-def integrate_intervals(f, edges, tol=1e-10, *, max_panel_width=None):
+def integrate_intervals(f, edges, tol=1e-10):
     """Integrate ``f`` over every consecutive pair of ``edges`` at once.
 
-    All intervals share one mesh, refined with the plain K15 moment rule
-    until each interval's summed panel error (the ``|K15 - G7|`` gaps of
-    its panels) falls below ``max(tol * |value|, tol)``.  Returns
-    ``(values, errors)`` with one entry per interval; when ``f`` returns
-    several components per node, ``values`` has one row per interval.
+    The mesh is seeded with one panel per interval and refined with the
+    plain K15 moment rule until each interval's summed panel error (the
+    ``|K15 - G7|`` gaps of its panels) falls below ``max(tol * |value|,
+    tol)``.  Returns ``(values, errors)`` with one entry per interval; when
+    ``f`` returns several components per node, ``values`` has one row per
+    interval.
 
-    ``max_panel_width``, positive and finite, caps the width of the initial
-    panels, which is how oscillatory integrands declare their finest
-    relevant scale.  Every
-    panel costs 15 integrand evaluations, made ``_CHUNK`` panels per call.
-    A call that needs more than ``_MAX_PANELS`` (32768) panels, at the
-    start or during refinement, raises :class:`QuadratureError`; at the
+    Every panel costs 15 integrand evaluations, made ``_CHUNK`` panels per
+    call.  A call that needs more than ``_MAX_PANELS`` (32768) panels, at
+    the start or during refinement, raises :class:`QuadratureError`; at the
     start, that happens before ``f`` is evaluated.
     """
     edges, tol = _check_edges(edges, tol)
-    a, b, owner = _initial_panels(edges, max_panel_width)
-    totals, err, _, y = _refine(f, 0.5 * (a + b), 0.5 * (b - a), owner, edges.shape[0] - 1,
-                                tol, _plain_moments)
+    n_int = edges.shape[0] - 1
+    if n_int > _MAX_PANELS:
+        raise QuadratureError(
+            f"initial subdivision needs {n_int} panels, above the cap {_MAX_PANELS}")
+    totals, err, _, y = _refine(f, 0.5 * (edges[:-1] + edges[1:]), 0.5 * np.diff(edges),
+                                np.arange(n_int), n_int, tol, _plain_moments)
     values = totals[0].T
     return (values[:, 0] if y.ndim == 2 else values), err[0]
 
@@ -267,13 +234,31 @@ def integrate(f, lo, hi, tol=1e-10, *, breakpoints=(), max_panel_width=None):
 
     ``breakpoints`` lists interior abscissae that are forced to be panel
     boundaries (known kinks or jumps of ``f``); points outside the open
-    interval are ignored.  The result's estimated error is below
-    ``max(tol * |integral|, tol)`` per seeded subinterval.
+    interval are ignored.  The mesh is seeded by :func:`_grid_panels` with
+    panels ``max_panel_width`` wide, anchored at ``lo`` (one panel per
+    interval between breakpoints when it is ``None``), which is how
+    oscillatory integrands declare their finest relevant scale; a width
+    that is not positive and finite raises :class:`DomainError`.  Each
+    panel's half-width is half the gap between its two edges, so the
+    panels tile ``[lo, hi]`` exactly.  The result's estimated error, the ``|K15 - G7|`` gaps summed over every
+    panel, is below one budget ``max(tol * |integral|, tol)`` over the
+    whole of ``[lo, hi]``.  Panel caps are those of
+    :func:`integrate_intervals`.
     """
-    values, _ = integrate_intervals(f, _edges(lo, hi, breakpoints), tol,
-                                    max_panel_width=max_panel_width)
-    total = values.sum(axis=0)
-    return float(total) if np.ndim(total) == 0 else total
+    edges, tol = _check_edges(_edges(lo, hi, breakpoints), tol)
+    if max_panel_width is None:
+        half = edges[-1] - edges[0]
+    else:
+        width = float(max_panel_width)
+        if not (math.isfinite(width) and width > 0):
+            raise DomainError(f"max_panel_width must be a positive finite number, got {width}")
+        half = 0.5 * width
+    points, _ = _grid_panels(edges, half)
+    totals, _, _, y = _refine(f, 0.5 * (points[:-1] + points[1:]), 0.5 * np.diff(points),
+                              np.zeros(points.shape[0] - 1, dtype=np.intp), 1, tol,
+                              _plain_moments)
+    total = totals[0, :, 0]
+    return float(total[0]) if y.ndim == 2 else total
 
 
 def _edges(lo, hi, breakpoints):
@@ -296,32 +281,34 @@ def _edges(lo, hi, breakpoints):
     return np.asarray(edges)
 
 
-def _grid_panels(edges, size):
-    """The seeded mesh of :func:`integrate_harmonics`: panels of half-width
-    ``h = pi / size`` with edges ``lo + 2hp`` from ``lo = edges[0]`` to
-    ``hi = edges[-1]``, where each grid panel that holds an edge strictly
-    inside is cut there and the last one ends at ``hi``.  A ``hi`` within
-    the merge distance of :func:`_edges`, ``1e-13 (hi - lo)``, above a grid
-    edge is taken as that edge, so no panel is left as wide as the rounding
-    of ``lo + 2hp``.
+def _grid_panels(edges, half):
+    """The seeded mesh of :func:`integrate` and :func:`integrate_harmonics`:
+    one grid of panels of half-width ``half`` with edges ``lo + 2 half p``
+    from ``lo = edges[0]`` to ``hi = edges[-1]``, where each grid panel that
+    holds an edge strictly inside is cut there and the last one ends at
+    ``hi``.  A ``hi`` within the merge distance of :func:`_edges`, ``1e-13
+    (hi - lo)``, of a grid edge, above or below, is taken as that edge, so
+    no panel is left as wide as the rounding of ``lo + 2 half p`` and the
+    last panel stays a grid panel.
 
-    Returns the midpoints and half-widths in ascending order.  The uncut
-    grid panels have half-width ``h``, by which :func:`_harmonic_rule`
-    tells them apart; a piece whose width rounds to theirs spans its panel
-    but for an ulp and is taken as that panel.  A mesh of more than
-    ``_MAX_PANELS`` panels raises :class:`QuadratureError` before any array
-    of its size is built.
+    Returns the panel edges in ascending order and, per panel, whether it
+    is an uncut grid panel; :func:`integrate_harmonics` gives those the
+    half-width ``half``, by which :func:`_harmonic_rule` tells them apart.
+    A mesh of more than ``_MAX_PANELS`` panels raises
+    :class:`QuadratureError` before any array of its size is built.
     """
     lo = edges[0]
-    half = math.pi / size
     width = 2.0 * half
-    # the grid panel of every edge: lo + index * width <= edge < lo + (index + 1) * width
-    with np.errstate(over="ignore"):
+    merge = 1e-13 * (edges[-1] - lo)
+    # the grid panel of every edge: lo + index * width <= edge < lo + (index + 1) * width;
+    # a huge count, or a width that underflows, must reach the cap check
+    with np.errstate(all="ignore"):
         index = np.floor((edges - lo) / width)
         index -= lo + index * width > edges
         index += lo + (index + 1.0) * width <= edges
         inside = lo + index * width != edges
-        inside[-1] &= edges[-1] - (lo + index[-1] * width) > 1e-13 * (edges[-1] - lo)
+        inside[-1] &= edges[-1] - (lo + index[-1] * width) > merge
+        hi_on_grid = not inside[-1] or lo + (index[-1] + 1.0) * width - edges[-1] <= merge
     # the grid edges below hi, then one panel more for each inner edge
     # strictly inside a panel; compared in floating point, so that a huge
     # count cannot wrap in the cast
@@ -333,12 +320,10 @@ def _grid_panels(edges, size):
     cuts = edges[1:-1][inside[1:-1]]
     points = np.concatenate([lo + width * np.arange(n_grid), cuts, edges[-1:]])
     on_grid = np.concatenate([np.ones(int(n_grid), dtype=bool),
-                              np.zeros(cuts.shape[0], dtype=bool), ~inside[-1:]])
+                              np.zeros(cuts.shape[0], dtype=bool), [hi_on_grid]])
     order = np.argsort(points, kind="stable")
-    points = points[order]
     on_grid = on_grid[order]
-    uncut = on_grid[:-1] & on_grid[1:]
-    return 0.5 * (points[:-1] + points[1:]), np.where(uncut, half, 0.5 * np.diff(points))
+    return points[order], on_grid[:-1] & on_grid[1:]
 
 
 def _fft_length(n):
@@ -467,8 +452,11 @@ def integrate_harmonics(f, lo, hi, n_max, tol=1e-10, *, breakpoints=()):
     power series in ``kh`` per panel, ``r < 28`` terms times one phase
     ``exp(ikm)`` per harmonic (see :func:`_harmonic_rule`).
 
-    The mesh is refined by the same loop as :func:`integrate_intervals`,
-    with one budget per harmonic over the whole of ``[lo, hi]``: until the
+    The grid comes from :func:`_grid_panels`, as in :func:`integrate`, and
+    its uncut panels keep the half-width ``h`` (a last panel whose end is
+    within ``1e-13 (hi - lo)`` of a grid edge is one of them).  The mesh is
+    refined by the same loop and the same rule as :func:`integrate`, with
+    one budget per harmonic over the whole of ``[lo, hi]``: until the
     error of every harmonic ``k`` falls below ``max(tol * max(|cos
     integral|, |sin integral|), tol)``.  That error is the sum over all
     panels of ``sum_r (kh)^r |mu_r|``, ``r < 28``, a bound on the modulus
@@ -493,12 +481,15 @@ def integrate_harmonics(f, lo, hi, n_max, tol=1e-10, *, breakpoints=()):
     """
     edges, tol = _check_edges(_edges(lo, hi, breakpoints), tol)
     size = _fft_length(2 * (n_max + 1))
+    h = math.pi / size
     try:
-        mid, half = _grid_panels(edges, size)
+        points, uncut = _grid_panels(edges, h)
     except QuadratureError as exc:
         raise QuadratureError(f"n_max={n_max}: {exc}") from None
-    totals, err, half, y = _refine(f, mid, half, np.zeros(mid.shape[0], dtype=np.intp), 1,
-                                   tol, _harmonic_rule(n_max, edges[0], size))
+    totals, err, half, y = _refine(f, 0.5 * (points[:-1] + points[1:]),
+                                   np.where(uncut, h, 0.5 * np.diff(points)),
+                                   np.zeros(uncut.shape[0], dtype=np.intp), 1, tol,
+                                   _harmonic_rule(n_max, edges[0], size))
     abs_integral = (half * (np.abs(y) @ _KRONROD_WEIGHTS)).sum()
     x_max = max(abs(edges[0]), abs(edges[-1]))
     rounding = _EPS * (50.0 + np.arange(n_max + 1) * x_max) * abs_integral

@@ -57,6 +57,15 @@ def traced_peak(call):
         tracemalloc.stop()
 
 
+def harmonic_grid(edges, size):
+    """The seeded mesh of :func:`trigconv.quadrature.integrate_harmonics` on
+    ``edges`` with ``size`` grid panels per period: the panel midpoints,
+    and half-widths that are ``pi / size`` on the uncut grid panels."""
+    h = math.pi / size
+    points, uncut = quadrature._grid_panels(edges, h)
+    return 0.5 * (points[:-1] + points[1:]), np.where(uncut, h, 0.5 * np.diff(points))
+
+
 def route_through_series(monkeypatch):
     """Make :func:`trigconv.quadrature.integrate_harmonics` take every
     panel, grid panels included, through the power series of

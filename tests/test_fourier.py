@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import trigconv as tc
 from trigconv import quadrature
-from conftest import (SAWTOOTH, SQUARE, build, many_segment_spec, random_spec,
+from conftest import (SAWTOOTH, SQUARE, build, harmonic_grid, many_segment_spec, random_spec,
                       route_through_series, traced_peak)
 from oracles import (exact_harmonic_integrals, qawo_coefficients, sawtooth_partial_sum,
                      sawtooth_sine_coefficient, square_partial_sum, square_sine_coefficient)
@@ -144,7 +144,7 @@ def _seeded_mesh(f, n_max):
     bisected, so that half-widths mix, and its node values, as one interval,
     and the grid's panel count per period."""
     size = quadrature._fft_length(2 * (n_max + 1))
-    mid, half = quadrature._grid_panels(quadrature._edges(-PI, PI, f.breakpoints), size)
+    mid, half = harmonic_grid(quadrature._edges(-PI, PI, f.breakpoints), size)
     split = np.arange(mid.shape[0]) % 3 == 0
     quarter = 0.5 * half[split]
     mid = np.concatenate([mid[~split], mid[split] - quarter, mid[split] + quarter])
@@ -249,6 +249,12 @@ class TestClosedFormOracle:
         # at n_max = 600 the grid's 1215th edge is pi - 8.9e-16, and pi is
         # taken as that edge
         self.check(build(spec), 600, [*range(0, 600, 7), 599, 600])
+
+    @pytest.mark.parametrize("spec", [SQUARE, POWER_AND_TABLE], ids=["square", "power-and-table"])
+    def test_order_whose_last_grid_edge_rounds_above_pi(self, spec):
+        # at n_max = 192 the grid's 400th edge is 6.2e-14 above pi, and pi
+        # is taken as that edge: the last panel is a grid panel
+        self.check(build(spec), 192, [*range(0, 192, 7), 191, 192])
 
 
 class TestPartialSum:
@@ -394,6 +400,19 @@ class TestBetaSplitPoints:
     def test_lower_side_mirror(self, square):
         points = tc.beta_split_points(square, 0.5, "lower")
         assert points == pytest.approx([0.25, PI / 2])
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), x=st.floats(-PI, PI),
+           side=st.sampled_from(["lower", "upper"]))
+    def test_points_are_mapped_breakpoints_or_half_pi(self, seed, x, side):
+        # the seeds split_integrals takes from the breakpoints alone
+        f = build(random_spec(np.random.default_rng(seed), 6))
+        sign = -2.0 if side == "lower" else 2.0
+        length = (PI + x) / 2.0 if side == "lower" else (PI - x) / 2.0
+        mapped = {(p - x) / sign for p in f.breakpoints}
+        points = tc.beta_split_points(f, x, side)
+        assert set(points) <= mapped | {PI / 2.0}
+        assert all(0.0 < b < length for b in points)
 
     def test_rejects_bad_arguments(self, square):
         with pytest.raises(tc.DomainError):

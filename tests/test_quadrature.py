@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import trigconv as tc
-from conftest import SQUARE, build, route_through_series, traced_peak
+from conftest import SQUARE, build, harmonic_grid, route_through_series, traced_peak
 from oracles import composite_simpson
 from trigconv import quadrature
 
@@ -117,8 +117,6 @@ class TestIntegrate:
 
         with pytest.raises(tc.DomainError, match="max_panel_width"):
             tc.integrate(refuse, 0.0, 1.0, max_panel_width=width)
-        with pytest.raises(tc.DomainError, match="max_panel_width"):
-            tc.integrate_intervals(refuse, [0.0, 0.5, 1.0], max_panel_width=width)
 
     def test_tiny_max_panel_width_hits_the_cap_before_evaluation(self):
         # 1e25 panels: the count is compared with the cap before any cast
@@ -127,6 +125,53 @@ class TestIntegrate:
 
         with pytest.raises(tc.QuadratureError, match="above the cap 32768"):
             tc.integrate(refuse, 0.0, 1.0, max_panel_width=1e-25)
+
+    @pytest.mark.parametrize("tol", [1e-6, 1e-8])
+    def test_one_budget_over_many_breakpoints(self, tol):
+        # a square-root cusp at the left end of each of 100 intervals; the
+        # integral is 1/15, so the one budget max(tol |I|, tol) is tol,
+        # which a budget per interval, summed over 100 of them, misses
+        def sqrt_sawtooth(x):
+            return np.sqrt(x - np.floor(100.0 * x) / 100.0)
+
+        value = tc.integrate(sqrt_sawtooth, 0.0, 1.0, tol,
+                             breakpoints=[j / 100 for j in range(1, 100)])
+        assert abs(value - 1.0 / 15.0) <= tol
+
+    @pytest.mark.parametrize("width", [None, 0.05, math.pi / 1001, 2.0])
+    def test_seeded_panels_tile_the_range(self, monkeypatch, width):
+        # the seeded panels run from lo to hi edge to edge, every breakpoint
+        # is a panel edge, and no panel is wider than max_panel_width but
+        # for the rounding of the grid edges lo + p * max_panel_width
+        rng = np.random.default_rng(7)
+        breakpoints = np.sort(rng.uniform(-math.pi, math.pi, 40))
+        seeded = []
+        grid_panels = quadrature._grid_panels
+        refine = quadrature._refine
+
+        def recorded_grid(*args):
+            seeded.append(grid_panels(*args)[0])
+            return grid_panels(*args)
+
+        def recorded_refine(f, mid, half, *args):
+            seeded.extend([mid, half])
+            return refine(f, mid, half, *args)
+
+        monkeypatch.setattr(quadrature, "_grid_panels", recorded_grid)
+        monkeypatch.setattr(quadrature, "_refine", recorded_refine)
+        value = tc.integrate(np.cos, -math.pi, math.pi, 1e-10, breakpoints=breakpoints,
+                             max_panel_width=width)
+        assert abs(value) <= 1e-10
+        points, mid, half = seeded
+        assert points[0] == -math.pi and points[-1] == math.pi
+        assert (np.diff(points) > 0).all()
+        assert np.isin(breakpoints, points).all()
+        assert np.array_equal(mid, 0.5 * (points[:-1] + points[1:]))
+        assert np.array_equal(half, 0.5 * np.diff(points))
+        if width is None:
+            assert points.shape[0] == breakpoints.shape[0] + 2
+        else:
+            assert (2.0 * half <= width + 4.0 * np.finfo(float).eps * math.pi).all()
 
     def test_non_finite_integrand_error(self):
         bad = lambda x: np.where(x < 0.5, np.inf, 1.0)
@@ -154,25 +199,6 @@ class TestIntegrateIntervals:
         values, errors = tc.integrate_intervals(np.sin, edges, 1e-10)
         exact = -np.diff(np.cos(edges))
         assert np.abs(values - exact).max() <= errors.max() + 1e-13
-
-    @pytest.mark.parametrize("max_panel_width", [None, 0.05, math.pi / 1001, 2.0])
-    def test_initial_panels_match_linspace(self, max_panel_width):
-        rng = np.random.default_rng(7)
-        edges = np.concatenate([[-math.pi], np.sort(rng.uniform(-math.pi, math.pi, 40)),
-                                [math.pi]])
-        starts, stops, owners = [], [], []
-        for j in range(edges.shape[0] - 1):
-            width = edges[j + 1] - edges[j]
-            count = 1 if max_panel_width is None else max(
-                1, math.ceil(width / max_panel_width - 1e-12))
-            pts = np.linspace(edges[j], edges[j + 1], count + 1)
-            starts.append(pts[:-1])
-            stops.append(pts[1:])
-            owners.append(np.full(count, j))
-        a, b, owner = quadrature._initial_panels(edges, max_panel_width)
-        assert np.array_equal(a, np.concatenate(starts))
-        assert np.array_equal(b, np.concatenate(stops))
-        assert np.array_equal(owner, np.concatenate(owners))
 
     def test_rejects_unsorted_edges(self):
         with pytest.raises(tc.DomainError):
@@ -256,8 +282,10 @@ class TestIntegrateHarmonics:
                              ids=["on-grid-edge", "3-ulps-inside"])
     def test_grid_cut_only_inside_a_panel(self, breakpoint, cut):
         size = quadrature._fft_length(2 * 41)
-        _, half = quadrature._grid_panels(quadrature._edges(0.0, 3.0, [breakpoint]), size)
-        pieces = half != math.pi / size
+        points, uncut = quadrature._grid_panels(quadrature._edges(0.0, 3.0, [breakpoint]),
+                                                math.pi / size)
+        half = 0.5 * np.diff(points)
+        pieces = ~uncut
         # the last panel ends at 3, and a breakpoint inside a panel cuts it
         # into a piece of 3 ulps and the rest
         assert pieces[-1] and pieces.sum() == 1 + 2 * cut
@@ -270,8 +298,9 @@ class TestIntegrateHarmonics:
         # next 5-smooth size, which is odd, so the jump at 0 cuts a panel
         size = quadrature._fft_length(2 * 601)
         assert size == 1215
-        _, half = quadrature._grid_panels(quadrature._edges(-math.pi, math.pi, [0.0]), size)
-        assert (half != math.pi / size).sum() >= 2
+        _, uncut = quadrature._grid_panels(quadrature._edges(-math.pi, math.pi, [0.0]),
+                                           math.pi / size)
+        assert (~uncut).sum() >= 2
 
     def test_no_panel_of_rounding_width_at_hi(self):
         # lo + M 2h rounds below pi at 83 of these orders (M = 1215 at
@@ -279,9 +308,20 @@ class TestIntegrateHarmonics:
         edges = quadrature._edges(-math.pi, math.pi, ())
         for n_max in range(100, 601):
             size = quadrature._fft_length(2 * (n_max + 1))
-            _, half = quadrature._grid_panels(edges, size)
+            points, _ = quadrature._grid_panels(edges, math.pi / size)
+            assert points.shape[0] == size + 1, n_max
+            assert np.diff(points).min() >= 1e-13 * 2.0 * math.pi, n_max
+
+    def test_every_panel_of_a_period_is_an_uncut_grid_panel(self):
+        # pi lies a few ulps below the grid's last edge at 24 of these
+        # orders (6.2e-14 at n_max = 192, M = 400); it is taken as that
+        # edge, so the last panel goes through the FFT like the others
+        edges = quadrature._edges(-math.pi, math.pi, ())
+        for n_max in range(100, 601):
+            size = quadrature._fft_length(2 * (n_max + 1))
+            _, half = harmonic_grid(edges, size)
             assert half.shape[0] == size, n_max
-            assert 2.0 * half.min() >= 1e-13 * 2.0 * math.pi, n_max
+            assert (half == math.pi / size).all(), n_max
 
     def test_panel_budget_error(self, monkeypatch):
         monkeypatch.setattr(quadrature, "_MAX_PANELS", 32)
@@ -302,7 +342,7 @@ class TestGridTransform:
     @staticmethod
     def grid_mesh(lo, hi, n_max, breakpoints=()):
         size = quadrature._fft_length(2 * (n_max + 1))
-        mid, half = quadrature._grid_panels(quadrature._edges(lo, hi, breakpoints), size)
+        mid, half = harmonic_grid(quadrature._edges(lo, hi, breakpoints), size)
         return size, mid, half
 
     @pytest.mark.parametrize("lo, hi", [(0.0, 3.0), (-math.pi, math.pi), (-4.0, 9.0)],
@@ -429,18 +469,18 @@ class TestChunkedEvaluation:
         assert sum(sizes) == 15 * 5000
 
     def test_intervals_with_two_components(self, monkeypatch):
-        # a kink inside the last interval makes the mesh refine
+        # a kink inside one of 20 equal intervals makes the mesh refine
         def pair(x):
             return np.stack([np.exp(-x) * np.sin(9 * x), np.abs(x - 1.37)], axis=1)
 
         def run(sizes):
-            return tc.integrate_intervals(self.recorded(pair, sizes), [0.0, 0.5, 1.0, 2.0],
-                                          1e-11, max_panel_width=0.1)
+            return tc.integrate_intervals(self.recorded(pair, sizes), np.linspace(0.0, 2.0, 21),
+                                          1e-11)
         default = run([])
         monkeypatch.setattr(quadrature, "_CHUNK", 3)
         sizes = []
         chunked = run(sizes)
-        assert default[0].shape == (3, 2)
+        assert default[0].shape == (20, 2)
         assert np.array_equal(chunked[0], default[0])
         assert np.array_equal(chunked[1], default[1])
         assert max(sizes) <= 15 * 3
