@@ -150,8 +150,9 @@ class TestIntegrate:
         refine = quadrature._refine
 
         def recorded_grid(*args):
-            seeded.append(grid_panels(*args)[0])
-            return grid_panels(*args)
+            result = grid_panels(*args)
+            seeded.append(result[0])
+            return result
 
         def recorded_refine(f, mid, half, *args):
             seeded.extend([mid, half])
@@ -304,24 +305,16 @@ class TestIntegrateHarmonics:
 
     def test_no_panel_of_rounding_width_at_hi(self):
         # lo + M 2h rounds below pi at 83 of these orders (M = 1215 at
-        # n_max = 600 leaves 8.9e-16); hi is then the last grid edge
+        # n_max = 600 leaves 8.9e-16), and above it at 24 (6.2e-14 at
+        # n_max = 192, M = 400); hi is then the last grid edge, so every
+        # panel is an uncut grid panel and goes through the FFT
         edges = quadrature._edges(-math.pi, math.pi, ())
         for n_max in range(100, 601):
             size = quadrature._fft_length(2 * (n_max + 1))
-            points, _ = quadrature._grid_panels(edges, math.pi / size)
+            points, uncut = quadrature._grid_panels(edges, math.pi / size)
             assert points.shape[0] == size + 1, n_max
             assert np.diff(points).min() >= 1e-13 * 2.0 * math.pi, n_max
-
-    def test_every_panel_of_a_period_is_an_uncut_grid_panel(self):
-        # pi lies a few ulps below the grid's last edge at 24 of these
-        # orders (6.2e-14 at n_max = 192, M = 400); it is taken as that
-        # edge, so the last panel goes through the FFT like the others
-        edges = quadrature._edges(-math.pi, math.pi, ())
-        for n_max in range(100, 601):
-            size = quadrature._fft_length(2 * (n_max + 1))
-            _, half = harmonic_grid(edges, size)
-            assert half.shape[0] == size, n_max
-            assert (half == math.pi / size).all(), n_max
+            assert uncut.all(), n_max
 
     def test_panel_budget_error(self, monkeypatch):
         monkeypatch.setattr(quadrature, "_MAX_PANELS", 32)
