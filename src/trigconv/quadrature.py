@@ -240,10 +240,10 @@ def integrate(f, lo, hi, tol=1e-10, *, breakpoints=(), max_panel_width=None):
     oscillatory integrands declare their finest relevant scale; a width
     that is not positive and finite raises :class:`DomainError`.  Each
     panel's half-width is half the gap between its two edges, so the
-    panels tile ``[lo, hi]`` exactly.  The result's estimated error, the ``|K15 - G7|`` gaps summed over every
-    panel, is below one budget ``max(tol * |integral|, tol)`` over the
-    whole of ``[lo, hi]``.  Panel caps are those of
-    :func:`integrate_intervals`.
+    panels tile ``[lo, hi]`` exactly.  The result's estimated error, the
+    ``|K15 - G7|`` gaps summed over every panel, is below one budget
+    ``max(tol * |integral|, tol)`` over the whole of ``[lo, hi]``.  Panel
+    caps are those of :func:`integrate_intervals`.
     """
     edges, tol = _check_edges(_edges(lo, hi, breakpoints), tol)
     if max_panel_width is None:
