@@ -119,6 +119,17 @@ def partial_sum_kernel(f, x, n, tol=1e-9):
     return value / PI
 
 
+def _beta_seeds(points, x, side):
+    """The half-range length of ``side`` and the seeds of
+    :func:`beta_split_points` from ``points``, unsorted, ``pi/2`` last."""
+    length = (PI + x) / 2.0 if side == "lower" else (PI - x) / 2.0
+    mapped = ((x - p) / 2.0 if side == "lower" else (p - x) / 2.0 for p in points)
+    seeds = [b for b in mapped if 0.0 < b < length]
+    if length > PI / 2.0:
+        seeds.append(PI / 2.0)
+    return length, seeds
+
+
 def beta_split_points(f, x, side):
     """Panel seeds for the half-range integrals of :func:`split_integrals`.
 
@@ -132,16 +143,7 @@ def beta_split_points(f, x, side):
     if side not in ("lower", "upper"):
         raise DomainError(f"side must be 'lower' or 'upper', got {side!r}")
     x = check_abscissa(x)
-    length = (PI + x) / 2.0 if side == "lower" else (PI - x) / 2.0
-    features = f.extrema_and_jumps()
-    if side == "lower":
-        mapped = [(x - p) / 2.0 for p in features]
-    else:
-        mapped = [(p - x) / 2.0 for p in features]
-    points = {b for b in mapped if 0.0 < b < length}
-    if length > PI / 2.0:
-        points.add(PI / 2.0)
-    return sorted(points)
+    return sorted(set(_beta_seeds(f.extrema_and_jumps(), x, side)[1]))
 
 
 def split_integrals(f, x, n, tol=1e-9):
@@ -157,7 +159,10 @@ def split_integrals(f, x, n, tol=1e-9):
     x = check_abscissa(x)
 
     def one_side(side):
-        length = (PI + x) / 2.0 if side == "lower" else (PI - x) / 2.0
+        # seed panels at every mapped non-smooth point of f, which holds
+        # every jump and extremum that beta_split_points reports, and at
+        # the peak pi/2 of the weight's denominator
+        length, seeds = _beta_seeds(f.breakpoints, x, side)
         if length <= 0.0:
             return 0.0
         sign = -2.0 if side == "lower" else 2.0
@@ -166,12 +171,6 @@ def split_integrals(f, x, n, tol=1e-9):
             alpha = np.clip(x + sign * beta, -PI, PI)
             return 2.0 * f.eval(alpha) * dirichlet_kernel(n, 2.0 * beta)
 
-        # seed panels at every mapped non-smooth point of f, which holds
-        # every jump and extremum that beta_split_points reports, and at
-        # the peak pi/2 of the weight's denominator
-        seeds = [b for b in ((p - x) / sign for p in f.breakpoints) if 0.0 < b < length]
-        if length > PI / 2.0:
-            seeds.append(PI / 2.0)
         return integrate(integrand, 0.0, length, tol, breakpoints=seeds,
                          max_panel_width=PI / (2 * n + 1))
 

@@ -11,14 +11,14 @@ odd-indexed nodes, so a panel costs 15 integrand evaluations.
 :func:`integrate` and :func:`integrate_harmonics` seed their mesh the same
 way (:func:`_grid_panels`): one grid of equal panels anchored at the lower
 limit, each grid panel that holds a breakpoint cut there, and the last
-clipped at the upper limit.  Both hold one error budget over the whole
-range, as QUADPACK's QAG does; :func:`integrate_intervals` seeds one panel
-per interval and holds one budget per interval, since its callers report
-every interval.
+clipped at the upper limit; :func:`integrate_intervals` seeds one panel per
+interval.  All three hold one error budget over the whole range, as
+QUADPACK's QAG does, and :func:`integrate_intervals` splits the final
+mesh's sums by interval only after refinement.
 
-The mesh holds each panel's midpoint, half-width, owning interval and
-node values.  A moment rule is a pure function of the mesh: it turns node
-values into per-interval integrals and error sums, plain K15 sums for
+The mesh holds each panel's midpoint, half-width and node values.  A
+moment rule is a pure function of the mesh: it turns node values into
+integrals and error sums over the whole mesh, plain K15 sums for
 :func:`integrate` and :func:`integrate_intervals`, and the integrals of
 ``f(x) cos(kx)`` and ``f(x) sin(kx)``, ``k = 0 .. n_max``, for
 :func:`integrate_harmonics`.  Each round takes the moments of the whole
@@ -151,36 +151,46 @@ def _check_edges(edges, tol):
     return edges, tol
 
 
-def _refine(f, mid, half, owner, n_int, tol, moments):
-    """Refine a seeded mesh of ``n_int`` intervals until ``moments`` meets ``tol``.
+def _check_seeded(n_panels, edges):
+    """Refuse a seeded mesh of ``n_panels`` panels over ``edges`` above the
+    cap, before any array of its size is built or ``f`` is evaluated."""
+    if not n_panels <= _MAX_PANELS:
+        raise QuadratureError(f"initial subdivision needs {n_panels:.0f} panels, above the cap "
+                              f"{_MAX_PANELS}, over [{edges[0]}, {edges[-1]}]")
 
-    Panels are given by their midpoints, half-widths and owning intervals.
-    ``moments(mid, half, owner, y, n_int)``, a pure function of the mesh
-    and its node values, returns ``(totals, err, worst)``: integrals of
-    shape ``(rows, ncomp, n_int)``, summed panel errors ``(rows, n_int)``
-    and every panel's largest error over the rows.  Each round takes the
-    moments of the whole mesh once.  Each interval must get every row's
-    error below ``max(tol * max over components |total|, tol)``; a round
-    bisects the panels whose largest error exceeds the smallest share of a
-    failing budget in their interval, and evaluates ``f`` on the children
-    only.  Returns ``(totals, err, half, y)`` of the final mesh.
+
+def _refine(f, mid, half, tol, moments):
+    """Refine a seeded mesh until ``moments`` meets ``tol`` over the whole mesh.
+
+    Panels are given by their midpoints and half-widths.  ``moments(mid,
+    half, y)``, a pure function of the mesh and its node values, returns
+    ``(totals, err, worst)``: integrals of shape ``(rows, ncomp)``, summed
+    panel errors ``(rows,)`` and every panel's largest error over the rows.
+    Each round takes the moments of the whole mesh once.  Every row must
+    get its error below one budget ``max(tol * max over components |total|,
+    tol)``; a round bisects the panels whose largest error exceeds the
+    smallest failing budget shared out over all ``P`` panels, ``budget / (2
+    P)``, and evaluates ``f`` on the children only.  A refusal names the
+    row that missed its budget by the largest factor in the last round,
+    with its error and budget.  Returns ``(totals, err, worst, mid, half,
+    y)`` of the final mesh.
     """
     y = _node_values(f, mid, half)
     for _ in range(_MAX_ROUNDS):
-        totals, err, worst = moments(mid, half, owner, y, n_int)
+        totals, err, worst = moments(mid, half, y)
         budgets = np.maximum(tol * np.abs(totals).max(axis=1), tol)
         bad = err > budgets
         if not bad.any():
             if not np.isfinite(totals).all():
                 raise QuadratureError("integrand values overflow the integral")
-            return totals, err, half, y
-        per_owner = np.bincount(owner, minlength=n_int)
-        share = np.where(bad, budgets, np.inf).min(axis=0) / (2.0 * per_owner)
-        split = worst > share[owner]
+            return totals, err, worst, mid, half, y
+        row = np.argmax(err / budgets)
+        miss = f"estimated error {err[row]:.3g} against a budget of {budgets[row]:.3g}"
+        split = worst > budgets[bad].min() / (2.0 * mid.shape[0])
         if mid.shape[0] + split.sum() > _MAX_PANELS:
             raise QuadratureError(
                 f"panel budget {_MAX_PANELS} exhausted at tol={tol}; "
-                "integrand is too rough or the tolerance too tight")
+                f"integrand is too rough or the tolerance too tight ({miss})")
         quarter = 0.5 * half[split]
         child_mid = np.concatenate([mid[split] - quarter, mid[split] + quarter])
         child_half = np.tile(quarter, 2)
@@ -188,30 +198,41 @@ def _refine(f, mid, half, owner, n_int, tol, moments):
         y = np.concatenate([y[keep], _node_values(f, child_mid, child_half)])
         mid = np.concatenate([mid[keep], child_mid])
         half = np.concatenate([half[keep], child_half])
-        owner = np.concatenate([owner[keep], np.tile(owner[split], 2)])
     raise QuadratureError(
-        f"refinement limit reached ({_MAX_ROUNDS} rounds) without meeting tol={tol}")
+        f"refinement limit reached ({_MAX_ROUNDS} rounds) without meeting tol={tol} ({miss})")
 
 
-def _plain_moments(mid, half, owner, y, n_int):
-    """K15 integrals of every component of ``y`` per interval, in one row,
-    with the summed and the per-panel largest ``|K15 - G7|`` gaps."""
-    y = y.reshape(y.shape[0], _NODES.shape[0], -1)
-    values = np.einsum("pnc,n->cp", y, _KRONROD_WEIGHTS) * half
-    gaps = np.abs(np.einsum("pnc,n->cp", y, _GAP_WEIGHTS) * half).max(axis=0)
-    totals = np.stack([np.bincount(owner, weights=v, minlength=n_int) for v in values])
-    return totals[None], np.bincount(owner, weights=gaps, minlength=n_int)[None], gaps
+def _panel_sums(half, y, weights):
+    """Every panel's ``weights`` sum of every component of ``y``, shape
+    ``(ncomp, P)``."""
+    return np.einsum("pnc,n->cp", y.reshape(y.shape[0], _NODES.shape[0], -1), weights) * half
+
+
+def _plain_moments(mid, half, y):
+    """K15 integrals of every component of ``y`` over the whole mesh, in one
+    row, with the summed and the per-panel largest ``|K15 - G7|`` gaps.
+    Panels are summed one after the other in mesh order, as
+    :func:`integrate_intervals` sums the panels of each interval."""
+    gaps = np.abs(_panel_sums(half, y, _GAP_WEIGHTS)).max(axis=0)
+    return (np.cumsum(_panel_sums(half, y, _KRONROD_WEIGHTS), axis=1)[None, :, -1],
+            np.cumsum(gaps)[-1:], gaps)
 
 
 def integrate_intervals(f, edges, tol=1e-10):
     """Integrate ``f`` over every consecutive pair of ``edges`` at once.
 
     The mesh is seeded with one panel per interval and refined with the
-    plain K15 moment rule until each interval's summed panel error (the
-    ``|K15 - G7|`` gaps of its panels) falls below ``max(tol * |value|,
-    tol)``.  Returns ``(values, errors)`` with one entry per interval; when
-    ``f`` returns several components per node, ``values`` has one row per
-    interval.
+    plain K15 moment rule until the summed panel error of the whole mesh
+    (the ``|K15 - G7|`` gaps of all its panels) falls below one budget
+    ``max(tol * max over components |sum of values|, tol)`` over
+    ``[edges[0], edges[-1]]``, as in :func:`integrate`.  Each final panel
+    then goes to the interval that holds its midpoint (counted as the
+    interior edges below it, so that a midpoint rounded onto an edge, on a
+    panel a few ulps wide, still goes to an interval next to it), and each
+    interval's value and error are its panels' K15 sums and gaps, added in
+    mesh order.  Returns ``(values, errors)`` with one entry per interval,
+    whose errors add up to the one budget or less; when ``f`` returns
+    several components per node, ``values`` has one row per interval.
 
     Every panel costs 15 integrand evaluations, made ``_CHUNK`` panels per
     call.  A call that needs more than ``_MAX_PANELS`` (32768) panels, at
@@ -220,13 +241,13 @@ def integrate_intervals(f, edges, tol=1e-10):
     """
     edges, tol = _check_edges(edges, tol)
     n_int = edges.shape[0] - 1
-    if n_int > _MAX_PANELS:
-        raise QuadratureError(
-            f"initial subdivision needs {n_int} panels, above the cap {_MAX_PANELS}")
-    totals, err, _, y = _refine(f, 0.5 * (edges[:-1] + edges[1:]), 0.5 * np.diff(edges),
-                                np.arange(n_int), n_int, tol, _plain_moments)
-    values = totals[0].T
-    return (values[:, 0] if y.ndim == 2 else values), err[0]
+    _check_seeded(n_int, edges)
+    _, _, worst, mid, half, y = _refine(f, 0.5 * (edges[:-1] + edges[1:]),
+                                        0.5 * np.diff(edges), tol, _plain_moments)
+    owner = np.searchsorted(edges[1:-1], mid)
+    values = np.stack([np.bincount(owner, v, n_int)
+                       for v in _panel_sums(half, y, _KRONROD_WEIGHTS)], axis=1)
+    return (values[:, 0] if y.ndim == 2 else values), np.bincount(owner, worst, n_int)
 
 
 def integrate(f, lo, hi, tol=1e-10, *, breakpoints=(), max_panel_width=None):
@@ -254,11 +275,9 @@ def integrate(f, lo, hi, tol=1e-10, *, breakpoints=(), max_panel_width=None):
             raise DomainError(f"max_panel_width must be a positive finite number, got {width}")
         half = 0.5 * width
     points, _ = _grid_panels(edges, half)
-    totals, _, _, y = _refine(f, 0.5 * (points[:-1] + points[1:]), 0.5 * np.diff(points),
-                              np.zeros(points.shape[0] - 1, dtype=np.intp), 1, tol,
-                              _plain_moments)
-    total = totals[0, :, 0]
-    return float(total[0]) if y.ndim == 2 else total
+    totals, _, _, _, _, y = _refine(f, 0.5 * (points[:-1] + points[1:]),
+                                    0.5 * np.diff(points), tol, _plain_moments)
+    return float(totals[0, 0]) if y.ndim == 2 else totals[0]
 
 
 def _edges(lo, hi, breakpoints):
@@ -313,10 +332,7 @@ def _grid_panels(edges, half):
     # strictly inside a panel; compared in floating point, so that a huge
     # count cannot wrap in the cast
     n_grid = index[-1] + inside[-1]
-    n_panels = n_grid + inside[1:-1].sum()
-    if not n_panels <= _MAX_PANELS:
-        raise QuadratureError(
-            f"initial subdivision needs {n_panels:.0f} panels, above the cap {_MAX_PANELS}")
+    _check_seeded(n_grid + inside[1:-1].sum(), edges)
     cuts = edges[1:-1][inside[1:-1]]
     points = np.concatenate([lo + width * np.arange(n_grid), cuts, edges[-1:]])
     on_grid = np.concatenate([np.ones(int(n_grid), dtype=bool),
@@ -397,8 +413,7 @@ def _series_moments(n_max, mid, half, y, direct):
 def _harmonic_rule(n_max, lo, size):
     """The moment rule of :func:`integrate_harmonics` on the grid of
     ``size`` panels of half-width ``h = pi / size`` per period, anchored at
-    ``lo``: ``moments(mid, half, owner, y, n_int)`` as :func:`_refine` calls
-    it, for a mesh of one interval.
+    ``lo``: ``moments(mid, half, y)`` as :func:`_refine` calls it.
 
     A grid panel, half-width ``h`` and midpoint ``lo + (2p + 1) h``, has the
     K15 integral ``h exp(ik(lo + h)) sum_j w_j exp(ikh xi_j) y[p, j]
@@ -414,7 +429,7 @@ def _harmonic_rule(n_max, lo, size):
     node_phases = (_KRONROD_WEIGHTS * np.exp(1j * np.outer(k * h, _NODES))).T
     shift = h * np.exp(1j * (k * (lo + h)))
 
-    def moments(mid, half, owner, y, n_int):
+    def moments(mid, half, y):
         grid = half == h
         totals, err, worst = _series_moments(n_max, mid, half, y, ~grid)
         if grid.any():
@@ -432,7 +447,7 @@ def _harmonic_rule(n_max, lo, size):
             total = shift * z.sum(axis=0)
             totals[:, 0] += total.real
             totals[:, 1] += total.imag
-        return totals[:, :, None], err[:, None], worst
+        return totals, err, worst
     return moments
 
 
@@ -486,12 +501,11 @@ def integrate_harmonics(f, lo, hi, n_max, tol=1e-10, *, breakpoints=()):
         points, uncut = _grid_panels(edges, h)
     except QuadratureError as exc:
         raise QuadratureError(f"n_max={n_max}: {exc}") from None
-    totals, err, half, y = _refine(f, 0.5 * (points[:-1] + points[1:]),
-                                   np.where(uncut, h, 0.5 * np.diff(points)),
-                                   np.zeros(uncut.shape[0], dtype=np.intp), 1, tol,
-                                   _harmonic_rule(n_max, edges[0], size))
+    totals, err, _, _, half, y = _refine(f, 0.5 * (points[:-1] + points[1:]),
+                                         np.where(uncut, h, 0.5 * np.diff(points)), tol,
+                                         _harmonic_rule(n_max, edges[0], size))
     abs_integral = (half * (np.abs(y) @ _KRONROD_WEIGHTS)).sum()
     x_max = max(abs(edges[0]), abs(edges[-1]))
     rounding = _EPS * (50.0 + np.arange(n_max + 1) * x_max) * abs_integral
-    cos_int, sin_int = totals[:, :, 0].T
-    return cos_int, sin_int, err[:, 0] + rounding
+    cos_int, sin_int = totals.T
+    return cos_int, sin_int, err + rounding

@@ -102,23 +102,25 @@ class TestCoefficients:
                            match=r"n_max=16384: .* needs 32806 panels, above the cap 32768"):
             tc.coefficients(square, 16384)
 
-    # per seeded interval, the larger of |integral f cos kx| and
-    # |integral f sin kx|, k = 0 .. 500, in closed form
-    @pytest.mark.parametrize("spec, oracle, interval_sizes", [
+    # over the period, the larger of |integral f cos kx| and |integral f
+    # sin kx|, k = 0 .. 500, and the integral of |f|, in closed form
+    @pytest.mark.parametrize("spec, oracle, size, abs_integral", [
         (SQUARE, square_sine_coefficient,
-         lambda k: 2 * [np.where(k == 0, PI, np.abs(1.0 - np.cos(k * PI)) / np.maximum(k, 1))]),
+         lambda k: 2.0 * np.abs(1.0 - np.cos(k * PI)) / np.maximum(k, 1), 2 * PI),
         (SAWTOOTH, sawtooth_sine_coefficient,
-         lambda k: [np.where(k == 0, 0.0, 2 * PI / np.maximum(k, 1))]),
+         lambda k: np.where(k == 0, 0.0, 2 * PI / np.maximum(k, 1)), PI**2),
     ], ids=["square", "sawtooth"])
-    def test_error_estimate_bounds_actual_error(self, spec, oracle, interval_sizes):
+    def test_error_estimate_bounds_actual_error(self, spec, oracle, size, abs_integral):
         tol = 1e-10
         c = tc.coefficients(build(spec), 500, tol)
         assert c.error.shape == (501,)
         assert np.isfinite(c.error).all()
-        # the enforced budget: max(tol * size, tol) per interval, summed,
-        # in coefficient units
+        # the enforced budget: max(tol * size, tol) over the period, plus
+        # the rounding term eps (50 + k max|x|) integral |f|, in
+        # coefficient units
         k = np.arange(501)
-        budget = sum(np.maximum(tol * size, tol) for size in interval_sizes(k))
+        budget = (np.maximum(tol * size(k), tol)
+                  + np.finfo(np.float64).eps * (50.0 + k * PI) * abs_integral)
         assert (c.error <= budget / np.where(k == 0, 2 * PI, PI)).all()
         b = np.array([oracle(k) for k in range(1, 501)])
         assert abs(c.a0) <= c.error[0]
@@ -141,17 +143,16 @@ class TestCoefficients:
 
 def _seeded_mesh(f, n_max):
     """The seeded grid of ``coefficients(f, n_max)`` with every third panel
-    bisected, so that half-widths mix, and its node values, as one interval,
-    and the grid's panel count per period."""
+    bisected, so that half-widths mix, and its node values, and the grid's
+    panel count per period."""
     size = quadrature._fft_length(2 * (n_max + 1))
     mid, half = harmonic_grid(quadrature._edges(-PI, PI, f.breakpoints), size)
     split = np.arange(mid.shape[0]) % 3 == 0
     quarter = 0.5 * half[split]
     mid = np.concatenate([mid[~split], mid[split] - quarter, mid[split] + quarter])
     half = np.concatenate([half[~split], quarter, quarter])
-    owner = np.zeros(mid.shape[0], dtype=int)
     y = f.eval((mid[:, None] + half[:, None] * quadrature._NODES).ravel()).reshape(-1, 15)
-    return mid, half, owner, y, 1, size
+    return mid, half, y, size
 
 
 class TestChirpPath:
@@ -163,8 +164,8 @@ class TestChirpPath:
         f = build({"square": SQUARE, "power-and-table": POWER_AND_TABLE}.get(spec)
                   or many_segment_spec(np.random.default_rng(4), 200))
         n_max = 60
-        mid, half, owner, y, n_int, size = _seeded_mesh(f, n_max)
-        _, err, worst = quadrature._harmonic_rule(n_max, -PI, size)(mid, half, owner, y, n_int)
+        mid, half, y, size = _seeded_mesh(f, n_max)
+        _, err, worst = quadrature._harmonic_rule(n_max, -PI, size)(mid, half, y)
         # the reference: every panel's max(|Re|, |Im|) of the K15 - G7 gap
         # of f(x) exp(ikx), formed node by node
         k = np.arange(n_max + 1)
@@ -172,7 +173,7 @@ class TestChirpPath:
         weighted = half[:, None] * quadrature._GAP_WEIGHTS * y
         gap = np.einsum("kpn,pn->kp", np.exp(1j * k[:, None, None] * nodes), weighted)
         gap = np.maximum(np.abs(gap.real), np.abs(gap.imag))
-        reference = np.stack([np.bincount(owner, weights=row, minlength=n_int) for row in gap])
+        reference = gap.sum(axis=1)
         scale = (half * (np.abs(y) @ quadrature._KRONROD_WEIGHTS)).sum()
         assert (err >= reference - 1e-15 * scale).all()
         assert (worst >= gap.max(axis=0) - 1e-15 * scale).all()

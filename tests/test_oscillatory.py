@@ -213,6 +213,18 @@ class TestTail:
         gaps = np.abs(t.partial_sums - HALF_PI)
         assert (gaps < t.terms[1:]).all()
 
+    def test_largest_order_under_the_panel_cap(self):
+        # 32767 + 1 blocks fill the panel cap with one panel each; every
+        # partial sum is Si(n pi) to within the one budget of the sum
+        special = pytest.importorskip("scipy.special")
+        tol = 1e-10
+        t = tc.tail(32767, tol)
+        si, _ = special.sici(np.arange(1, 32768) * math.pi)
+        assert np.abs(t.partial_sums - si).max() <= 2.0 * tol
+        assert (t.partial_sums[0::2] > HALF_PI).all()
+        assert (t.partial_sums[1::2] < HALF_PI).all()
+        assert (np.abs(t.partial_sums - HALF_PI) < t.terms[1:]).all()
+
     def test_rejects_bad_order(self):
         for bad in (0, -1, 2.5, True):
             with pytest.raises(tc.DomainError):

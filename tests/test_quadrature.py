@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -185,7 +186,36 @@ class TestIntegrate:
             tc.integrate(huge, 0.0, 10.0)
 
 
+def _sqrt_sawtooth(x):
+    """A square-root cusp at the left end of each of the intervals
+    ``[j / 100, (j + 1) / 100]``; its integral over ``[0, 1]`` is 1/15."""
+    return np.sqrt(x - np.floor(100.0 * x) / 100.0)
+
+
 class TestIntegrateIntervals:
+    @pytest.mark.parametrize("tol", [1e-6, 1e-8])
+    def test_one_budget_over_many_intervals(self, tol):
+        # one budget max(tol |sum|, tol) = tol holds the sum of the 100
+        # blocks; one budget per block lets their errors add up past it
+        values, errors = tc.integrate_intervals(_sqrt_sawtooth, np.arange(101) / 100, tol)
+        assert abs(values.sum() - 1.0 / 15.0) <= tol
+        assert errors.sum() <= max(tol * abs(values.sum()), tol)
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(widths=st.lists(st.floats(0.01, 1.0), min_size=1, max_size=30),
+           kink=st.floats(-0.5, 10.0), tol=st.sampled_from([1e-6, 1e-8, 1e-10]))
+    def test_sum_held_to_the_budget_of_one_integral(self, widths, kink, tol):
+        # random intervals and a square-root kink anywhere: the summed
+        # error estimate and the sum itself meet the one budget of
+        # integrate over the whole range, with the edges as breakpoints
+        edges = np.concatenate([[0.0], np.cumsum(widths)])
+        f = lambda x: np.sqrt(np.abs(x - kink))
+        values, errors = tc.integrate_intervals(f, edges, tol)
+        budget = max(tol * abs(values.sum()), tol)
+        assert errors.sum() <= budget
+        whole = tc.integrate(f, edges[0], edges[-1], tol, breakpoints=edges[1:-1])
+        assert abs(values.sum() - whole) <= budget
+
     def test_matches_individual_calls(self):
         edges = np.array([0.0, 0.7, 1.1, 2.5, 4.0])
         f = lambda x: np.exp(-0.5 * x) * np.cos(4 * x)
@@ -204,6 +234,33 @@ class TestIntegrateIntervals:
     def test_rejects_unsorted_edges(self):
         with pytest.raises(tc.DomainError):
             tc.integrate_intervals(np.sin, [0.0, 2.0, 1.0], 1e-9)
+
+
+class TestRefusalMessages:
+    """Refusals name the range, or the estimated error and the budget it
+    missed."""
+
+    def test_initial_subdivision_names_the_range(self, monkeypatch):
+        with pytest.raises(tc.QuadratureError, match=r"needs \d+ panels, above the cap 32768, "
+                                                     r"over \[0\.0, 1\.0\]"):
+            tc.integrate(np.sin, 0.0, 1.0, max_panel_width=1e-25)
+        monkeypatch.setattr(quadrature, "_MAX_PANELS", 2)
+        with pytest.raises(tc.QuadratureError, match=r"initial subdivision needs 3 panels, "
+                                                     r"above the cap 2, over \[0\.0, 3\.0\]"):
+            tc.integrate_intervals(np.sin, [0.0, 1.0, 2.0, 3.0])
+
+    @pytest.mark.parametrize("limit, phrase", [("_MAX_PANELS", "panel budget 32 exhausted"),
+                                               ("_MAX_ROUNDS", "refinement limit reached")])
+    def test_refinement_names_the_missed_budget(self, monkeypatch, limit, phrase):
+        # a jump inside [0, 1] at tol 1e-12: the budget max(tol |I|, tol)
+        # is 1e-12, which the error estimate still misses
+        monkeypatch.setattr(quadrature, limit, 32 if limit == "_MAX_PANELS" else 2)
+        jump = lambda x: np.where(x < 1.0 / 3.0, 0.0, 1.0)
+        with pytest.raises(tc.QuadratureError, match=phrase) as refusal:
+            tc.integrate(jump, 0.0, 1.0, 1e-12)
+        error, budget = re.search(r"estimated error (\S+) against a budget of (\S+?)[) ]",
+                                  str(refusal.value)).groups()
+        assert float(budget) == 1e-12 and float(error) > 1e-12
 
 
 class TestIntegrateHarmonics:
@@ -348,17 +405,16 @@ class TestGridTransform:
         assert grid.sum() >= (hi - lo) / (2.0 * math.pi) * size - 3
         rng = np.random.default_rng(size)
         y = rng.standard_normal((mid.shape[0], 15))
-        got, err, worst = quadrature._harmonic_rule(n_max, lo, size)(
-            mid, half, np.zeros(mid.shape[0], dtype=int), y, 1)
+        got, err, worst = quadrature._harmonic_rule(n_max, lo, size)(mid, half, y)
         want, want_err, want_worst = quadrature._series_moments(
             n_max, mid, half, y, np.ones(mid.shape[0], dtype=bool))
-        assert np.array_equal(err[:, 0], want_err) and np.array_equal(worst, want_worst)
+        assert np.array_equal(err, want_err) and np.array_equal(worst, want_worst)
         # the series path rounds the phase k m of each panel
         k = np.arange(n_max + 1)
         scale = (half * (np.abs(y) @ quadrature._KRONROD_WEIGHTS)).sum()
         bound = 1e-15 * (50 + k * max(abs(lo), abs(hi))) * scale
-        assert got.shape == (n_max + 1, 2, 1)
-        assert (np.abs(got[:, :, 0] - want) <= bound[:, None]).all()
+        assert got.shape == (n_max + 1, 2)
+        assert (np.abs(got - want) <= bound[:, None]).all()
 
     def test_phases_are_exact_at_large_orders(self):
         # grid panels up to 2 pi from the anchor, at harmonics up to 16000:
@@ -372,8 +428,7 @@ class TestGridTransform:
         mid = (2 * p + 1) * h
         rng = np.random.default_rng(5)
         y = rng.standard_normal((p.shape[0], 15))
-        got = quadrature._harmonic_rule(n_max, 0.0, size)(
-            mid, np.full(p.shape[0], h), np.zeros(p.shape[0], dtype=int), y, 1)[0][:, :, 0]
+        got = quadrature._harmonic_rule(n_max, 0.0, size)(mid, np.full(p.shape[0], h), y)[0]
         ks = [1, 997, 9999, 12345, 16000]
         with mpmath.workdps(40):
             step = mpmath.pi / size
