@@ -8,24 +8,27 @@ same panel, used as it is without QUADPACK's ``(200 * err) ** 1.5``
 rescaling, is the panel's error estimate.  G7's nodes are K15's
 odd-indexed nodes, so a panel costs 15 integrand evaluations.
 
-:func:`integrate` and :func:`integrate_harmonics` seed their mesh the same
-way (:func:`_grid_panels`): one grid of equal panels anchored at the lower
-limit, each grid panel that holds a breakpoint cut there, and the last
-clipped at the upper limit; :func:`integrate_intervals` seeds one panel per
-interval.  All three hold one error budget over the whole range, as
-QUADPACK's QAG does, and :func:`integrate_intervals` splits the final
-mesh's sums by interval only after refinement.
+All three seed their mesh one way (:func:`_grid_panels`): one grid of
+equal panels anchored at the lower limit, each grid panel that holds a
+breakpoint cut there, and the last clipped at the upper limit.
+:func:`integrate_intervals`, and :func:`integrate` without a panel width,
+take one grid panel over the whole range, which the inner edges cut into
+one panel per interval.  All three hold one error budget over the whole
+range, as QUADPACK's QAG does, and :func:`integrate_intervals` splits the
+final mesh's per-panel sums by interval only after refinement.
 
 The mesh holds each panel's midpoint, half-width and node values.  A
 moment rule is a pure function of the mesh: it turns node values into
-integrals and error sums over the whole mesh, plain K15 sums for
-:func:`integrate` and :func:`integrate_intervals`, and the integrals of
-``f(x) cos(kx)`` and ``f(x) sin(kx)``, ``k = 0 .. n_max``, for
-:func:`integrate_harmonics`.  Each round takes the moments of the whole
-mesh once; panels that fail their share of the tolerance are bisected,
-and ``f`` is evaluated on the children only, at most ``_CHUNK`` panels per
-call (so integrands must accept 1-D numpy arrays).  A mesh may hold at
-most ``_MAX_PANELS`` panels.
+integrals and error sums over the whole mesh, plain K15 sums (with every
+panel's own sum) for :func:`integrate` and :func:`integrate_intervals`,
+and the integrals of ``f(x) cos(kx)`` and ``f(x) sin(kx)``, ``k = 0 ..
+n_max``, for :func:`integrate_harmonics`.  Each round measures the whole
+mesh once, then accepts it, refuses it or bisects the panels that fail
+their share of the tolerance, and ``f`` is evaluated on the children
+only, at most ``_CHUNK`` panels per call (so integrands must accept 1-D
+numpy arrays); every evaluated mesh is measured, the last split's too.  A
+mesh may hold at most ``_MAX_PANELS`` panels, and a call at most
+``_MAX_ROUNDS`` splits.
 
 The harmonic rule writes ``exp(ikx) = exp(ikm) exp(ikh xi_j)`` at the
 nodes ``m + h xi_j`` of a panel with midpoint ``m`` and half-width ``h``.
@@ -33,8 +36,9 @@ Its integrals come two ways.  The grid of :func:`integrate_harmonics` has
 panels of half-width ``h = pi / M``, so the phases ``exp(2ihkp)`` of grid
 panel ``p`` are ``M``-th roots of unity and one real FFT per node column
 gives every uncut grid panel's integrals for all ``K = n_max + 1``
-harmonics in ``O(M log M)`` work instead of ``O(MK)``.  The pieces of grid
-panels cut at a breakpoint, and refined children, take the direct path: a
+harmonics in ``O(M log M)`` work instead of ``O(MK)``, kept from round
+to round until a split removes grid panels.  The pieces of grid panels
+cut at a breakpoint, and refined children, take the direct path: a
 panel's K15 sum is ``exp(ikm)`` times a power series in ``kh``, so its
 integrals are two real products of fixed per-panel coefficients with the
 powers of ``k``, and only one phase ``exp(ikm)`` per panel and harmonic
@@ -103,17 +107,15 @@ _EPS = np.finfo(np.float64).eps
 _CHUNK = 1 << 11
 
 # The power series of the direct sums and of the gap bounds (see
-# _series_moments) have _SERIES_TERMS terms.  The columns of _SERIES are
-# sign(i^r) w_n xi_n^r / r!, then g_n xi_n^r / r!, r < _SERIES_TERMS.
-# Series are formed _SERIES_CHUNK panels at a time, and summed over
-# harmonics in tiles of about _TILE (panel, harmonic) entries.
+# _series_moments) have _SERIES_TERMS terms and are summed over harmonics in
+# tiles of about _TILE (panel, harmonic) entries.  The columns of _SERIES
+# are sign(i^r) w_n xi_n^r / r!, then g_n xi_n^r / r!, r < _SERIES_TERMS.
 _SERIES_TERMS = 28
 _SERIES = (np.concatenate([weights[:, None] * _NODES[:, None] ** np.arange(_SERIES_TERMS)
                            / np.array([math.factorial(r) for r in range(_SERIES_TERMS)],
                                       dtype=np.float64)
                            for weights in (_KRONROD_WEIGHTS, _GAP_WEIGHTS)], axis=1)
            * np.r_[(-1.0) ** (np.arange(_SERIES_TERMS) // 2), np.ones(_SERIES_TERMS)])
-_SERIES_CHUNK = 1 << 12
 _TILE = 1 << 14
 
 
@@ -143,20 +145,13 @@ def _check_edges(edges, tol):
     edges = np.asarray(edges, dtype=np.float64)
     if edges.ndim != 1 or edges.shape[0] < 2:
         raise DomainError("edges must be a 1-D array with at least two entries")
-    if not np.isfinite(edges).all() or not (np.diff(edges) > 0).all():
-        raise DomainError("edges must be finite and strictly increasing")
+    # increasing edges over a finite span are finite; Python floats overflow silently
+    if not (math.isfinite(float(edges[-1]) - float(edges[0])) and (np.diff(edges) > 0).all()):
+        raise DomainError("edges must be finite and strictly increasing, over a finite span")
     tol = float(tol)
     if not (math.isfinite(tol) and tol > 0):
         raise DomainError("tol must be a positive finite number")
     return edges, tol
-
-
-def _check_seeded(n_panels, edges):
-    """Refuse a seeded mesh of ``n_panels`` panels over ``edges`` above the
-    cap, before any array of its size is built or ``f`` is evaluated."""
-    if not n_panels <= _MAX_PANELS:
-        raise QuadratureError(f"initial subdivision needs {n_panels:.0f} panels, above the cap "
-                              f"{_MAX_PANELS}, over [{edges[0]}, {edges[-1]}]")
 
 
 def _refine(f, mid, half, tol, moments):
@@ -164,28 +159,36 @@ def _refine(f, mid, half, tol, moments):
 
     Panels are given by their midpoints and half-widths.  ``moments(mid,
     half, y)``, a pure function of the mesh and its node values, returns
-    ``(totals, err, worst)``: integrals of shape ``(rows, ncomp)``, summed
-    panel errors ``(rows,)`` and every panel's largest error over the rows.
-    Each round takes the moments of the whole mesh once.  Every row must
-    get its error below one budget ``max(tol * max over components |total|,
-    tol)``; a round bisects the panels whose largest error exceeds the
-    smallest failing budget shared out over all ``P`` panels, ``budget / (2
-    P)``, and evaluates ``f`` on the children only.  A refusal names the
-    row that missed its budget by the largest factor in the last round,
-    with its error and budget.  Returns ``(totals, err, worst, mid, half,
-    y)`` of the final mesh.
+    ``(totals, err, worst, *rest)``: integrals of shape ``(rows, ncomp)``,
+    summed panel errors ``(rows,)``, every panel's largest error over the
+    rows, and whatever else the rule computes per mesh.  Each round
+    measures the mesh once, then accepts it, refuses it or splits it, so
+    every mesh whose nodes ``f`` was evaluated on is measured.  Every row
+    must get its error below one budget ``max(tol * max over components
+    |total|, tol)``; a split bisects the panels whose largest error exceeds
+    the smallest failing budget shared out over all ``P`` panels, ``budget
+    / (2 P)``, and evaluates ``f`` on the children only.  A mesh that fails
+    after ``_MAX_ROUNDS`` splits, or whose split would pass ``_MAX_PANELS``
+    panels, is refused; the refusal names the row that missed its budget by
+    the largest factor, with its error and budget.  Returns the moment
+    rule's whole output on the final mesh, then ``mid, half, y``.
     """
     y = _node_values(f, mid, half)
-    for _ in range(_MAX_ROUNDS):
-        totals, err, worst = moments(mid, half, y)
+    for splits in range(_MAX_ROUNDS + 1):
+        totals, err, worst, *rest = moments(mid, half, y)
         budgets = np.maximum(tol * np.abs(totals).max(axis=1), tol)
         bad = err > budgets
         if not bad.any():
             if not np.isfinite(totals).all():
                 raise QuadratureError("integrand values overflow the integral")
-            return totals, err, worst, mid, half, y
-        row = np.argmax(err / budgets)
+            return (totals, err, worst, *rest, mid, half, y)
+        # an error far above a tiny budget may overflow the ratio to inf
+        with np.errstate(over="ignore"):
+            row = np.argmax(err / budgets)
         miss = f"estimated error {err[row]:.3g} against a budget of {budgets[row]:.3g}"
+        if splits == _MAX_ROUNDS:
+            raise QuadratureError(f"refinement limit reached ({_MAX_ROUNDS} rounds) without "
+                                  f"meeting tol={tol} ({miss})")
         split = worst > budgets[bad].min() / (2.0 * mid.shape[0])
         if mid.shape[0] + split.sum() > _MAX_PANELS:
             raise QuadratureError(
@@ -198,8 +201,6 @@ def _refine(f, mid, half, tol, moments):
         y = np.concatenate([y[keep], _node_values(f, child_mid, child_half)])
         mid = np.concatenate([mid[keep], child_mid])
         half = np.concatenate([half[keep], child_half])
-    raise QuadratureError(
-        f"refinement limit reached ({_MAX_ROUNDS} rounds) without meeting tol={tol} ({miss})")
 
 
 def _panel_sums(half, y, weights):
@@ -210,29 +211,41 @@ def _panel_sums(half, y, weights):
 
 def _plain_moments(mid, half, y):
     """K15 integrals of every component of ``y`` over the whole mesh, in one
-    row, with the summed and the per-panel largest ``|K15 - G7|`` gaps.
-    Panels are summed one after the other in mesh order, as
-    :func:`integrate_intervals` sums the panels of each interval."""
+    row, the summed and the per-panel largest ``|K15 - G7|`` gaps, and the
+    per-panel K15 sums, shape ``(ncomp, P)``.  Panels are summed one after
+    the other in mesh order, as :func:`integrate_intervals` sums the panels
+    of each interval."""
+    sums = _panel_sums(half, y, _KRONROD_WEIGHTS)
     gaps = np.abs(_panel_sums(half, y, _GAP_WEIGHTS)).max(axis=0)
-    return (np.cumsum(_panel_sums(half, y, _KRONROD_WEIGHTS), axis=1)[None, :, -1],
-            np.cumsum(gaps)[-1:], gaps)
+    return np.cumsum(sums, axis=1)[None, :, -1], np.cumsum(gaps)[-1:], gaps, sums
+
+
+def _plain_refine(f, edges, half, tol):
+    """The seeded mesh of :func:`_grid_panels` on ``edges`` with panels of
+    half-width ``half``, refined by :func:`_refine` with the plain K15
+    moment rule; returns what :func:`_refine` returns."""
+    points, _ = _grid_panels(edges, half)
+    return _refine(f, 0.5 * (points[:-1] + points[1:]), 0.5 * np.diff(points), tol, _plain_moments)
 
 
 def integrate_intervals(f, edges, tol=1e-10):
     """Integrate ``f`` over every consecutive pair of ``edges`` at once.
 
-    The mesh is seeded with one panel per interval and refined with the
-    plain K15 moment rule until the summed panel error of the whole mesh
-    (the ``|K15 - G7|`` gaps of all its panels) falls below one budget
-    ``max(tol * max over components |sum of values|, tol)`` over
-    ``[edges[0], edges[-1]]``, as in :func:`integrate`.  Each final panel
-    then goes to the interval that holds its midpoint (counted as the
-    interior edges below it, so that a midpoint rounded onto an edge, on a
-    panel a few ulps wide, still goes to an interval next to it), and each
-    interval's value and error are its panels' K15 sums and gaps, added in
-    mesh order.  Returns ``(values, errors)`` with one entry per interval,
-    whose errors add up to the one budget or less; when ``f`` returns
-    several components per node, ``values`` has one row per interval.
+    The mesh is seeded by :func:`_grid_panels` with one grid panel as wide
+    as the whole range, which the inner edges cut into one panel per
+    interval, and refined with the plain K15 moment rule until the summed
+    panel error of the whole mesh (the ``|K15 - G7|`` gaps of all its
+    panels) falls below one budget ``max(tol * max over components |sum of
+    values|, tol)`` over ``[edges[0], edges[-1]]``, as in
+    :func:`integrate`.  Each final panel then goes to the interval that
+    holds its midpoint (counted as the interior edges below it, so that a
+    midpoint rounded onto an edge, on a panel a few ulps wide, still goes
+    to an interval next to it), and each interval's value and error are the
+    last round's K15 sums and gaps of its panels, added in mesh order.
+    Returns ``(values, errors)`` with one entry per interval, whose errors
+    add up to the one budget or less; when ``f`` returns several
+    components per node, ``values`` has one row per interval.  Edges over a
+    span that overflows raise :class:`DomainError`.
 
     Every panel costs 15 integrand evaluations, made ``_CHUNK`` panels per
     call.  A call that needs more than ``_MAX_PANELS`` (32768) panels, at
@@ -241,12 +254,9 @@ def integrate_intervals(f, edges, tol=1e-10):
     """
     edges, tol = _check_edges(edges, tol)
     n_int = edges.shape[0] - 1
-    _check_seeded(n_int, edges)
-    _, _, worst, mid, half, y = _refine(f, 0.5 * (edges[:-1] + edges[1:]),
-                                        0.5 * np.diff(edges), tol, _plain_moments)
+    _, _, worst, sums, mid, _, y = _plain_refine(f, edges, edges[-1] - edges[0], tol)
     owner = np.searchsorted(edges[1:-1], mid)
-    values = np.stack([np.bincount(owner, v, n_int)
-                       for v in _panel_sums(half, y, _KRONROD_WEIGHTS)], axis=1)
+    values = np.stack([np.bincount(owner, v, n_int) for v in sums], axis=1)
     return (values[:, 0] if y.ndim == 2 else values), np.bincount(owner, worst, n_int)
 
 
@@ -257,14 +267,15 @@ def integrate(f, lo, hi, tol=1e-10, *, breakpoints=(), max_panel_width=None):
     boundaries (known kinks or jumps of ``f``); points outside the open
     interval are ignored.  The mesh is seeded by :func:`_grid_panels` with
     panels ``max_panel_width`` wide, anchored at ``lo`` (one panel per
-    interval between breakpoints when it is ``None``), which is how
-    oscillatory integrands declare their finest relevant scale; a width
-    that is not positive and finite raises :class:`DomainError`.  Each
-    panel's half-width is half the gap between its two edges, so the
-    panels tile ``[lo, hi]`` exactly.  The result's estimated error, the
-    ``|K15 - G7|`` gaps summed over every panel, is below one budget
-    ``max(tol * |integral|, tol)`` over the whole of ``[lo, hi]``.  Panel
-    caps are those of :func:`integrate_intervals`.
+    interval between breakpoints when it is ``None``, as in
+    :func:`integrate_intervals`), which is how oscillatory integrands
+    declare their finest relevant scale; a width that is not positive and
+    finite raises :class:`DomainError`, as does a range whose span ``hi -
+    lo`` overflows.  Each panel's half-width is half the gap between its
+    two edges, so the panels tile ``[lo, hi]`` exactly.  The result's
+    estimated error, the ``|K15 - G7|`` gaps summed over every panel, is
+    below one budget ``max(tol * |integral|, tol)`` over the whole of
+    ``[lo, hi]``.  Panel caps are those of :func:`integrate_intervals`.
     """
     edges, tol = _check_edges(_edges(lo, hi, breakpoints), tol)
     if max_panel_width is None:
@@ -274,9 +285,7 @@ def integrate(f, lo, hi, tol=1e-10, *, breakpoints=(), max_panel_width=None):
         if not (math.isfinite(width) and width > 0):
             raise DomainError(f"max_panel_width must be a positive finite number, got {width}")
         half = 0.5 * width
-    points, _ = _grid_panels(edges, half)
-    totals, _, _, _, _, y = _refine(f, 0.5 * (points[:-1] + points[1:]),
-                                    0.5 * np.diff(points), tol, _plain_moments)
+    totals, *_, y = _plain_refine(f, edges, half, tol)
     return float(totals[0, 0]) if y.ndim == 2 else totals[0]
 
 
@@ -285,9 +294,9 @@ def _edges(lo, hi, breakpoints):
     and points within ``1e-13 * (hi - lo)`` of the previous edge merged."""
     lo = float(lo)
     hi = float(hi)
-    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
-        raise DomainError(f"need finite lo < hi, got [{lo}, {hi}]")
     span = hi - lo
+    if not (math.isfinite(span) and span > 0):
+        raise DomainError(f"need finite lo < hi with a finite span hi - lo, got [{lo}, {hi}]")
     inner = sorted(float(p) for p in breakpoints if lo < p < hi)
     edges = [lo]
     for p in inner:
@@ -301,27 +310,30 @@ def _edges(lo, hi, breakpoints):
 
 
 def _grid_panels(edges, half):
-    """The seeded mesh of :func:`integrate` and :func:`integrate_harmonics`:
-    one grid of panels of half-width ``half`` with edges ``lo + 2 half p``
-    from ``lo = edges[0]`` to ``hi = edges[-1]``, where each grid panel that
-    holds an edge strictly inside is cut there and the last one ends at
-    ``hi``.  A ``hi`` within the merge distance of :func:`_edges`, ``1e-13
-    (hi - lo)``, of a grid edge, above or below, is taken as that edge, so
-    no panel is left as wide as the rounding of ``lo + 2 half p`` and the
-    last panel stays a grid panel.
+    """The seeded mesh of every integrator: one grid of panels of
+    half-width ``half`` with edges ``lo + 2 half p`` from ``lo = edges[0]``
+    to ``hi = edges[-1]``, where each grid panel that holds an edge strictly
+    inside is cut there and the last one ends at ``hi``.  A ``hi`` within
+    the merge distance of :func:`_edges`, ``1e-13 (hi - lo)``, of a grid
+    edge, above or below, is taken as that edge, so no panel is left as
+    wide as the rounding of ``lo + 2 half p`` and the last panel stays a
+    grid panel.  With ``half = hi - lo`` the grid is one panel, which the
+    inner edges cut into one panel per interval.
 
     Returns the panel edges in ascending order and, per panel, whether it
     is an uncut grid panel; :func:`integrate_harmonics` gives those the
     half-width ``half``, by which :func:`_harmonic_rule` tells them apart.
     A mesh of more than ``_MAX_PANELS`` panels raises
-    :class:`QuadratureError` before any array of its size is built.
+    :class:`QuadratureError` before any array of its size is built or any
+    integrand is evaluated.
     """
     lo = edges[0]
-    width = 2.0 * half
     merge = 1e-13 * (edges[-1] - lo)
     # the grid panel of every edge: lo + index * width <= edge < lo + (index + 1) * width;
-    # a huge count, or a width that underflows, must reach the cap check
+    # a huge count, or a width that underflows, must reach the cap check, and
+    # a width that overflows is held to the largest float, still above hi - lo
     with np.errstate(all="ignore"):
+        width = min(2.0 * half, np.finfo(np.float64).max)
         index = np.floor((edges - lo) / width)
         index -= lo + index * width > edges
         index += lo + (index + 1.0) * width <= edges
@@ -332,7 +344,10 @@ def _grid_panels(edges, half):
     # strictly inside a panel; compared in floating point, so that a huge
     # count cannot wrap in the cast
     n_grid = index[-1] + inside[-1]
-    _check_seeded(n_grid + inside[1:-1].sum(), edges)
+    n_panels = n_grid + inside[1:-1].sum()
+    if not n_panels <= _MAX_PANELS:
+        raise QuadratureError(f"initial subdivision needs {n_panels:.0f} panels, above the cap "
+                              f"{_MAX_PANELS}, over [{lo}, {edges[-1]}]")
     cuts = edges[1:-1][inside[1:-1]]
     points = np.concatenate([lo + width * np.arange(n_grid), cuts, edges[-1:]])
     on_grid = np.concatenate([np.ones(int(n_grid), dtype=bool),
@@ -379,35 +394,28 @@ def _series_moments(n_max, mid, half, y, direct):
     t = k * h_ref
     for r in range(1, _SERIES_TERMS):
         np.multiply(powers[r - 1], t, out=powers[r])
+    pick = np.flatnonzero(direct)
+    nu = _SERIES[:, :_SERIES_TERMS].T @ y[pick].T
+    mu = _SERIES[:, _SERIES_TERMS:].T @ y.T
+    np.abs(mu, out=mu)
+    # row r of both is scaled by h (h / h_ref)^r
+    ratio = half / h_ref
+    scale = half.copy()
+    for nu_row, mu_row in zip(nu, mu):
+        nu_row *= scale[pick]
+        mu_row *= scale
+        scale *= ratio
     tile = max(1, _TILE // (n_max + 1))
     totals = np.zeros((n_max + 1, 2))
-    sums = np.zeros(_SERIES_TERMS)
-    worst = np.empty(half.shape[0])
-    for start in range(0, half.shape[0], _SERIES_CHUNK):
-        part = slice(start, start + _SERIES_CHUNK)
-        pick = np.flatnonzero(direct[part])
-        nu = _SERIES[:, :_SERIES_TERMS].T @ y[part][pick].T
-        mu = _SERIES[:, _SERIES_TERMS:].T @ y[part].T
-        np.abs(mu, out=mu)
-        # row r of both is scaled by h (h / h_ref)^r
-        ratio = half[part] / h_ref
-        scale = half[part].copy()
-        for nu_row, mu_row in zip(nu, mu):
-            nu_row *= scale[pick]
-            mu_row *= scale
-            scale *= ratio
-        worst[part] = powers[:, -1] @ mu
-        sums += mu.sum(axis=1)
-        pick += start
-        for j in range(0, pick.shape[0], tile):
-            re = nu[0::2, j:j + tile].T @ powers[0::2]
-            im = nu[1::2, j:j + tile].T @ powers[1::2]
-            phase = np.outer(mid[pick[j:j + tile]], k)
-            c = np.cos(phase)
-            s = np.sin(phase)
-            totals[:, 0] += (c * re - s * im).sum(axis=0)
-            totals[:, 1] += (s * re + c * im).sum(axis=0)
-    return totals, powers.T @ sums, worst
+    for j in range(0, pick.shape[0], tile):
+        re = nu[0::2, j:j + tile].T @ powers[0::2]
+        im = nu[1::2, j:j + tile].T @ powers[1::2]
+        phase = np.outer(mid[pick[j:j + tile]], k)
+        c = np.cos(phase)
+        s = np.sin(phase)
+        totals[:, 0] += (c * re - s * im).sum(axis=0)
+        totals[:, 1] += (s * re + c * im).sum(axis=0)
+    return totals, powers.T @ mu.sum(axis=1), powers[:, -1] @ mu
 
 
 def _harmonic_rule(n_max, lo, size):
@@ -428,25 +436,31 @@ def _harmonic_rule(n_max, lo, size):
     # w_j exp(ikh xi_j), one row per node, and h exp(ik(lo + h))
     node_phases = (_KRONROD_WEIGHTS * np.exp(1j * np.outer(k * h, _NODES))).T
     shift = h * np.exp(1j * (k * (lo + h)))
+    # Refinement only removes grid panels: every cut piece and every child
+    # has a half-width below h.  So the count of grid panels names their set,
+    # and their integrals are transformed again only when it changes.
+    grid_sums = [0, None]
 
     def moments(mid, half, y):
         grid = half == h
         totals, err, worst = _series_moments(n_max, mid, half, y, ~grid)
-        if grid.any():
-            # grid indices, ascending, and node columns folded modulo size:
-            # the panels of one period fill distinct columns
-            p = np.rint((mid[grid] - lo) / (2.0 * h) - 0.5).astype(np.intp)
-            values = y[grid].T
-            folded = np.zeros((_NODES.shape[0], size))
-            for start in range(0, p[-1] + 1, size):
-                run = slice(*np.searchsorted(p, (start, start + size)))
-                folded[:, p[run] - start] += values[:, run]
-            z = np.fft.rfft(folded)[:, :n_max + 1]
-            np.conjugate(z, out=z)
-            z *= node_phases
-            total = shift * z.sum(axis=0)
-            totals[:, 0] += total.real
-            totals[:, 1] += total.imag
+        count = np.count_nonzero(grid)
+        if count:
+            if count != grid_sums[0]:
+                # grid indices, ascending, and node columns folded modulo
+                # size: the panels of one period fill distinct columns
+                p = np.rint((mid[grid] - lo) / (2.0 * h) - 0.5).astype(np.intp)
+                values = y[grid].T
+                folded = np.zeros((_NODES.shape[0], size))
+                for start in range(0, p[-1] + 1, size):
+                    run = slice(*np.searchsorted(p, (start, start + size)))
+                    folded[:, p[run] - start] += values[:, run]
+                z = np.fft.rfft(folded)[:, :n_max + 1]
+                np.conjugate(z, out=z)
+                z *= node_phases
+                grid_sums[:] = count, shift * z.sum(axis=0)
+            totals[:, 0] += grid_sums[1].real
+            totals[:, 1] += grid_sums[1].imag
         return totals, err, worst
     return moments
 

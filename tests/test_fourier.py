@@ -204,6 +204,22 @@ class TestChirpPath:
         assert (np.abs(c.a) <= c.error[1:]).all()
         assert (np.abs(c.b - b) <= c.error[1:]).all()
 
+    @pytest.mark.parametrize("n_max", [125, 300, 600])
+    def test_grid_transformed_once_per_set_of_grid_panels(self, monkeypatch, n_max):
+        # the first round splits the grid panels at the square-root ends;
+        # later rounds split only their children, which leaves the grid's
+        # transform as it was
+        transformed = []
+        rfft = np.fft.rfft
+
+        def counted(x, *args, **kwargs):
+            transformed.append(x.shape)
+            return rfft(x, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "rfft", counted)
+        tc.coefficients(build(POWER_AND_TABLE), n_max)
+        assert len(transformed) == 2
+
     def test_memory_at_order_4000(self, square):
         # the seeded mesh holds 15 * 8100 node values, about 1 MB
         c, peak = traced_peak(lambda: tc.coefficients(square, 4000))

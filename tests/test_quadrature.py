@@ -101,6 +101,29 @@ class TestIntegrate:
         with pytest.raises(tc.DomainError):
             tc.integrate(np.sin, 0.0, np.inf)
 
+    def test_rejects_a_span_that_overflows(self):
+        # hi - lo overflows to inf: the range is refused as it was given,
+        # not as the single edge it would collapse to
+        with pytest.raises(tc.DomainError, match=r"span hi - lo, got \[-1e\+308, 1e\+308\]"):
+            tc.integrate(np.sin, -1e308, 1e308)
+        with pytest.raises(tc.DomainError, match="over a finite span"):
+            tc.integrate_intervals(np.sin, [-1e308, 0.0, 1e308])
+
+    def test_integrates_a_span_above_half_the_largest_float(self):
+        # one panel over the range is wider than the largest float, which
+        # stands in for it
+        one = lambda x: np.ones_like(x)
+        assert tc.integrate(one, 0.0, 1e308) == pytest.approx(1e308, rel=1e-15)
+        values, _ = tc.integrate_intervals(one, [0.0, 1.0, 1e308])
+        assert values == pytest.approx([1.0, 1e308], rel=1e-15)
+
+    def test_error_that_overflows_its_budget_ratio_is_refused(self):
+        # panel errors near 1e298 against a budget near 1e272 overflow
+        # err / budget; the call still ends in a QuadratureError, not in
+        # a RuntimeWarning
+        with pytest.raises(tc.QuadratureError, match="panel budget 32768 exhausted"):
+            tc.integrate(np.sin, -1e300, 1e300)
+
     def test_rejects_bad_tol(self):
         with pytest.raises(tc.DomainError):
             tc.integrate(np.sin, 0.0, 1.0, tol=0.0)
@@ -231,9 +254,55 @@ class TestIntegrateIntervals:
         exact = -np.diff(np.cos(edges))
         assert np.abs(values - exact).max() <= errors.max() + 1e-13
 
+    def test_panel_sums_taken_once_per_round(self, monkeypatch):
+        # two einsums (K15 sums and gaps) per measured mesh, none after the
+        # last: one measured mesh per node evaluation, seed included
+        calls = {"_panel_sums": 0, "_node_values": 0}
+
+        def counted(name):
+            inner = getattr(quadrature, name)
+
+            def call(*args):
+                calls[name] += 1
+                return inner(*args)
+            return call
+
+        for name in calls:
+            monkeypatch.setattr(quadrature, name, counted(name))
+        tc.integrate_intervals(lambda x: np.sqrt(np.abs(x - 1.37)), np.linspace(0.0, 2.0, 21),
+                               1e-11)
+        assert calls["_node_values"] > 1
+        assert calls["_panel_sums"] == 2 * calls["_node_values"]
+
     def test_rejects_unsorted_edges(self):
         with pytest.raises(tc.DomainError):
             tc.integrate_intervals(np.sin, [0.0, 2.0, 1.0], 1e-9)
+
+
+class TestLastSplit:
+    """The mesh made by the last allowed split is measured too."""
+
+    @pytest.mark.parametrize("fn, splits, points", [
+        (lambda x: np.where(x < 1.0 / 3.0, 0.0, 1.0), 36, 1095),
+        (np.sqrt, 19, 615),
+    ], ids=["jump", "sqrt"])
+    def test_meets_tol_on_the_last_split(self, monkeypatch, fn, splits, points):
+        def run():
+            sizes = []
+
+            def recorded(x):
+                sizes.append(x.size)
+                return fn(x)
+
+            return tc.integrate(recorded, 0.0, 1.0, 1e-12), sum(sizes)
+
+        free = run()
+        assert free[1] == points
+        monkeypatch.setattr(quadrature, "_MAX_ROUNDS", splits)
+        assert run() == free
+        monkeypatch.setattr(quadrature, "_MAX_ROUNDS", splits - 1)
+        with pytest.raises(tc.QuadratureError, match=f"limit reached \\({splits - 1} rounds"):
+            run()
 
 
 class TestRefusalMessages:
@@ -302,7 +371,6 @@ class TestIntegrateHarmonics:
                                                   breakpoints=[0.1, 1.0])
         default = run()
         default_tiles = list(tiles)
-        monkeypatch.setattr(quadrature, "_SERIES_CHUNK", 3)
         monkeypatch.setattr(quadrature, "_TILE", 2 * 151)
         tiled = run()
         assert max(default_tiles) > 2
