@@ -2,15 +2,20 @@
 
 Each subcommand runs one operation pipeline and emits a single record —
 JSON by default, CSV on request — with the command name, an echo of the
-inputs, column labels, and data rows.  Each handler builds its table as one
-mapping from column label to column; every value is written as one scalar
-rule (``_scalar``) writes it, floats with 17 significant digits, so JSON
-output round-trips bit-exactly and repeated invocations are byte-identical.
+inputs, column labels, and data rows.  Each handler returns the record's
+fields after the command name and format (``inputs`` first) and its table
+as one mapping from column label to column; ``main`` puts the command name
+and format in front.  Every value is written as one scalar rule
+(``_scalar``) writes it, floats with 17 significant digits, so JSON output
+round-trips bit-exactly and repeated invocations are byte-identical.
 Two columns that are one float array shifted by a row (``tail``'s terms,
 ``blocks``' edges) share one formatting pass (``_shifted_text``).
 
 Exit status: 0 on success, 1 on any computational error (the error class
-name goes to standard error), 2 on usage errors.
+name goes to standard error), 2 on usage errors.  Every usage error comes
+from argparse, which prints the usage and the message to standard error and
+raises ``SystemExit(2)``; a comma list given to a single-valued flag, such
+as ``coeffs --n 3,5``, is one.
 """
 
 from __future__ import annotations
@@ -33,10 +38,6 @@ _PI_LITERALS = {"pi": math.pi, "-pi": -math.pi, "pi/2": math.pi / 2,
                 "-pi/2": -math.pi / 2}
 
 
-class _UsageError(Exception):
-    """A structurally valid parse with semantically unusable flags."""
-
-
 class _Text(list):
     """A table column whose cells are already ``_scalar`` text of floats,
     written as they are (floats' text needs no quoting in JSON or CSV)."""
@@ -51,26 +52,15 @@ def _float_arg(text):
         raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
 
 
-def _int_list_arg(text):
-    try:
-        return [int(part) for part in text.split(",")]
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected an integer or comma list of integers: {text!r}") from None
-
-
-def _float_list_arg(text):
-    try:
-        return [_float_arg(part) for part in text.split(",")]
-    except argparse.ArgumentTypeError:
-        raise argparse.ArgumentTypeError(
-            f"expected a number or comma list of numbers: {text!r}") from None
-
-
-def _single(values, flag):
-    if len(values) != 1:
-        raise _UsageError(f"{flag} takes a single value here, got {len(values)}")
-    return values[0]
+def _comma_list(parse, expected):
+    """An argparse type: a comma list of values, each read by ``parse``;
+    a bad value is refused with the ``expected`` text."""
+    def comma_list(text):
+        try:
+            return [parse(part) for part in text.split(",")]
+        except (ValueError, argparse.ArgumentTypeError):
+            raise argparse.ArgumentTypeError(f"expected {expected}: {text!r}") from None
+    return comma_list
 
 
 def _scalar(value, fmt):
@@ -124,16 +114,18 @@ def _csv_field(text, alone):
 def _render(head, table):
     """The record's text: ``head``'s fields, then one row per table row.
 
-    Each column gets one %-format, chosen once: ``%s`` for a :class:`_Text`
-    column, whose cells are already float text and are written as they are
-    (unquoted in CSV, as the csv module writes a float's text), ``%.17g``
-    for a column of floats, ``%d`` for a column of ints (bools excluded),
-    and ``%s`` of the :func:`_scalar` text of each cell for any other column
-    (CSV-quoted by the csv module).  Each row is then one substitution into
-    one template, so the bytes are those of :func:`_scalar` on every cell,
-    since ``'%.17g' % v`` and ``format(v, '.17g')`` agree on every float,
-    without a Python call per cell.  Rows are formatted one at a time, so
-    the cells of the other columns are never all held as strings at once.
+    A column is a sequence of cells; a numpy array is read through
+    ``tolist``.  Each column gets one %-format, chosen once: ``%s`` for a
+    :class:`_Text` column, whose cells are already float text and are
+    written as they are (unquoted in CSV, as the csv module writes a
+    float's text), ``%.17g`` for a column of floats, ``%d`` for a column of
+    ints (bools excluded), and ``%s`` of the :func:`_scalar` text of each
+    cell for any other column (CSV-quoted by the csv module).  Each row is
+    then one substitution into one template, so the bytes are those of
+    :func:`_scalar` on every cell, since ``'%.17g' % v`` and ``format(v,
+    '.17g')`` agree on every float, without a Python call per cell.  Rows
+    are formatted one at a time, so the cells of the other columns are
+    never all held as strings at once.
     """
     fmt = head["format"]
     specs, columns = [], []
@@ -142,6 +134,8 @@ def _render(head, table):
             specs.append("%s")
             columns.append(column)
             continue
+        if isinstance(column, np.ndarray):
+            column = column.tolist()
         kinds = set(map(type, column))
         if kinds <= {float}:
             specs.append("%.17g")
@@ -165,34 +159,24 @@ def _render(head, table):
     return "{" + fields + f', "rows": [{body}]}}\n'
 
 
-def _record(command, args, inputs, table, **extras):
-    """The record's leading fields, and ``table`` with each column a list
-    (a ``_Text`` column kept as it is)."""
-    head = {"command": command, "format": args.format, "inputs": inputs, **extras}
-    return head, {label: c.tolist() if isinstance(c, np.ndarray)
-                  else c if isinstance(c, _Text) else list(c)
-                  for label, c in table.items()}
-
-
 def _cmd_validate(args):
     f = load_spec(args.function)
     segments = f.segments
-    return _record(
-        "validate", args, {"function": args.function},
+    return (
+        {"inputs": {"function": args.function}, "valid": True,
+         "segments": len(segments), "jumps": [jp.x for jp in f.jumps]},
         {"segment": range(len(segments)),
          "lo": [s.lo for s in segments],
          "hi": [s.hi for s in segments],
          "lo_value": [s.lo_value for s in segments],
-         "hi_value": [s.hi_value for s in segments]},
-        valid=True, segments=len(segments), jumps=[jp.x for jp in f.jumps])
+         "hi_value": [s.hi_value for s in segments]})
 
 
 def _cmd_coeffs(args):
-    n_max = _single(args.n, "--n")
-    c = fourier.coefficients(load_spec(args.function), n_max, args.tol)
-    return _record(
-        "coeffs", args, {"function": args.function, "n": n_max, "tol": args.tol},
-        {"k": range(n_max + 1),
+    c = fourier.coefficients(load_spec(args.function), args.n, args.tol)
+    return (
+        {"inputs": {"function": args.function, "n": args.n, "tol": args.tol}},
+        {"k": range(args.n + 1),
          "a_k": np.concatenate(([c.a0], c.a)),
          "b_k": np.concatenate(([0.0], c.b))})
 
@@ -206,9 +190,9 @@ def _cmd_partialsum(args):
     by_coeff = np.array([fourier.partial_sum(c, args.x, n) for n in orders])
     by_kernel = np.array([fourier.partial_sum_kernel(f, args.x, n, args.tol)
                           for n in orders])
-    return _record(
-        "partialsum", args,
-        {"function": args.function, "x": args.x, "n": orders, "tol": args.tol},
+    return (
+        {"inputs": {"function": args.function, "x": args.x, "n": orders,
+                    "tol": args.tol}},
         {"n": orders,
          "x": [args.x] * len(orders),
          "coefficient_path": by_coeff,
@@ -219,21 +203,21 @@ def _cmd_partialsum(args):
 def _cmd_converge(args):
     report = fourier.convergence_report(load_spec(args.function), args.x, args.n,
                                         args.tol)
-    return _record(
-        "converge", args,
-        {"function": args.function, "x": args.x, "n": args.n, "tol": args.tol},
+    return (
+        {"inputs": {"function": args.function, "x": args.x, "n": args.n,
+                    "tol": args.tol},
+         **report.extras},
         {"n": report.schedule,
          "value": report.values,
          "predicted": [report.predicted] * len(report.schedule),
-         "abs_error": report.errors},
-        **report.extras)
+         "abs_error": report.errors})
 
 
 def _cmd_kernel(args):
     direct = np.array([kernel.cosine_sum(n, args.x) for n in args.n])
     closed = np.array([kernel.dirichlet_kernel(n, args.x) for n in args.n])
-    return _record(
-        "kernel", args, {"n": args.n, "x": args.x, "tol": args.tol},
+    return (
+        {"inputs": {"n": args.n, "x": args.x, "tol": args.tol}},
         {"n": args.n,
          "t": [args.x] * len(args.n),
          "cosine_sum": direct,
@@ -243,28 +227,26 @@ def _cmd_kernel(args):
 
 
 def _cmd_blocks(args):
-    i = _single(args.i, "--i")
-    d = oscillatory.decompose(load_spec(args.function), i, args.h, args.tol)
+    d = oscillatory.decompose(load_spec(args.function), args.i, args.h, args.tol)
     lo, hi = _shifted_text(d.boundaries)
-    return _record(
-        "blocks", args,
-        {"function": args.function, "i": i, "h": args.h, "tol": args.tol},
+    return (
+        {"inputs": {"function": args.function, "i": args.i, "h": args.h,
+                    "tol": args.tol},
+         "full_blocks": d.full_blocks},
         {"block": range(1, len(d.block_values) + 1),
          "lo": lo,
          "hi": hi,
          "value": d.block_values,
          "weight_magnitude": d.weight_magnitudes,
-         "mean_factor": d.block_means},
-        full_blocks=d.full_blocks)
+         "mean_factor": d.block_means})
 
 
 def _cmd_tail(args):
-    n_max = _single(args.n, "--n")
-    t = oscillatory.tail(n_max, args.tol)
+    t = oscillatory.tail(args.n, args.tol)
     term, next_term = _shifted_text(t.terms)
-    return _record(
-        "tail", args, {"n": n_max, "tol": args.tol},
-        {"n": range(1, n_max + 1),
+    return (
+        {"inputs": {"n": args.n, "tol": args.tol}},
+        {"n": range(1, args.n + 1),
          "term": term,
          "partial_sum": t.partial_sums,
          "abs_gap": np.abs(t.partial_sums - math.pi / 2),
@@ -274,10 +256,9 @@ def _cmd_tail(args):
 def _cmd_limit(args):
     report = oscillatory.limit_verify(load_spec(args.function), args.g, args.h, args.i,
                                       args.tol)
-    return _record(
-        "limit", args,
-        {"function": args.function, "g": args.g, "h": args.h, "i": args.i,
-         "tol": args.tol},
+    return (
+        {"inputs": {"function": args.function, "g": args.g, "h": args.h, "i": args.i,
+                    "tol": args.tol}},
         {"i": report.schedule,
          "value": report.values,
          "predicted": [report.predicted] * len(report.schedule),
@@ -286,22 +267,15 @@ def _cmd_limit(args):
 
 def _cmd_cauchy(args):
     # summarize_all validates the term count and the bound before any array
-    n_terms = _single(args.n, "--n")
-    bound = args.x if args.x is not None else -3.0
-    s = counterexample.summarize_all(n_terms, bound)
-    return _record(
-        "cauchy", args, {"n": s[0].n_terms, "bound": s[0].bound},
+    s = counterexample.summarize_all(args.n, args.x)
+    return (
+        {"inputs": {"n": s[0].n_terms, "bound": s[0].bound}},
         {"kind": [r.kind for r in s],
          "terms": [r.n_terms for r in s],
          "last_sum": [r.last_sum for r in s],
          "min_sum": [r.min_sum for r in s],
          "max_sum": [r.max_sum for r in s],
          "band_escape": [r.band_escape for r in s]})
-
-
-def _add_output_flags(sub):
-    sub.add_argument("--format", choices=("json", "csv"), default="json")
-    sub.add_argument("--out", default=None, help="write to a file instead of stdout")
 
 
 # built once per process: parse_args leaves the parser as it was
@@ -311,21 +285,24 @@ def _build_parser():
         prog="trigconv",
         description="Tables for trigonometric-series convergence experiments.")
     subs = parser.add_subparsers(dest="command", required=True)
+    ints = _comma_list(int, "an integer or comma list of integers")
+    floats = _comma_list(_float_arg, "a number or comma list of numbers")
 
     def add(name, handler, help_text, *, function=False, x=None, n=None,
             i=None, g=False, h=False, tol=None):
+        # x is (default, help), required when the default is None; n and i
+        # are (type, help), a comma list type where the flag takes a list
         sub = subs.add_parser(name, help=help_text)
         if function:
             sub.add_argument("--function", required=True,
                              help="path to a function-spec JSON file")
         if x is not None:
-            required, help_x = x
-            sub.add_argument("--x", type=_float_arg, required=required,
-                             default=None, help=help_x)
-        if n is not None:
-            sub.add_argument("--n", type=_int_list_arg, required=True, help=n)
-        if i is not None:
-            sub.add_argument("--i", type=_float_list_arg, required=True, help=i)
+            default, help_x = x
+            sub.add_argument("--x", type=_float_arg, required=default is None,
+                             default=default, help=help_x)
+        for flag, spec in (("--n", n), ("--i", i)):
+            if spec is not None:
+                sub.add_argument(flag, type=spec[0], required=True, help=spec[1])
         if g:
             sub.add_argument("--g", type=_float_arg, default=0.0,
                              help="lower endpoint (default 0)")
@@ -335,46 +312,43 @@ def _build_parser():
         if tol is not None:
             sub.add_argument("--tol", type=float, default=tol,
                              help=f"quadrature tolerance (default {tol:g})")
-        _add_output_flags(sub)
+        sub.add_argument("--format", choices=("json", "csv"), default="json")
+        sub.add_argument("--out", default=None, help="write to a file instead of stdout")
         sub.set_defaults(handler=handler)
-        return sub
 
     add("validate", _cmd_validate, "parse and validate a function spec",
         function=True)
     add("coeffs", _cmd_coeffs, "tabulate series coefficients",
-        function=True, n="highest harmonic", tol=1e-10)
+        function=True, n=(int, "highest harmonic"), tol=1e-10)
     add("partialsum", _cmd_partialsum, "partial sums by both pipelines",
-        function=True, x=(True, "evaluation abscissa"),
-        n="order or comma list of orders", tol=1e-9)
+        function=True, x=(None, "evaluation abscissa"),
+        n=(ints, "order or comma list of orders"), tol=1e-9)
     add("converge", _cmd_converge, "partial sums along an order schedule",
-        function=True, x=(True, "evaluation abscissa"),
-        n="strictly increasing order schedule", tol=1e-10)
+        function=True, x=(None, "evaluation abscissa"),
+        n=(ints, "strictly increasing order schedule"), tol=1e-10)
     add("kernel", _cmd_kernel, "summation kernel both ways plus its mean",
-        x=(True, "kernel argument t"), n="order or comma list", tol=1e-10)
+        x=(None, "kernel argument t"), n=(ints, "order or comma list"), tol=1e-10)
     add("blocks", _cmd_blocks, "sign-block decomposition of the sine integral",
-        function=True, i="oscillation frequency", h=True, tol=1e-8)
+        function=True, i=(_float_arg, "oscillation frequency"), h=True, tol=1e-8)
     add("tail", _cmd_tail, "alternating tail of the sine integral",
-        n="number of partial sums", tol=1e-10)
+        n=(int, "number of partial sums"), tol=1e-10)
     add("limit", _cmd_limit, "high-frequency limit along a schedule",
-        function=True, i="strictly increasing frequency schedule",
+        function=True, i=(floats, "strictly increasing frequency schedule"),
         g=True, h=True, tol=1e-8)
     add("cauchy", _cmd_cauchy, "convergent vs divergent probe series",
-        x=(False, "band bound for the escape index (default -3)"),
-        n="term budget")
+        x=(-3.0, "band bound for the escape index (default -3)"),
+        n=(int, "term budget"))
     return parser
 
 
 def main(argv=None):
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        text = _render(*args.handler(args))
+        fields, table = args.handler(args)
+        text = _render({"command": args.command, "format": args.format, **fields}, table)
         if args.out:
             with open(args.out, "w", encoding="utf-8", newline="") as fh:
                 fh.write(text)
-    except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
     except (TrigconvError, OSError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

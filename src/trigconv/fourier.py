@@ -112,9 +112,10 @@ def partial_sum_kernel(f, x, n, tol=1e-9):
     f = _check_function(f)
     n = check_integer(n, "n", 0, _MAX_ORDER)
     x = _wrap_abscissa(x)
-    breaks = sorted(set(f.breakpoints) | ({x} if -PI < x < PI else set()))
+    # integrate sorts the breakpoints, drops those outside (-pi, pi), x at
+    # +/-pi among them, and merges duplicates
     value = integrate(lambda alpha: f.eval(alpha) * dirichlet_kernel(n, alpha - x),
-                      -PI, PI, tol, breakpoints=breaks,
+                      -PI, PI, tol, breakpoints=(*f.breakpoints, x),
                       max_panel_width=PI / (n + 1))
     return value / PI
 
@@ -131,13 +132,15 @@ def _beta_seeds(points, x, side):
 
 
 def beta_split_points(f, x, side):
-    """Panel seeds for the half-range integrals of :func:`split_integrals`.
+    """The interior jumps and extrema of ``f`` in the ``beta`` variable of
+    one side of :func:`split_integrals`, plus ``pi/2``.
 
     Maps every interior jump or extremum of ``f`` into the ``beta``
     variable of the requested side (``alpha = x - 2 beta`` below ``x``,
     ``alpha = x + 2 beta`` above), keeps those strictly inside the range,
     and adds ``pi/2`` when the range extends past it (where the weight's
-    denominator ``sin(beta)`` peaks).
+    denominator ``sin(beta)`` peaks).  :func:`split_integrals` seeds its
+    panels at these and at every other mapped breakpoint of ``f``.
     """
     f = _check_function(f)
     if side not in ("lower", "upper"):
@@ -199,8 +202,8 @@ def convergence_report(f, x, schedule, tol=1e-10):
         "order schedule")
     coeff = coefficients(f, orders[-1], tol)
     values = np.array([partial_sum(coeff, x, n) for n in orders])
-    predicted = predicted_limit(f, x)
     left, right = f.one_sided_limits(x)
+    predicted = 0.5 * (left + right)
     errors = np.abs(values - predicted)
     extras = {"jump_midpoint": predicted,
               "jump_half_difference": 0.5 * (right - left)}

@@ -121,10 +121,12 @@ def dirichlet_kernel(n, t):
 
     The argument is reduced modulo ``2 pi`` first, so the evaluation is
     periodic by construction; at the removable singularity the value is
-    ``n + 1/2``.
+    ``n + 1/2``.  A non-finite ``t`` is refused.
     """
     n = check_integer(n, "order", 0, _MAX_ORDER)
     arr = np.asarray(t, dtype=np.float64)
+    if not np.isfinite(arr).all():
+        raise DomainError(f"t must be finite, got {float(arr[~np.isfinite(arr)][0])!r}")
     # half of t - 2 pi round(t / (2 pi)), formed in one buffer
     half = np.divide(arr, _TWO_PI, out=np.empty(arr.shape))
     np.round(half, out=half)

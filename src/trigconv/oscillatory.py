@@ -113,8 +113,14 @@ def _require_monotone(f, lo, hi):
 
 def sine_ratio(i, beta):
     """The oscillating weight ``sin(i b)/sin(b)`` with its ``b = 0``
-    singularity removed (value ``i`` there)."""
-    return _sin_ratio(_check_frequency(i), beta)
+    singularity removed (value ``i`` there).  A non-finite ``beta`` is
+    refused."""
+    i = _check_frequency(i)
+    beta = np.asarray(beta, dtype=np.float64)
+    if not np.isfinite(beta).all():
+        raise DomainError(
+            f"beta must be finite, got {float(beta[~np.isfinite(beta)][0])!r}")
+    return _sin_ratio(i, beta)
 
 
 def _block_boundaries(i, h):

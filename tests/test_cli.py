@@ -628,11 +628,22 @@ class TestExitCodes:
         assert err.startswith("DomainError:")
         assert "Traceback" not in err
 
-    def test_comma_list_where_single_expected(self, capsys, sawtooth_file):
-        code, _, err = run_cli(capsys, "coeffs", "--function", sawtooth_file,
-                               "--n", "3,5")
-        assert code == 2
-        assert "usage error" in err
+    @pytest.mark.parametrize("argv", [
+        ["coeffs", "--n", "3,5"],
+        ["tail", "--n", "3,4"],
+        ["cauchy", "--n", "3,4"],
+        ["blocks", "--i", "10,20"],
+    ], ids=["coeffs", "tail", "cauchy", "blocks"])
+    def test_comma_list_where_single_expected(self, capsys, sawtooth_file, argv):
+        if argv[0] in ("coeffs", "blocks"):
+            argv = [argv[0], "--function", sawtooth_file, *argv[1:]]
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        out, err = capsys.readouterr()
+        assert info.value.code == 2
+        assert out == ""
+        assert f"argument {argv[-2]}: " in err
+        assert repr(argv[-1]) in err
 
     def test_argparse_rejects_unknown_subcommand(self, capsys):
         with pytest.raises(SystemExit) as info:

@@ -31,8 +31,11 @@ class TestCosineSum:
 
     @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite_argument(self, t):
-        with pytest.raises(tc.DomainError, match=r"^t must be finite"):
-            tc.cosine_sum(5, t)
+        # the closed form refuses the same t, alone or among finite points
+        for kernel, arg in ((tc.cosine_sum, t), (tc.dirichlet_kernel, t),
+                            (tc.dirichlet_kernel, np.array([0.3, t, 1.0]))):
+            with pytest.raises(tc.DomainError, match=rf"^t must be finite, got {t!r}$"):
+                kernel(5, arg)
 
 
 class TestClosedFormKernel:

@@ -35,6 +35,9 @@ class TestSineRatio:
             tc.sine_ratio(-2, 0.3)
         with pytest.raises(tc.DomainError):
             tc.sine_ratio(math.inf, 0.3)
+        for beta in (math.inf, -math.inf, math.nan, np.array([0.1, math.nan, 0.2])):
+            with pytest.raises(tc.DomainError, match=r"^beta must be finite"):
+                tc.sine_ratio(3, beta)
 
 
 class TestDecompose:

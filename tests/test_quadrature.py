@@ -347,7 +347,7 @@ class TestIntegrateHarmonics:
     def test_tiling_does_not_change_results(self, monkeypatch):
         # a square root refines towards 0 inside [0, 0.1], an interval of 5
         # seeded panels, so the direct sums serve both a short interval and
-        # the refined children; small chunks and tiles split both into
+        # the refined children; a _TILE of 2 x 151 phases splits both into
         # tiles of at most 2 panels
         tiles = []
 
