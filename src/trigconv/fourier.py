@@ -69,23 +69,27 @@ def coefficients(f, n_max, tol=1e-10):
     Every harmonic ``k = 0 .. n_max`` comes from one adaptive pass of
     :func:`~trigconv.quadrature.integrate_harmonics`: a single mesh seeded
     with one grid of ``M >= 2 (n_max + 1)`` panels over the period, cut at
-    the function's breakpoints, on which ``f`` is evaluated once per node.
+    the function's breakpoints and graded toward its infinite slopes
+    (``f.singular_points``), on which ``f`` is evaluated once per node.
     Each harmonic is held to one budget over the whole period: the gap
     bounds of all panels, summed, stay below ``max(tol * max(|integral of f
     cos kx|, |integral of f sin kx|), tol)``, so ``error[k]`` is at most
     that budget over ``pi`` (``2 pi`` for ``k = 0``) plus its rounding
     term.  At ``tol = 1e-10`` that budget refines no panel of the square
     wave, nor of a 200-segment random spec, at ``n_max`` = 125, 600, 4000
-    and 16 000 (8100 and 8363 panels of 15 points at ``n_max = 4000``), and
-    takes 3 to 9 rounds, 7 to 20 panels more than the seeded grid, on a
-    spec with square-root ends.  An ``n_max`` above the largest order
+    and 16 000 (8100 and 8363 panels of 15 points at ``n_max = 4000``), nor
+    of a spec with two square-root ends, whose grading adds 30 panels to
+    the grid (``POWER_AND_TABLE`` of the tests, at ``n_max`` = 125, 300,
+    600, 4000 and 16 000; without grading it took 10, 9, 8, 6 and 4
+    rounds).  An ``n_max`` above the largest order
     ``10**6``, or whose seeded mesh exceeds the panel cap, is refused
     before ``f`` is evaluated.
     """
     f = _check_function(f)
     n_max = check_integer(n_max, "n_max", 1, _MAX_ORDER)
     cos_int, sin_int, errors = integrate_harmonics(f.eval, -PI, PI, n_max, tol,
-                                                   breakpoints=f.breakpoints)
+                                                   breakpoints=f.breakpoints,
+                                                   graded=f.singular_points)
     error = errors / PI
     error[0] /= 2.0
     return FourierCoefficients(a0=float(cos_int[0] / (2.0 * PI)), a=cos_int[1:] / PI,
@@ -116,16 +120,21 @@ def partial_sum_kernel(f, x, n, tol=1e-9):
     # +/-pi among them, and merges duplicates
     value = integrate(lambda alpha: f.eval(alpha) * dirichlet_kernel(n, alpha - x),
                       -PI, PI, tol, breakpoints=(*f.breakpoints, x),
-                      max_panel_width=PI / (n + 1))
+                      graded=f.singular_points, max_panel_width=PI / (n + 1))
     return value / PI
+
+
+def _to_beta(points, x, side):
+    """``points`` mapped into the ``beta`` variable of ``side`` of
+    :func:`split_integrals`, in range or not."""
+    return [(x - p) / 2.0 if side == "lower" else (p - x) / 2.0 for p in points]
 
 
 def _beta_seeds(points, x, side):
     """The half-range length of ``side`` and the seeds of
     :func:`beta_split_points` from ``points``, unsorted, ``pi/2`` last."""
     length = (PI + x) / 2.0 if side == "lower" else (PI - x) / 2.0
-    mapped = ((x - p) / 2.0 if side == "lower" else (p - x) / 2.0 for p in points)
-    seeds = [b for b in mapped if 0.0 < b < length]
+    seeds = [b for b in _to_beta(points, x, side) if 0.0 < b < length]
     if length > PI / 2.0:
         seeds.append(PI / 2.0)
     return length, seeds
@@ -164,7 +173,8 @@ def split_integrals(f, x, n, tol=1e-9):
     def one_side(side):
         # seed panels at every mapped non-smooth point of f, which holds
         # every jump and extremum that beta_split_points reports, and at
-        # the peak pi/2 of the weight's denominator
+        # the peak pi/2 of the weight's denominator, and grade them toward
+        # every mapped infinite slope (integrate ignores those out of range)
         length, seeds = _beta_seeds(f.breakpoints, x, side)
         if length <= 0.0:
             return 0.0
@@ -175,6 +185,7 @@ def split_integrals(f, x, n, tol=1e-9):
             return 2.0 * f.eval(alpha) * dirichlet_kernel(n, 2.0 * beta)
 
         return integrate(integrand, 0.0, length, tol, breakpoints=seeds,
+                         graded=_to_beta(f.singular_points, x, side),
                          max_panel_width=PI / (2 * n + 1))
 
     return one_side("lower"), one_side("upper")

@@ -102,6 +102,12 @@ def _vectorized(f, lo, hi):
     return lambda x: np.asarray(f(x), dtype=np.float64)
 
 
+def _graded(f):
+    """The infinite slopes of ``f`` that quadrature grades toward: those of
+    a :class:`PiecewiseFunction`, none for a callable."""
+    return f.singular_points if isinstance(f, PiecewiseFunction) else ()
+
+
 def _require_monotone(f, lo, hi):
     if isinstance(f, PiecewiseFunction):
         inside = [p for p in f.extrema_and_jumps() if lo < p < hi]
@@ -114,13 +120,14 @@ def _require_monotone(f, lo, hi):
 def sine_ratio(i, beta):
     """The oscillating weight ``sin(i b)/sin(b)`` with its ``b = 0``
     singularity removed (value ``i`` there).  A non-finite ``beta`` is
-    refused."""
+    refused.  A scalar ``beta`` gives a float, an array an array."""
     i = _check_frequency(i)
     beta = np.asarray(beta, dtype=np.float64)
     if not np.isfinite(beta).all():
         raise DomainError(
             f"beta must be finite, got {float(beta[~np.isfinite(beta)][0])!r}")
-    return _sin_ratio(i, beta)
+    out = _sin_ratio(i, beta)
+    return float(out) if beta.ndim == 0 else out
 
 
 def _block_boundaries(i, h):
@@ -153,7 +160,7 @@ def decompose(f, i, h, tol=1e-8):
         ratio = _sin_ratio(i, b)
         return np.stack([ratio * fn(b), ratio], axis=1)
 
-    pair, _ = integrate_intervals(weighted_and_weight, edges, tol)
+    pair, _ = integrate_intervals(weighted_and_weight, edges, tol, graded=_graded(f))
     values = pair[:, 0]
     magnitudes = np.abs(pair[:, 1])
     return SignBlockDecomposition(
@@ -210,7 +217,7 @@ def limit_verify(f, g, h, i_schedule, tol=1e-8):
     fn = _vectorized(f, g, h)
     predicted = 0.5 * math.pi * float(fn(np.zeros(1))[0]) if g == 0.0 else 0.0
     values = np.array([integrate(lambda b, i=i: _sin_ratio(i, b) * fn(b), g, h, tol,
-                                 max_panel_width=math.pi / i)
+                                 graded=_graded(f), max_panel_width=math.pi / i)
                        for i in schedule])
     errors = np.abs(values - predicted)
     return ConvergenceReport(x=g, schedule=schedule, values=values,

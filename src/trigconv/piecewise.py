@@ -260,6 +260,15 @@ class PiecewiseFunction:
                 points.update(float(x) for x in seg.params["xs"][1:-1])
         return sorted(p for p in points if -PI < p < PI)
 
+    @property
+    def singular_points(self):
+        """Abscissae where f has an infinite slope (quadrature grading
+        seeds): the origin ``x0 == lo`` of every non-constant ``power``
+        segment with ``0 < p < 1``, ascending."""
+        return sorted({float(s.lo) for s in self.segments
+                       if s.kind == "power" and s.params["p"] < 1.0
+                       and s.params["x0"] == s.lo and s.params["a"] != 0.0})
+
     def abs_bound(self):
         """A sup bound for |f|; by monotonicity the extremes sit at segment ends."""
         return max(max(abs(s.lo_value), abs(s.hi_value)) for s in self.segments)

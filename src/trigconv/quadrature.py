@@ -10,7 +10,14 @@ odd-indexed nodes, so a panel costs 15 integrand evaluations.
 
 All three seed their mesh one way (:func:`_grid_panels`): one grid of
 equal panels anchored at the lower limit, each grid panel that holds a
-breakpoint cut there, and the last clipped at the upper limit.
+breakpoint cut there, and the last clipped at the upper limit.  Next to
+each point the caller names as ``graded`` (an infinite slope of the
+integrand, such as the origin of ``sqrt(x - g)``), the mesh is cut
+geometrically toward the point, at ``g -/+ _GRADING_RATIO^k w``, ``k = 1
+.. _GRADING_LEVELS``, with ``w`` at most two grid panels; composite Gauss
+rules converge exponentially on such a mesh (Schwab, *Computing* 53,
+1994), so the point costs a few seeded panels instead of one refinement
+round per level.
 :func:`integrate_intervals`, and :func:`integrate` without a panel width,
 take one grid panel over the whole range, which the inner edges cut into
 one panel per interval.  All three hold one error budget over the whole
@@ -105,6 +112,13 @@ _EPS = np.finfo(np.float64).eps
 
 # the integrand sees the nodes of at most _CHUNK panels per call
 _CHUNK = 1 << 11
+
+# the seeded mesh next to an infinite slope is cut at the distances
+# _GRADING_RATIO^k w from it, k = 1 .. _GRADING_LEVELS, with w two grid
+# panels or less (see _grid_panels)
+_GRADING_RATIO = 0.25
+_GRADING_LEVELS = 10
+_GRADING = _GRADING_RATIO ** np.arange(1, _GRADING_LEVELS + 1)
 
 # The power series of the direct sums and of the gap bounds (see
 # _series_moments) have _SERIES_TERMS terms and are summed over harmonics in
@@ -220,21 +234,22 @@ def _plain_moments(mid, half, y):
     return np.cumsum(sums, axis=1)[None, :, -1], np.cumsum(gaps)[-1:], gaps, sums
 
 
-def _plain_refine(f, edges, half, tol):
+def _plain_refine(f, edges, half, tol, graded):
     """The seeded mesh of :func:`_grid_panels` on ``edges`` with panels of
-    half-width ``half``, refined by :func:`_refine` with the plain K15
-    moment rule; returns what :func:`_refine` returns."""
-    points, _ = _grid_panels(edges, half)
+    half-width ``half``, graded toward ``graded``, refined by :func:`_refine`
+    with the plain K15 moment rule; returns what :func:`_refine` returns."""
+    points, _ = _grid_panels(edges, half, graded)
     return _refine(f, 0.5 * (points[:-1] + points[1:]), 0.5 * np.diff(points), tol, _plain_moments)
 
 
-def integrate_intervals(f, edges, tol=1e-10):
+def integrate_intervals(f, edges, tol=1e-10, *, graded=()):
     """Integrate ``f`` over every consecutive pair of ``edges`` at once.
 
     The mesh is seeded by :func:`_grid_panels` with one grid panel as wide
     as the whole range, which the inner edges cut into one panel per
-    interval, and refined with the plain K15 moment rule until the summed
-    panel error of the whole mesh (the ``|K15 - G7|`` gaps of all its
+    interval (and graded toward the points of ``graded``, as in
+    :func:`integrate`), and refined with the plain K15 moment rule until the
+    summed panel error of the whole mesh (the ``|K15 - G7|`` gaps of all its
     panels) falls below one budget ``max(tol * max over components |sum of
     values|, tol)`` over ``[edges[0], edges[-1]]``, as in
     :func:`integrate`.  Each final panel then goes to the interval that
@@ -254,21 +269,24 @@ def integrate_intervals(f, edges, tol=1e-10):
     """
     edges, tol = _check_edges(edges, tol)
     n_int = edges.shape[0] - 1
-    _, _, worst, sums, mid, _, y = _plain_refine(f, edges, edges[-1] - edges[0], tol)
+    _, _, worst, sums, mid, _, y = _plain_refine(f, edges, edges[-1] - edges[0], tol, graded)
     owner = np.searchsorted(edges[1:-1], mid)
     values = np.stack([np.bincount(owner, v, n_int) for v in sums], axis=1)
     return (values[:, 0] if y.ndim == 2 else values), np.bincount(owner, worst, n_int)
 
 
-def integrate(f, lo, hi, tol=1e-10, *, breakpoints=(), max_panel_width=None):
+def integrate(f, lo, hi, tol=1e-10, *, breakpoints=(), graded=(), max_panel_width=None):
     """Adaptive integral of ``f`` over ``[lo, hi]``.
 
     ``breakpoints`` lists interior abscissae that are forced to be panel
     boundaries (known kinks or jumps of ``f``); points outside the open
-    interval are ignored.  The mesh is seeded by :func:`_grid_panels` with
-    panels ``max_panel_width`` wide, anchored at ``lo`` (one panel per
-    interval between breakpoints when it is ``None``, as in
-    :func:`integrate_intervals`), which is how oscillatory integrands
+    interval are ignored.  ``graded`` lists abscissae where ``f`` has an
+    infinite slope, such as the origin of ``sqrt(x - g)``: the seeded mesh
+    next to each is cut geometrically toward it (see :func:`_grid_panels`);
+    points outside ``[lo, hi]`` are ignored.  The mesh is seeded by
+    :func:`_grid_panels` with panels ``max_panel_width`` wide, anchored at
+    ``lo`` (one panel per interval between breakpoints when it is ``None``,
+    as in :func:`integrate_intervals`), which is how oscillatory integrands
     declare their finest relevant scale; a width that is not positive and
     finite raises :class:`DomainError`, as does a range whose span ``hi -
     lo`` overflows.  Each panel's half-width is half the gap between its
@@ -285,7 +303,7 @@ def integrate(f, lo, hi, tol=1e-10, *, breakpoints=(), max_panel_width=None):
         if not (math.isfinite(width) and width > 0):
             raise DomainError(f"max_panel_width must be a positive finite number, got {width}")
         half = 0.5 * width
-    totals, *_, y = _plain_refine(f, edges, half, tol)
+    totals, *_, y = _plain_refine(f, edges, half, tol, graded)
     return float(totals[0, 0]) if y.ndim == 2 else totals[0]
 
 
@@ -309,7 +327,7 @@ def _edges(lo, hi, breakpoints):
     return np.asarray(edges)
 
 
-def _grid_panels(edges, half):
+def _grid_panels(edges, half, graded=()):
     """The seeded mesh of every integrator: one grid of panels of
     half-width ``half`` with edges ``lo + 2 half p`` from ``lo = edges[0]``
     to ``hi = edges[-1]``, where each grid panel that holds an edge strictly
@@ -320,20 +338,40 @@ def _grid_panels(edges, half):
     grid panel.  With ``half = hi - lo`` the grid is one panel, which the
     inner edges cut into one panel per interval.
 
+    Each point of ``graded`` in ``[lo, hi]`` (an infinite slope of the
+    integrand) is an edge too, unless an edge lies within the merge
+    distance of it and stands in for it.  The mesh on each side of that
+    edge ``g`` is then cut geometrically toward it, at ``g -/+
+    _GRADING_RATIO^k w`` for ``k = 1 .. _GRADING_LEVELS``, where ``w`` is
+    the width of two grid panels, or the distance to the next edge on that
+    side if that is less; so, up to that edge, no uncut grid panel lies
+    closer to ``g`` than half its width, wherever the grid edges fall.
+    ``lo`` and ``hi`` are graded on the inside only, and a cut
+    within the merge distance of ``g``, of that next edge or of a grid edge
+    is dropped.  Composite Gauss rules on such a mesh converge
+    exponentially toward an algebraic end point (Schwab, *Computing* 53,
+    1994), so an end like ``sqrt(x - g)`` costs about ``2
+    _GRADING_LEVELS`` seeded panels instead of one refinement round of the
+    whole mesh per level.
+
     Returns the panel edges in ascending order and, per panel, whether it
     is an uncut grid panel; :func:`integrate_harmonics` gives those the
     half-width ``half``, by which :func:`_harmonic_rule` tells them apart.
-    A mesh of more than ``_MAX_PANELS`` panels raises
-    :class:`QuadratureError` before any array of its size is built or any
-    integrand is evaluated.
+    A mesh of more than ``_MAX_PANELS`` panels, graded cuts included,
+    raises :class:`QuadratureError` before any array of its size is built
+    or any integrand is evaluated.
     """
     lo = edges[0]
     merge = 1e-13 * (edges[-1] - lo)
+    graded = [float(p) for p in graded if lo <= p <= edges[-1]]
     # the grid panel of every edge: lo + index * width <= edge < lo + (index + 1) * width;
     # a huge count, or a width that underflows, must reach the cap check, and
     # a width that overflows is held to the largest float, still above hi - lo
     with np.errstate(all="ignore"):
         width = min(2.0 * half, np.finfo(np.float64).max)
+        graded_cuts = np.empty(0)
+        if graded:
+            edges, graded_cuts = _graded_cuts(edges, np.array(graded), width, merge)
         index = np.floor((edges - lo) / width)
         index -= lo + index * width > edges
         index += lo + (index + 1.0) * width <= edges
@@ -341,20 +379,45 @@ def _grid_panels(edges, half):
         inside[-1] &= edges[-1] - (lo + index[-1] * width) > merge
         hi_on_grid = not inside[-1] or lo + (index[-1] + 1.0) * width - edges[-1] <= merge
     # the grid edges below hi, then one panel more for each inner edge
-    # strictly inside a panel; compared in floating point, so that a huge
-    # count cannot wrap in the cast
+    # strictly inside a grid panel and for each graded cut; compared in
+    # floating point, so that a huge count cannot wrap in the cast
     n_grid = index[-1] + inside[-1]
-    n_panels = n_grid + inside[1:-1].sum()
+    cuts = edges[1:-1][inside[1:-1]]
+    n_panels = n_grid + cuts.shape[0] + graded_cuts.shape[0]
     if not n_panels <= _MAX_PANELS:
         raise QuadratureError(f"initial subdivision needs {n_panels:.0f} panels, above the cap "
                               f"{_MAX_PANELS}, over [{lo}, {edges[-1]}]")
-    cuts = edges[1:-1][inside[1:-1]]
-    points = np.concatenate([lo + width * np.arange(n_grid), cuts, edges[-1:]])
+    points = np.concatenate([lo + width * np.arange(n_grid), cuts, graded_cuts, edges[-1:]])
     on_grid = np.concatenate([np.ones(int(n_grid), dtype=bool),
-                              np.zeros(cuts.shape[0], dtype=bool), [hi_on_grid]])
+                              np.zeros(cuts.shape[0] + graded_cuts.shape[0], dtype=bool),
+                              [hi_on_grid]])
     order = np.argsort(points, kind="stable")
     on_grid = on_grid[order]
     return points[order], on_grid[:-1] & on_grid[1:]
+
+
+def _graded_cuts(edges, graded, width, merge):
+    """``edges`` with the points of ``graded`` added, and the cuts toward
+    them, as :func:`_grid_panels` describes, on a grid of panels ``width``
+    wide with the merge distance ``merge``.  Past ``edges[0]`` and
+    ``edges[-1]`` the distance to the next edge is NaN, which drops every
+    cut there."""
+    lo = edges[0]
+    pos = np.clip(np.searchsorted(edges, graded), 1, edges.shape[0] - 1)
+    pos -= graded - edges[pos - 1] < edges[pos] - graded
+    near = np.abs(edges[pos] - graded) <= merge
+    # a few points, so sets (np.unique would import numpy.ma, about 1 MB)
+    g = np.array(sorted(set(np.where(near, edges[pos], graded).tolist())))
+    edges = np.sort(np.concatenate([edges, sorted(set(graded[~near].tolist()))]))
+    j = np.searchsorted(edges, g)
+    cuts = []
+    for side, gap in ((-1.0, g - np.r_[np.nan, edges][j]), (1.0, np.r_[edges, np.nan][j + 1] - g)):
+        w = np.minimum(gap, 2.0 * width)[:, None]
+        d = w * _GRADING
+        c = g[:, None] + side * d
+        off_grid = np.abs(c - (lo + np.rint((c - lo) / width) * width)) > merge
+        cuts.append(c[(d > merge) & (w - d > merge) & off_grid])
+    return edges, np.concatenate(cuts)
 
 
 def _fft_length(n):
@@ -433,8 +496,12 @@ def _harmonic_rule(n_max, lo, size):
     """
     h = math.pi / size
     k = np.arange(n_max + 1, dtype=np.float64)
-    # w_j exp(ikh xi_j), one row per node, and h exp(ik(lo + h))
-    node_phases = (_KRONROD_WEIGHTS * np.exp(1j * np.outer(k * h, _NODES))).T
+    # w_j exp(ikh xi_j), one row per node, and h exp(ik(lo + h)); the nodes
+    # and weights are symmetric, and exp(-i theta) is conj(exp(i theta)) bit
+    # for bit, so the rows of the negative nodes are the conjugates of the
+    # others
+    half_phases = _KRONROD_WEIGHTS[7:, None] * np.exp(1j * (_NODES[7:, None] * (k * h)))
+    node_phases = np.concatenate([half_phases[:0:-1].conj(), half_phases])
     shift = h * np.exp(1j * (k * (lo + h)))
     # Refinement only removes grid panels: every cut piece and every child
     # has a half-width below h.  So the count of grid panels names their set,
@@ -465,16 +532,19 @@ def _harmonic_rule(n_max, lo, size):
     return moments
 
 
-def integrate_harmonics(f, lo, hi, n_max, tol=1e-10, *, breakpoints=()):
+def integrate_harmonics(f, lo, hi, n_max, tol=1e-10, *, breakpoints=(), graded=()):
     """Integrals of ``f(x) cos(kx)`` and ``f(x) sin(kx)`` over ``[lo, hi]``
     for every ``k = 0 .. n_max``, from one shared adaptive mesh.
 
     The mesh is seeded with one grid anchored at ``lo``: ``M =
     _fft_length(2 (n_max + 1))`` panels of half-width ``h = pi / M`` per
     period ``2 pi``, so ``kh <= pi/2``.  Panels that hold one of
-    ``breakpoints`` (as in :func:`integrate`) are cut there, and the last is
-    clipped at ``hi``.  ``f`` is evaluated once per Kronrod node,
-    ``_CHUNK`` panels per call, and its values are kept per panel.  The
+    ``breakpoints`` (as in :func:`integrate`) are cut there, the mesh next
+    to each point of ``graded`` is cut geometrically toward it (as in
+    :func:`integrate`; the pieces are direct panels, so ``kh <= pi/2``
+    still holds), and the last is clipped at ``hi``.  ``f`` is evaluated
+    once per Kronrod node, ``_CHUNK`` panels per call, and its values are
+    kept per panel.  The
     uncut grid panels get every harmonic from one real FFT per node column
     (columns of spans longer than ``2 pi`` folded modulo ``M``), in
     ``O(M log M)`` work; cut pieces and refined children get them from a
@@ -512,7 +582,7 @@ def integrate_harmonics(f, lo, hi, n_max, tol=1e-10, *, breakpoints=()):
     size = _fft_length(2 * (n_max + 1))
     h = math.pi / size
     try:
-        points, uncut = _grid_panels(edges, h)
+        points, uncut = _grid_panels(edges, h, graded)
     except QuadratureError as exc:
         raise QuadratureError(f"n_max={n_max}: {exc}") from None
     totals, err, _, _, half, y = _refine(f, 0.5 * (points[:-1] + points[1:]),

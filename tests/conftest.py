@@ -79,6 +79,31 @@ def route_through_series(monkeypatch):
 
 
 @pytest.fixture
+def refine_rounds(monkeypatch):
+    """A list that gets, for each call of the refinement loop, the number of
+    meshes ``f`` was evaluated on: the seeded one and one per refining
+    round."""
+    calls = []
+    meshes = []
+    node_values, refine = quadrature._node_values, quadrature._refine
+
+    def counted_node_values(*args):
+        meshes.append(1)
+        return node_values(*args)
+
+    def counted_refine(*args):
+        meshes.clear()
+        try:
+            return refine(*args)
+        finally:
+            calls.append(len(meshes))
+
+    monkeypatch.setattr(quadrature, "_node_values", counted_node_values)
+    monkeypatch.setattr(quadrature, "_refine", counted_refine)
+    return calls
+
+
+@pytest.fixture
 def square():
     return build(SQUARE)
 

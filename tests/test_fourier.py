@@ -206,9 +206,9 @@ class TestChirpPath:
 
     @pytest.mark.parametrize("n_max", [125, 300, 600])
     def test_grid_transformed_once_per_set_of_grid_panels(self, monkeypatch, n_max):
-        # the first round splits the grid panels at the square-root ends;
-        # later rounds split only their children, which leaves the grid's
-        # transform as it was
+        # without grading, the first round splits the grid panels at the
+        # square-root ends; later rounds split only their children, which
+        # leaves the grid's transform as it was
         transformed = []
         rfft = np.fft.rfft
 
@@ -217,8 +217,13 @@ class TestChirpPath:
             return rfft(x, *args, **kwargs)
 
         monkeypatch.setattr(np.fft, "rfft", counted)
-        tc.coefficients(build(POWER_AND_TABLE), n_max)
+        f = build(POWER_AND_TABLE)
+        quadrature.integrate_harmonics(f.eval, -PI, PI, n_max, 1e-10, breakpoints=f.breakpoints)
         assert len(transformed) == 2
+        # graded toward those ends, no grid panel is split
+        transformed.clear()
+        tc.coefficients(f, n_max)
+        assert len(transformed) == 1
 
     def test_memory_at_order_4000(self, square):
         # the seeded mesh holds 15 * 8100 node values, about 1 MB
@@ -272,6 +277,58 @@ class TestClosedFormOracle:
         # at n_max = 192 the grid's 400th edge is 6.2e-14 above pi, and pi
         # is taken as that edge: the last panel is a grid panel
         self.check(build(spec), 192, [*range(0, 192, 7), 191, 192])
+
+
+def _power_ends(p):
+    """Two power pieces of exponent ``p`` at their own origins, one at
+    ``-pi`` and one inside, around an affine piece."""
+    return build({"segments": [
+        {"lo": "-pi", "hi": -0.5, "kind": "power", "params": {"a": 1.0, "x0": -PI, "p": p}},
+        {"lo": -0.5, "hi": 0.7, "kind": "affine", "params": {"a": 0.3, "b": -0.4}},
+        {"lo": 0.7, "hi": "pi", "kind": "power", "params": {"a": -0.8, "x0": 0.7, "p": p}},
+    ]})
+
+
+class TestGradedMesh:
+    """Every pipeline grades its mesh toward the infinite slopes of ``f``
+    (``f.singular_points``), so a square-root end costs a few panels, not
+    one refinement round of the whole mesh per level."""
+
+    @pytest.mark.parametrize("n_max", [125, 300, 600, 4000, 16000])
+    def test_square_root_ends_take_at_most_two_rounds(self, refine_rounds, n_max):
+        tc.coefficients(build(POWER_AND_TABLE), n_max)
+        assert refine_rounds[0] <= 2
+
+    @pytest.mark.parametrize("n_max", [125, 4000])
+    @pytest.mark.parametrize("p", [0.05, 0.2, 0.5])
+    def test_coefficients_within_error_of_closed_form(self, refine_rounds, p, n_max):
+        f = _power_ends(p)
+        assert f.singular_points == [-PI, 0.7]
+        c = tc.coefficients(f, n_max)
+        assert refine_rounds[0] <= 2
+        k = np.unique(np.r_[0:n_max + 1:max(1, n_max // 100), n_max - 20:n_max + 1])
+        exact = exact_harmonic_integrals(f, k)
+        a = np.where(k == 0, exact.real / (2 * PI), exact.real / PI)
+        assert (np.abs(np.r_[c.a0, c.a][k] - a) <= c.error[k]).all()
+        assert (np.abs(np.r_[0.0, c.b][k] - exact.imag / PI) <= c.error[k]).all()
+
+    @pytest.mark.parametrize("n", [125, 4000])
+    @pytest.mark.parametrize("p", [0.05, 0.5])
+    def test_kernel_and_split_paths_agree_with_coefficients(self, refine_rounds, p, n):
+        f = _power_ends(p)
+        c = tc.coefficients(f, n)
+        # the coefficient path's error, and each kernel integral's budget
+        # max(tol |I|, tol) at tol = 1e-9 over pi
+        by_coeff_error = c.error[0] + 2.0 * c.error[1:].sum()
+        for x in (-PI, -2.0, 0.7, 2.0):
+            refine_rounds.clear()
+            by_coeff = tc.partial_sum(c, x, n)
+            by_kernel = tc.partial_sum_kernel(f, x, n)
+            lower, upper = tc.split_integrals(f, x, n)
+            assert max(refine_rounds) <= 2
+            assert abs(by_kernel - by_coeff) <= by_coeff_error + 1e-9 * max(abs(by_kernel), 1 / PI)
+            split_error = 1e-9 * (abs(lower) + abs(upper) + 2.0) / PI
+            assert abs((lower + upper) / PI - by_coeff) <= by_coeff_error + split_error
 
 
 class TestPartialSum:

@@ -24,6 +24,16 @@ class TestSineRatio:
             for beta in (1e-12, -1e-12):
                 assert tc.sine_ratio(i, beta) == pytest.approx(i, rel=1e-12)
 
+    def test_scalar_gives_a_float_and_an_array_an_array(self):
+        # as dirichlet_kernel does
+        assert type(tc.sine_ratio(3, 0.5)) is float
+        assert type(tc.dirichlet_kernel(3, 0.5)) is float
+        assert type(tc.sine_ratio(3, np.float64(0.0))) is float
+        for beta in (np.array([0.0, 0.5]), np.array(0.5)[None]):
+            assert isinstance(tc.sine_ratio(3, beta), np.ndarray)
+            assert isinstance(tc.dirichlet_kernel(3, beta), np.ndarray)
+        assert tc.sine_ratio(3, 0.5) == pytest.approx(math.sin(1.5) / math.sin(0.5), rel=1e-15)
+
     def test_continuous_through_origin(self):
         left = tc.sine_ratio(25, 1e-7)
         assert left == pytest.approx(25.0, rel=1e-10)
@@ -232,6 +242,36 @@ class TestTail:
         for bad in (0, -1, 2.5, True):
             with pytest.raises(tc.DomainError):
                 tc.tail(bad)
+
+
+class TestSquareRootFromZero:
+    """``decompose`` and ``limit_verify`` grade their mesh toward the
+    square-root end of a :class:`PiecewiseFunction` at 0; a callable with
+    the same values is not graded."""
+
+    F = build({"segments": [
+        {"lo": "-pi", "hi": 0.0, "kind": "constant", "params": {"c": 0.0}},
+        {"lo": 0.0, "hi": "pi", "kind": "power", "params": {"a": -0.7, "x0": 0.0, "p": 0.5}},
+    ]})
+
+    @pytest.mark.parametrize("i", [10.0, 1000.0, 5000.0])
+    def test_decompose_keeps_its_blocks(self, refine_rounds, i):
+        d = tc.decompose(self.F, i, 1.5)
+        plain = tc.decompose(lambda b: self.F.eval(b), i, 1.5)
+        assert refine_rounds[0] == 1 < refine_rounds[1]
+        assert d.full_blocks == plain.full_blocks
+        assert np.array_equal(d.boundaries, plain.boundaries)
+        # both within one budget max(tol |sum|, tol) at tol = 1e-8
+        budget = 1e-8 * max(abs(d.block_values.sum()), d.weight_magnitudes.sum(), 1.0)
+        assert np.abs(d.block_values - plain.block_values).sum() <= 2.0 * budget
+
+    def test_limit_verify_one_round_per_frequency(self, refine_rounds):
+        schedule = (10.0, 1000.0, 5000.0)
+        report = tc.limit_verify(self.F, 0.0, 1.5, schedule)
+        assert refine_rounds == [1, 1, 1]
+        plain = tc.limit_verify(lambda b: self.F.eval(b), 0.0, 1.5, schedule)
+        budget = 1e-8 * np.maximum(np.abs(report.values), 1.0)
+        assert (np.abs(report.values - plain.values) <= 2.0 * budget).all()
 
 
 class TestLimitVerify:

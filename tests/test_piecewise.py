@@ -282,6 +282,31 @@ class TestExtremaAndJumps:
         assert f.extrema_and_jumps() == []
 
 
+class TestSingularPoints:
+    """The infinite slopes that quadrature grades toward: the origin of
+    every non-constant power piece with 0 < p < 1 that starts at it."""
+
+    @staticmethod
+    def power(lo, hi, x0, p, a=1.0):
+        return {"lo": lo, "hi": hi, "kind": "power", "params": {"a": a, "x0": x0, "p": p}}
+
+    def test_selects_power_pieces_at_their_origin_below_one(self):
+        f = tc.parse_spec(spec_text([
+            self.power("-pi", -2.0, -math.pi, 0.5),
+            self.power(-2.0, -1.0, -2.5, 0.5),     # origin below lo: a finite slope
+            self.power(-1.0, 0.0, -1.0, 1.0),      # p = 1: a line
+            self.power(0.0, 0.5, 0.0, 1.5),        # p > 1: a zero slope
+            self.power(0.5, 1.0, 0.5, 0.999, -2.0),
+            self.power(1.0, 2.0, 1.0, 0.3, 0.0),   # a = 0: a constant
+            {"lo": 2.0, "hi": "pi", "kind": "affine", "params": {"a": 0.0, "b": 1.0}},
+        ]))
+        assert f.singular_points == [-math.pi, 0.5]
+
+    def test_none_without_power_pieces(self, square, sawtooth):
+        assert square.singular_points == []
+        assert sawtooth.singular_points == []
+
+
 class TestRandomSpecs:
     def test_thousand_random_specs_tile_and_stay_bounded(self):
         rng = np.random.default_rng(0)

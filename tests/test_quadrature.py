@@ -332,6 +332,102 @@ class TestRefusalMessages:
         assert float(budget) == 1e-12 and float(error) > 1e-12
 
 
+class TestGradedSeeding:
+    """The seeded panels next to an infinite slope are cut geometrically
+    toward it, at ``g -/+ sigma^k w``, ``k = 1 .. L``."""
+
+    def test_cuts_both_sides_of_an_inner_point(self):
+        # grid panels 0.1 wide; the edge 0.3 is graded over two of them on
+        # each side, whatever grid edge lies next to it (0.30000000000000004
+        # just above)
+        edges = np.array([0.0, 0.3, 1.0])
+        plain, _ = quadrature._grid_panels(edges, 0.05)
+        points, uncut = quadrature._grid_panels(edges, 0.05, [0.3])
+        cuts = np.setdiff1d(points, plain)
+        assert np.array_equal(np.sort(cuts), np.sort(np.r_[0.3 - 0.2 * quadrature._GRADING,
+                                                           0.3 + 0.2 * quadrature._GRADING]))
+        assert (np.diff(points) > 0).all()
+        # every panel that holds a graded cut is no longer a grid panel:
+        # of the 9 uncut grid panels, [0.3, 0.4] is cut
+        assert uncut.sum() == 8
+        assert not uncut[np.isin(points[:-1], cuts) | np.isin(points[1:], cuts)].any()
+
+    def test_ends_graded_inside_only_and_outside_points_ignored(self):
+        edges = np.array([0.0, 0.4, 1.0])
+        plain, _ = quadrature._grid_panels(edges, 1.0)
+        assert np.array_equal(quadrature._grid_panels(edges, 1.0, [-0.5, 1.5, np.nan])[0], plain)
+        points, _ = quadrature._grid_panels(edges, 1.0, [1.0, -0.5, 0.0])
+        # over the distance to the next edge: 0.4 above lo, 0.6 below hi
+        sigma = quadrature._GRADING
+        assert np.array_equal(np.setdiff1d(points, plain),
+                              np.sort(np.r_[0.4 * sigma, 1.0 - 0.6 * sigma]))
+
+    def test_point_between_edges_becomes_an_edge(self):
+        edges = np.array([0.0, 1.0])
+        points, _ = quadrature._grid_panels(edges, 1.0, [0.55])
+        assert 0.55 in points
+        assert points.shape[0] == 2 + 1 + 2 * quadrature._GRADING.shape[0]
+        # an edge within the merge distance stands in for the point
+        near, _ = quadrature._grid_panels(np.array([0.0, 0.5, 1.0]), 1.0, [0.5 + 1e-14])
+        assert 0.5 + 1e-14 not in near and 0.5 in near
+        assert near.shape[0] == 3 + 2 * quadrature._GRADING.shape[0]
+
+    def test_cuts_within_the_merge_distance_dropped(self):
+        # the panel above 0.5 is 5e-12 wide and the merge distance 1e-13:
+        # only the two outer cuts, 1.25e-12 and 3.1e-13 above 0.5, stay
+        edges = quadrature._edges(0.0, 1.0, [0.5, 0.5 + 5e-12])
+        points, _ = quadrature._grid_panels(edges, 1.0, [0.5])
+        width = edges[2] - edges[1]
+        above = points[(points > 0.5) & (points < edges[2])]
+        assert np.array_equal(above, 0.5 + width * quadrature._GRADING[1::-1])
+        assert (np.diff(points) > 1e-13).all()
+
+    def test_cap_counts_graded_cuts_before_evaluation(self, monkeypatch):
+        def refuse(x):
+            raise AssertionError("f evaluated for a mesh above the cap")
+
+        levels = quadrature._GRADING_LEVELS
+        monkeypatch.setattr(quadrature, "_MAX_PANELS", 1 + levels - 1)
+        # one panel, plus one per cut above lo
+        with pytest.raises(tc.QuadratureError,
+                           match=f"initial subdivision needs {1 + levels} panels, "
+                                 f"above the cap {levels}"):
+            tc.integrate(refuse, 0.0, 1.0, graded=[0.0])
+        with pytest.raises(tc.QuadratureError, match=f"needs {2 + 2 * levels} panels"):
+            tc.integrate_intervals(refuse, [0.0, 0.5, 1.0], graded=[0.5])
+        with pytest.raises(tc.QuadratureError, match="needs"):
+            quadrature.integrate_harmonics(refuse, 0.0, 0.1, 1, graded=[0.0])
+
+    def test_square_root_end_in_at_most_two_rounds(self, refine_rounds):
+        value = tc.integrate(np.sqrt, 0.0, 1.0, 1e-10, graded=[0.0])
+        assert abs(value - 2.0 / 3.0) <= 1e-10
+        assert abs(tc.integrate(np.sqrt, 0.0, 1.0, 1e-10) - 2.0 / 3.0) <= 1e-10
+        graded, plain = refine_rounds
+        assert graded <= 2 < 5 < plain
+
+    def test_interval_owners_are_the_callers_edges(self, refine_rounds):
+        # the graded cuts next to 0.25 are not interval edges: each panel
+        # still goes to the interval of the given edges that holds it
+        edges = [0.0, 0.25, 1.0]
+        values, errors = tc.integrate_intervals(lambda x: np.sqrt(np.abs(x - 0.25)), edges,
+                                                1e-10, graded=[0.25])
+        exact = np.array([0.25 ** 1.5, 0.75 ** 1.5]) * 2.0 / 3.0
+        assert values.shape == errors.shape == (2,)
+        assert np.abs(values - exact).sum() <= 1e-10
+        assert (np.abs(values - exact) <= errors + 1e-15).all()
+        assert refine_rounds[0] <= 2
+
+    @pytest.mark.parametrize("n_max", [40, 600])
+    def test_harmonic_pieces_stay_below_the_grid_half_width(self, n_max):
+        # kh <= pi/2 holds on every direct panel, graded ones included
+        size = quadrature._fft_length(2 * (n_max + 1))
+        h = math.pi / size
+        edges = quadrature._edges(0.0, 3.0, [0.5, 1.0])
+        points, uncut = quadrature._grid_panels(edges, h, [0.0, 1.0])
+        assert (np.diff(points)[~uncut] < 2.0 * h).all()
+        assert (np.abs(np.diff(points)[uncut] - 2.0 * h) <= 1e-15).all()
+
+
 class TestIntegrateHarmonics:
     def test_matches_closed_form(self):
         # integral of exp(x) exp(ikx) over [0, 2] is (exp(2 (1 + ik)) - 1) / (1 + ik)
