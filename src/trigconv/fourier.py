@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DomainError, check_abscissa, check_integer, check_schedule
-from .kernel import _MAX_ORDER, dirichlet_kernel
+from .kernel import _MAX_ORDER
 from .oscillatory import ConvergenceReport
 from .piecewise import PiecewiseFunction
 from .quadrature import integrate, integrate_harmonics
@@ -111,16 +111,18 @@ def partial_sum_kernel(f, x, n, tol=1e-9):
 
     Independent of :func:`coefficients`: the value is
     ``(1/pi) * integral of f(alpha) * D_n(alpha - x)`` over a period, where
-    ``D_n`` is the closed-form summation kernel.
+    ``D_n(t) = sin((2n + 1) u) / (2 sin(u))``, ``u = t/2``, is the
+    closed-form summation kernel, which the quadrature engine applies as
+    its ``sine_ratio`` weight to ``f / 2``.
     """
     f = _check_function(f)
     n = check_integer(n, "n", 0, _MAX_ORDER)
     x = _wrap_abscissa(x)
     # integrate sorts the breakpoints, drops those outside (-pi, pi), x at
     # +/-pi among them, and merges duplicates
-    value = integrate(lambda alpha: f.eval(alpha) * dirichlet_kernel(n, alpha - x),
-                      -PI, PI, tol, breakpoints=(*f.breakpoints, x),
-                      graded=f.singular_points, max_panel_width=PI / (n + 1))
+    value = integrate(lambda alpha: 0.5 * f.eval(alpha), -PI, PI, tol,
+                      breakpoints=(*f.breakpoints, x), graded=f.singular_points,
+                      max_panel_width=PI / (n + 1), sine_ratio=(2 * n + 1, 0.5, -0.5 * x))
     return value / PI
 
 
@@ -163,8 +165,9 @@ def split_integrals(f, x, n, tol=1e-9):
 
     ``lower`` integrates ``2 f(x - 2 beta) D_n(2 beta)`` for ``beta`` in
     ``[0, (pi + x)/2]`` (the part of the period below ``x``); ``upper``
-    does the same above ``x``.  At ``x = -pi`` / ``x = pi`` the respective
-    integral is empty and exactly ``0.0``.
+    does the same above ``x``.  ``2 D_n(2 beta)`` is ``sin((2n + 1) beta) /
+    sin(beta)``, the quadrature engine's ``sine_ratio`` weight.  At ``x =
+    -pi`` / ``x = pi`` the respective integral is empty and exactly ``0.0``.
     """
     f = _check_function(f)
     n = check_integer(n, "n", 0, _MAX_ORDER)
@@ -180,13 +183,9 @@ def split_integrals(f, x, n, tol=1e-9):
             return 0.0
         sign = -2.0 if side == "lower" else 2.0
 
-        def integrand(beta):
-            alpha = np.clip(x + sign * beta, -PI, PI)
-            return 2.0 * f.eval(alpha) * dirichlet_kernel(n, 2.0 * beta)
-
-        return integrate(integrand, 0.0, length, tol, breakpoints=seeds,
-                         graded=_to_beta(f.singular_points, x, side),
-                         max_panel_width=PI / (2 * n + 1))
+        return integrate(lambda beta: f.eval(np.clip(x + sign * beta, -PI, PI)), 0.0, length,
+                         tol, breakpoints=seeds, graded=_to_beta(f.singular_points, x, side),
+                         max_panel_width=PI / (2 * n + 1), sine_ratio=(2 * n + 1, 1.0, 0.0))
 
     return one_side("lower"), one_side("upper")
 

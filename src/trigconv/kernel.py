@@ -10,8 +10,10 @@ the equivalent closed form
 ``sin((n + 1/2) t) / (2 sin(t/2))``, which is ``R_{2n+1}(t/2) / 2`` for the
 ratio ``R_m(u) = sin(m u) / sin(u)``.  That ratio, also the sign-block
 weight of :mod:`trigconv.oscillatory`, is computed in one place,
-:func:`_sin_ratio`; its removable singularity needs the limit value only
-where ``u`` is exactly zero.
+:func:`trigconv.quadrature._sin_ratio`, whose removable singularity needs
+the limit value only where ``u`` is exactly zero; the quadrature engine
+applies it as the ``sine_ratio`` weight, which is how :func:`kernel_mean`
+integrates the kernel.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import math
 import numpy as np
 
 from .errors import DomainError, check_integer
-from .quadrature import integrate
+from .quadrature import _sin_ratio, integrate
 
 # the largest order (of the kernel, a partial sum, a coefficient table or
 # the alternating tail) and sine-block frequency admitted
@@ -31,24 +33,6 @@ _TWO_PI = 2.0 * math.pi
 _CHUNK = 1 << 14
 # extraction levels per chunk: each takes 53 - ceil(log2(_CHUNK + 2)) = 38 bits
 _LEVELS = 3
-
-
-def _sin_ratio(m, u):
-    """``sin(m u) / sin(u)`` elementwise, with the limit ``m`` at ``u == 0``.
-
-    ``sin`` keeps full relative accuracy for small arguments, so the plain
-    quotient is accurate arbitrarily close to the singularity and only an
-    exact zero needs the substitution.  Callers keep ``u`` away from the
-    other zeros of ``sin(u)``.  The quotient is formed in one buffer; its
-    ``0/0`` at ``u == 0`` is then overwritten with ``m``.
-    """
-    u = np.asarray(u, dtype=np.float64)
-    out = np.multiply(m, u, out=np.empty(u.shape))
-    np.sin(out, out=out)
-    with np.errstate(invalid="ignore"):
-        np.divide(out, np.sin(u), out=out)
-    out[u == 0.0] = m
-    return out
 
 
 def _extract(x, parts, scratch):
@@ -142,9 +126,11 @@ def kernel_mean(n, tol=1e-10):
     """``(1/pi)`` times the kernel's integral over one period; equals 1.
 
     Computed by adaptive quadrature with panels no wider than the kernel's
-    finest oscillation, as a self-check of the quadrature machinery.
+    finest oscillation, the engine applying the kernel as its
+    ``sine_ratio`` weight ``R_{2n+1}(t/2)`` to the constant ``1/2``, as a
+    self-check of the quadrature machinery.
     """
     n = check_integer(n, "order", 0, _MAX_ORDER)
-    value = integrate(lambda t: dirichlet_kernel(n, t), -math.pi, math.pi,
-                      tol, max_panel_width=math.pi / (n + 1))
+    value = integrate(lambda t: np.full(t.shape, 0.5), -math.pi, math.pi, tol,
+                      max_panel_width=math.pi / (n + 1), sine_ratio=(2 * n + 1, 0.5, 0.0))
     return value / math.pi

@@ -16,9 +16,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, check_integer, check_schedule
-from .kernel import _MAX_ORDER, _sin_ratio
+from .kernel import _MAX_ORDER
 from .piecewise import PiecewiseFunction
-from .quadrature import integrate, integrate_intervals
+from .quadrature import _sin_ratio, integrate, integrate_intervals
 
 H_MAX = math.pi / 2
 
@@ -156,11 +156,8 @@ def decompose(f, i, h, tol=1e-8):
     fn = _vectorized(f, 0.0, h)
     full, edges = _block_boundaries(i, h)
 
-    def weighted_and_weight(b):
-        ratio = _sin_ratio(i, b)
-        return np.stack([ratio * fn(b), ratio], axis=1)
-
-    pair, _ = integrate_intervals(weighted_and_weight, edges, tol, graded=_graded(f))
+    pair, _ = integrate_intervals(lambda b: np.stack([fn(b), np.ones(b.shape)], axis=1),
+                                  edges, tol, graded=_graded(f), sine_ratio=(i, 1.0, 0.0))
     values = pair[:, 0]
     magnitudes = np.abs(pair[:, 1])
     return SignBlockDecomposition(
@@ -216,8 +213,8 @@ def limit_verify(f, g, h, i_schedule, tol=1e-8):
     _require_monotone(f, g, h)
     fn = _vectorized(f, g, h)
     predicted = 0.5 * math.pi * float(fn(np.zeros(1))[0]) if g == 0.0 else 0.0
-    values = np.array([integrate(lambda b, i=i: _sin_ratio(i, b) * fn(b), g, h, tol,
-                                 graded=_graded(f), max_panel_width=math.pi / i)
+    values = np.array([integrate(fn, g, h, tol, graded=_graded(f), max_panel_width=math.pi / i,
+                                 sine_ratio=(i, 1.0, 0.0))
                        for i in schedule])
     errors = np.abs(values - predicted)
     return ConvergenceReport(x=g, schedule=schedule, values=values,

@@ -37,6 +37,26 @@ numpy arrays); every evaluated mesh is measured, the last split's too.  A
 mesh may hold at most ``_MAX_PANELS`` panels, and a call at most
 ``_MAX_ROUNDS`` splits.
 
+:func:`integrate` and :func:`integrate_intervals` take an oscillating weight
+too: with ``sine_ratio=(m, scale, shift)`` they integrate ``f(x) sin(m u) /
+sin(u)``, ``u = scale x + shift``, the form of both the Dirichlet kernel
+and the sign-block weight, and :func:`_node_values` multiplies ``f``'s
+values by the weight (see :func:`_sine_ratio_weight`).  Like the harmonic
+rule, it comes two ways.  An uncut grid panel of half-width ``h`` whose
+midpoint has the phase ``u_c`` takes it by angle addition, ``sin(m u_c + m
+d_j) = sin(m u_c) cos(m d_j) + cos(m u_c) sin(m d_j)`` with ``d_j = scale h
+xi_j``, and likewise for ``sin(u)``: four trigonometric calls per panel and
+one 15-node table per mesh, in place of two sines per node.  For an odd
+integer ``m`` the weight has period ``pi`` in ``u``, and ``u`` is reduced
+modulo ``pi`` first.  Cut pieces, graded cuts and refined children take
+the direct path, :func:`_sin_ratio` node by node, the package's one helper
+for the removable singularity at ``u = 0``.  The table's phases are those
+of the nominal ``h``; a grid panel's half-width ``half`` is ``h`` only to
+within the rounding of its edges, ``4 eps max |x|``, so each phase is off
+by at most ``m |scale| |half - h|``, the order of the rounding of ``m u``
+that the direct path makes.  The mesh is the one the unweighted integrand
+would get.
+
 The harmonic rule writes ``exp(ikx) = exp(ikm) exp(ikh xi_j)`` at the
 nodes ``m + h xi_j`` of a panel with midpoint ``m`` and half-width ``h``.
 Its integrals come two ways.  The grid of :func:`integrate_harmonics` has
@@ -133,24 +153,156 @@ _SERIES = (np.concatenate([weights[:, None] * _NODES[:, None] ** np.arange(_SERI
 _TILE = 1 << 14
 
 
-def _node_values(f, mid, half):
-    """``f`` at the 15 Kronrod nodes of every panel, ``_CHUNK`` panels per call.
+def _sin_ratio(m, u):
+    """``sin(m u) / sin(u)`` elementwise, with the limit ``m`` at ``u == 0``.
+
+    ``sin`` keeps full relative accuracy for small arguments, so the plain
+    quotient is accurate arbitrarily close to the singularity and only an
+    exact zero needs the substitution.  Callers keep ``u`` away from the
+    other zeros of ``sin(u)``.  The quotient is formed in one buffer; its
+    ``0/0`` at ``u == 0`` is then overwritten with ``m``.
+    """
+    u = np.asarray(u, dtype=np.float64)
+    out = np.multiply(m, u, out=np.empty(u.shape))
+    np.sin(out, out=out)
+    with np.errstate(invalid="ignore"):
+        np.divide(out, np.sin(u), out=out)
+    out[u == 0.0] = m
+    return out
+
+
+def _check_sine_ratio(sine_ratio, lo, hi):
+    """``sine_ratio = (m, scale, shift)`` as three floats, refused with
+    :class:`DomainError` unless ``m`` is positive and finite, ``scale``
+    finite and nonzero and ``shift`` finite, and, when ``m`` is not an odd
+    integer, unless ``u = scale x + shift`` stays off every nonzero
+    multiple of ``pi`` over ``[lo, hi]``: there ``sin(m u) / sin(u)`` has a
+    pole, not a removable singularity."""
+    try:
+        m, scale, shift = (float(v) for v in sine_ratio)
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"sine_ratio must be three numbers (m, scale, shift): {exc}") from None
+    if not (math.isfinite(m) and m > 0):
+        raise DomainError(f"sine_ratio m must be a positive finite number, got {m!r}")
+    if not (math.isfinite(scale) and scale != 0):
+        raise DomainError(f"sine_ratio scale must be a nonzero finite number, got {scale!r}")
+    if not math.isfinite(shift):
+        raise DomainError(f"sine_ratio shift must be a finite number, got {shift!r}")
+    # Python floats overflow to inf without a warning
+    u_lo, u_hi = sorted((scale * float(lo) + shift, scale * float(hi) + shift))
+    if not (math.isfinite(u_lo) and math.isfinite(u_hi)):
+        raise DomainError(f"sine_ratio phase overflows: u = {scale!r} x + {shift!r} "
+                          f"over [{lo}, {hi}]")
+    if m % 2.0 != 1.0:
+        k_lo = math.ceil(u_lo / math.pi)
+        k_hi = math.floor(u_hi / math.pi)
+        if k_lo <= k_hi and not k_lo == k_hi == 0:
+            raise DomainError(f"sin({m!r} u) / sin(u) has a pole at u = {k_lo if k_lo else 1} pi: "
+                              f"u = {scale!r} x + {shift!r} over [{lo}, {hi}]; only an odd "
+                              f"integer m allows that")
+    return m, scale, shift
+
+
+def _sine_ratio_weight(m, scale, shift, h, x_max):
+    """The weight ``sin(m u) / sin(u)``, ``u = scale x + shift``, as
+    ``weight(mid, half, x)`` of :func:`_node_values`: its values at the
+    nodes ``x`` of the panels with midpoints ``mid`` and half-widths
+    ``half``, shape ``(P, 15)``.
+
+    For an odd integer ``m`` the weight has period ``pi`` in ``u``, and
+    ``u`` is reduced modulo ``pi`` first, as
+    :func:`~trigconv.kernel.dirichlet_kernel` reduces ``t`` modulo ``2
+    pi``.  A grid panel, whose half-width is ``h`` to within ``4 eps max
+    |x|`` (the rounding of the grid edges), takes the weight by angle
+    addition: with ``u_c`` the phase of its midpoint and ``d_j = scale h
+    xi_j``, ``sin(m u) = sin(m u_c) cos(m d_j) + cos(m u_c) sin(m d_j)``
+    and likewise for ``sin(u)``, so it costs four trigonometric calls, and
+    the 15 ``d_j`` are shared by the whole mesh.  The table's phases are
+    those of the nominal ``h``, off by at most ``m |scale| |half - h|``, the
+    order of the rounding of ``m u`` that the direct path makes.  Every
+    other panel takes :func:`_sin_ratio` node by node: cut pieces, graded
+    cuts, refined children, and a grid panel whose nodes lie within a few
+    thousandths of its half-width of a zero of ``sin(u)``, where the two
+    sums would cancel; so does the whole mesh when a panel spans more than
+    ``pi/4`` in ``u``.
+    """
+    odd = m % 2.0 == 1.0
+
+    def phase(v):
+        u = scale * v + shift
+        if odd:
+            u -= math.pi * np.rint(u / math.pi)
+        return u
+
+    # a grid panel's half-width in u
+    reach = abs(scale) * h
+    if reach > 0.25 * math.pi:
+        return lambda mid, half, x: _sin_ratio(m, phase(x))
+    # cos and sin of m d_j and of d_j: a panel's sin and cos of m u_c times
+    # tables[0], and of u_c times tables[1], give sin(m u) and sin(u) at its
+    # nodes
+    angles = np.multiply.outer([m, 1.0], scale * h * _NODES)
+    tables = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+    slack = 4.0 * _EPS * x_max
+    # the outermost nodes lie at 0.9915 half-widths: a zero of sin(u) at
+    # least halfway from them to the panel's end leaves every node 0.004
+    # half-widths or more away from it
+    clear = 0.5 * (1.0 + _XGK[0]) * reach
+
+    def weight(mid, half, x):
+        u_c = phase(mid)
+        grid = (np.abs(half - h) <= slack) & (np.abs(u_c) > clear)
+        if not grid.any():
+            return _sin_ratio(m, phase(x))
+        # sin and cos of the centre phases m u_c and u_c, shape (2, P, 2)
+        centre = np.empty((2, u_c.shape[0], 2))
+        theta = centre[..., 0]
+        np.multiply(m, u_c, out=theta[0])
+        theta[1] = u_c
+        np.cos(theta, out=centre[..., 1])
+        np.sin(theta, out=theta)
+        # einsum rounds both products before their sum, as the formula
+        # does and a BLAS product with fused multiply-adds need not, so the
+        # weight is the same bit for bit whatever the chunk size
+        out = np.einsum("pk,kj->pj", centre[0], tables[0])
+        den = np.einsum("pk,kj->pj", centre[1], tables[1])
+        # every panel is divided; those off the grid, which may divide by
+        # zero here, are then overwritten node by node
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out /= den
+        if not grid.all():
+            direct = ~grid
+            out[direct] = _sin_ratio(m, phase(x[direct]))
+        return out
+    return weight
+
+
+def _node_values(f, mid, half, weight=None):
+    """``f`` at the 15 Kronrod nodes of every panel, ``_CHUNK`` panels per
+    call, times ``weight(mid, half, x)`` when one is given.
 
     ``f`` maps a 1-D node array of length N to shape ``(N,)`` or
-    ``(N, ncomp)``; the result has shape ``(P, 15)`` or ``(P, 15, ncomp)``.
-    Each chunk is written into that one array as it is evaluated.
+    ``(N, ncomp)``; the result has shape ``(P, 15)`` or ``(P, 15, ncomp)``,
+    and ``weight``, shape ``(P, 15)``, multiplies every component.  Each
+    chunk is written into that one array as it is evaluated.
     """
     out = None
     for start in range(0, mid.shape[0], _CHUNK):
-        m = mid[start:start + _CHUNK, None]
-        y = np.asarray(f((m + half[start:start + _CHUNK, None] * _NODES).ravel()),
-                       dtype=np.float64)
+        m = mid[start:start + _CHUNK]
+        h = half[start:start + _CHUNK]
+        x = m[:, None] + h[:, None] * _NODES
+        w = None if weight is None else weight(m, h, x)
+        y = np.asarray(f(x.ravel()), dtype=np.float64)
         if not np.isfinite(y).all():
             raise QuadratureError("integrand returned non-finite values")
-        y = y.reshape(m.shape[0], _NODES.shape[0], *y.shape[1:])
+        y = y.reshape(*x.shape, *y.shape[1:])
         if out is None:
             out = np.empty((mid.shape[0], *y.shape[1:]))
-        out[start:start + m.shape[0]] = y
+        if w is None:
+            out[start:start + m.shape[0]] = y
+        else:
+            np.multiply(y, w.reshape(w.shape + (1,) * (y.ndim - 2)),
+                        out=out[start:start + m.shape[0]])
     return out
 
 
@@ -168,10 +320,11 @@ def _check_edges(edges, tol):
     return edges, tol
 
 
-def _refine(f, mid, half, tol, moments):
+def _refine(f, mid, half, tol, moments, weight=None):
     """Refine a seeded mesh until ``moments`` meets ``tol`` over the whole mesh.
 
-    Panels are given by their midpoints and half-widths.  ``moments(mid,
+    Panels are given by their midpoints and half-widths, and their node
+    values by :func:`_node_values` with ``f`` and ``weight``.  ``moments(mid,
     half, y)``, a pure function of the mesh and its node values, returns
     ``(totals, err, worst, *rest)``: integrals of shape ``(rows, ncomp)``,
     summed panel errors ``(rows,)``, every panel's largest error over the
@@ -187,7 +340,7 @@ def _refine(f, mid, half, tol, moments):
     the largest factor, with its error and budget.  Returns the moment
     rule's whole output on the final mesh, then ``mid, half, y``.
     """
-    y = _node_values(f, mid, half)
+    y = _node_values(f, mid, half, weight)
     for splits in range(_MAX_ROUNDS + 1):
         totals, err, worst, *rest = moments(mid, half, y)
         budgets = np.maximum(tol * np.abs(totals).max(axis=1), tol)
@@ -212,7 +365,7 @@ def _refine(f, mid, half, tol, moments):
         child_mid = np.concatenate([mid[split] - quarter, mid[split] + quarter])
         child_half = np.tile(quarter, 2)
         keep = ~split
-        y = np.concatenate([y[keep], _node_values(f, child_mid, child_half)])
+        y = np.concatenate([y[keep], _node_values(f, child_mid, child_half, weight)])
         mid = np.concatenate([mid[keep], child_mid])
         half = np.concatenate([half[keep], child_half])
 
@@ -234,15 +387,21 @@ def _plain_moments(mid, half, y):
     return np.cumsum(sums, axis=1)[None, :, -1], np.cumsum(gaps)[-1:], gaps, sums
 
 
-def _plain_refine(f, edges, half, tol, graded):
+def _plain_refine(f, edges, half, tol, graded, sine_ratio):
     """The seeded mesh of :func:`_grid_panels` on ``edges`` with panels of
     half-width ``half``, graded toward ``graded``, refined by :func:`_refine`
-    with the plain K15 moment rule; returns what :func:`_refine` returns."""
+    with the plain K15 moment rule, ``f`` weighted by ``sine_ratio`` unless
+    it is ``None``; returns what :func:`_refine` returns."""
+    weight = None
+    if sine_ratio is not None:
+        sine_ratio = _check_sine_ratio(sine_ratio, edges[0], edges[-1])
+        weight = _sine_ratio_weight(*sine_ratio, half, max(abs(edges[0]), abs(edges[-1])))
     points, _ = _grid_panels(edges, half, graded)
-    return _refine(f, 0.5 * (points[:-1] + points[1:]), 0.5 * np.diff(points), tol, _plain_moments)
+    return _refine(f, 0.5 * (points[:-1] + points[1:]), 0.5 * np.diff(points), tol,
+                   _plain_moments, weight)
 
 
-def integrate_intervals(f, edges, tol=1e-10, *, graded=()):
+def integrate_intervals(f, edges, tol=1e-10, *, graded=(), sine_ratio=None):
     """Integrate ``f`` over every consecutive pair of ``edges`` at once.
 
     The mesh is seeded by :func:`_grid_panels` with one grid panel as wide
@@ -262,6 +421,9 @@ def integrate_intervals(f, edges, tol=1e-10, *, graded=()):
     components per node, ``values`` has one row per interval.  Edges over a
     span that overflows raise :class:`DomainError`.
 
+    ``sine_ratio=(m, scale, shift)`` weights ``f`` by ``sin(m u) / sin(u)``,
+    ``u = scale x + shift``, as in :func:`integrate`.
+
     Every panel costs 15 integrand evaluations, made ``_CHUNK`` panels per
     call.  A call that needs more than ``_MAX_PANELS`` (32768) panels, at
     the start or during refinement, raises :class:`QuadratureError`; at the
@@ -269,13 +431,15 @@ def integrate_intervals(f, edges, tol=1e-10, *, graded=()):
     """
     edges, tol = _check_edges(edges, tol)
     n_int = edges.shape[0] - 1
-    _, _, worst, sums, mid, _, y = _plain_refine(f, edges, edges[-1] - edges[0], tol, graded)
+    _, _, worst, sums, mid, _, y = _plain_refine(f, edges, edges[-1] - edges[0], tol, graded,
+                                                 sine_ratio)
     owner = np.searchsorted(edges[1:-1], mid)
     values = np.stack([np.bincount(owner, v, n_int) for v in sums], axis=1)
     return (values[:, 0] if y.ndim == 2 else values), np.bincount(owner, worst, n_int)
 
 
-def integrate(f, lo, hi, tol=1e-10, *, breakpoints=(), graded=(), max_panel_width=None):
+def integrate(f, lo, hi, tol=1e-10, *, breakpoints=(), graded=(), max_panel_width=None,
+              sine_ratio=None):
     """Adaptive integral of ``f`` over ``[lo, hi]``.
 
     ``breakpoints`` lists interior abscissae that are forced to be panel
@@ -294,6 +458,20 @@ def integrate(f, lo, hi, tol=1e-10, *, breakpoints=(), graded=(), max_panel_widt
     estimated error, the ``|K15 - G7|`` gaps summed over every panel, is
     below one budget ``max(tol * |integral|, tol)`` over the whole of
     ``[lo, hi]``.  Panel caps are those of :func:`integrate_intervals`.
+
+    ``sine_ratio=(m, scale, shift)`` integrates ``f(x) sin(m u) / sin(u)``
+    with ``u = scale x + shift`` instead, the removable singularity at
+    ``u = 0`` taking the limit ``m``; the weight is the engine's, so the
+    integrand stays ``f``.  Uncut grid panels, those of half-width
+    ``max_panel_width / 2``, get the weight by angle addition from four
+    trigonometric calls each and one table of the 15 node offsets; every
+    other panel gets it node by node.  The table's phase error is at most
+    ``m |scale| |half - max_panel_width / 2|``, of the order of the rounding
+    of ``m u`` (see the module notes).  ``m`` must be positive, ``scale``
+    nonzero and all three finite; unless ``m`` is an odd integer, where the
+    weight has period ``pi``, ``u`` must stay off every nonzero multiple of
+    ``pi`` over ``[lo, hi]``.  Anything else raises :class:`DomainError`
+    before ``f`` is evaluated.
     """
     edges, tol = _check_edges(_edges(lo, hi, breakpoints), tol)
     if max_panel_width is None:
@@ -303,7 +481,7 @@ def integrate(f, lo, hi, tol=1e-10, *, breakpoints=(), graded=(), max_panel_widt
         if not (math.isfinite(width) and width > 0):
             raise DomainError(f"max_panel_width must be a positive finite number, got {width}")
         half = 0.5 * width
-    totals, *_, y = _plain_refine(f, edges, half, tol, graded)
+    totals, *_, y = _plain_refine(f, edges, half, tol, graded, sine_ratio)
     return float(totals[0, 0]) if y.ndim == 2 else totals[0]
 
 
@@ -331,12 +509,14 @@ def _grid_panels(edges, half, graded=()):
     """The seeded mesh of every integrator: one grid of panels of
     half-width ``half`` with edges ``lo + 2 half p`` from ``lo = edges[0]``
     to ``hi = edges[-1]``, where each grid panel that holds an edge strictly
-    inside is cut there and the last one ends at ``hi``.  A ``hi`` within
+    inside is cut there and the last one ends at ``hi``.  An edge within
     the merge distance of :func:`_edges`, ``1e-13 (hi - lo)``, of a grid
-    edge, above or below, is taken as that edge, so no panel is left as
-    wide as the rounding of ``lo + 2 half p`` and the last panel stays a
-    grid panel.  With ``half = hi - lo`` the grid is one panel, which the
-    inner edges cut into one panel per interval.
+    edge above ``lo``, above or below, is taken as that edge: an inner one
+    is dropped, and ``hi`` ends the last grid panel.  So no panel is left as
+    narrow as the rounding of ``lo + 2 half p``, and the panels next to
+    such an edge stay grid panels.  With ``half = hi - lo`` the grid is one
+    panel, which the inner edges cut into one panel per interval, however
+    close they lie.
 
     Each point of ``graded`` in ``[lo, hi]`` (an infinite slope of the
     integrand) is an edge too, unless an edge lies within the merge
@@ -375,14 +555,16 @@ def _grid_panels(edges, half, graded=()):
         index = np.floor((edges - lo) / width)
         index -= lo + index * width > edges
         index += lo + (index + 1.0) * width <= edges
-        inside = lo + index * width != edges
-        inside[-1] &= edges[-1] - (lo + index[-1] * width) > merge
-        hi_on_grid = not inside[-1] or lo + (index[-1] + 1.0) * width - edges[-1] <= merge
+        # lo, an end of the range, stands in for no inner edge
+        off_below = (edges - (lo + index * width) > merge) | (index == 0)
+        off_above = lo + (index + 1.0) * width - edges > merge
+        hi_on_grid = not (off_below[-1] and off_above[-1])
     # the grid edges below hi, then one panel more for each inner edge
-    # strictly inside a grid panel and for each graded cut; compared in
-    # floating point, so that a huge count cannot wrap in the cast
-    n_grid = index[-1] + inside[-1]
-    cuts = edges[1:-1][inside[1:-1]]
+    # farther than the merge distance from both ends of its grid panel and
+    # for each graded cut; compared in floating point, so that a huge count
+    # cannot wrap in the cast
+    n_grid = index[-1] + off_below[-1]
+    cuts = edges[1:-1][(off_below & off_above)[1:-1]]
     n_panels = n_grid + cuts.shape[0] + graded_cuts.shape[0]
     if not n_panels <= _MAX_PANELS:
         raise QuadratureError(f"initial subdivision needs {n_panels:.0f} panels, above the cap "

@@ -346,14 +346,16 @@ class TestPinnedBytes:
                 '{"command": "kernel", "format": "json", "inputs": {"n": [5, 8], '
                 '"x": 0.29999999999999999, "tol": 1e-10}, "columns": ["n", "t", '
                 '"cosine_sum", "closed_form", "abs_difference", "mean"], "rows": ['
-                '[5, 0.29999999999999999, 3.3353770284503255, 3.3353770284503255, 0, 1], '
+                '[5, 0.29999999999999999, 3.3353770284503255, 3.3353770284503255, 0, '
+                '1.0000000000000002], '
                 '[8, 0.29999999999999999, 1.8659351136161355, 1.8659351136161357, '
-                '2.2204460492503131e-16, 1]]}\n'),
+                '2.2204460492503131e-16, 0.99999999999999989]]}\n'),
             "csv": (
                 "n,t,cosine_sum,closed_form,abs_difference,mean\n"
-                "5,0.29999999999999999,3.3353770284503255,3.3353770284503255,0,1\n"
+                "5,0.29999999999999999,3.3353770284503255,3.3353770284503255,0,"
+                "1.0000000000000002\n"
                 "8,0.29999999999999999,1.8659351136161355,1.8659351136161357,"
-                "2.2204460492503131e-16,1\n"),
+                "2.2204460492503131e-16,0.99999999999999989\n"),
         },
         "coeffs --function <square.json> --n 4": {
             "json": (

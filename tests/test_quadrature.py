@@ -7,8 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import trigconv as tc
-from conftest import SQUARE, build, harmonic_grid, route_through_series, traced_peak
-from oracles import composite_simpson
+from conftest import (SAWTOOTH, SQUARE, build, harmonic_grid, route_through_series,
+                      traced_peak)
+from oracles import composite_simpson, sawtooth_partial_sum, square_partial_sum
 from trigconv import quadrature
 
 
@@ -207,6 +208,179 @@ class TestIntegrate:
         huge = lambda x: np.full_like(x, 1e308)
         with np.errstate(over="ignore"), pytest.raises(tc.QuadratureError, match="overflow"):
             tc.integrate(huge, 0.0, 10.0)
+
+    def test_inner_edge_next_to_a_grid_edge_is_that_edge(self):
+        # the grid edge 6 * 0.05 rounds to 0.30000000000000004; the inner
+        # edge 0.3 is taken as it, so no panel is 5.6e-17 wide and both
+        # panels next to it stay grid panels
+        points, uncut = quadrature._grid_panels(np.array([0.0, 0.3, 1.0]), 0.025)
+        assert points.shape[0] == 21
+        assert 0.3 not in points
+        assert np.diff(points).min() > 0.049
+        assert uncut.all()
+
+
+def _direct_ratio(m, scale, shift, x):
+    """``sin(m u) / sin(u)`` at ``u = scale x + shift`` node by node, ``u``
+    reduced modulo ``pi`` for an odd integer ``m``."""
+    u = scale * x + shift
+    if m % 2 == 1:
+        u = u - math.pi * np.rint(u / math.pi)
+    return quadrature._sin_ratio(m, u)
+
+
+class TestSineRatioWeight:
+    """``sine_ratio=(m, scale, shift)`` weights the integrand by ``sin(m u) /
+    sin(u)``, ``u = scale x + shift``: by angle addition from a table on
+    grid panels, and by ``_sin_ratio`` node by node on every other panel."""
+
+    @pytest.mark.parametrize("m, scale, shift, lo, hi, width", [
+        (2001, 0.5, -0.15, -math.pi, math.pi, math.pi / 1001),
+        (20001, 0.5, -0.15, -math.pi, math.pi, math.pi / 10001),
+        (7, 3.0, 0.2, -3.0, 3.0, 0.05),
+        (2.5, 1.0, 0.0, 0.0, 3.0, 0.3),
+        (1000.5, 1.0, 0.0, 0.0, 1.5, math.pi / 1000.5),
+        (2001, 0.5, 0.0, -math.pi, math.pi, math.pi / 1001),
+        (7, 1.0, -0.25, 0.0, 1.0, 0.1),
+    ], ids=["partial-sum-kernel", "order-10000", "odd-m-across-multiples-of-pi",
+            "non-integer-m", "limit-verify", "zero-on-a-grid-edge", "zero-inside-a-panel"])
+    def test_node_values_match_the_direct_weight(self, m, scale, shift, lo, hi, width):
+        # the zero of u is a breakpoint, as x is in partial_sum_kernel,
+        # except in the last case, where it lies at a grid panel's midpoint
+        breakpoints = [0.77] if shift == -0.25 else [0.77, -shift / scale]
+        points, uncut = quadrature._grid_panels(quadrature._edges(lo, hi, breakpoints),
+                                                0.5 * width)
+        mid, half = 0.5 * (points[:-1] + points[1:]), 0.5 * np.diff(points)
+        weight = quadrature._sine_ratio_weight(m, scale, shift, 0.5 * width,
+                                               max(abs(lo), abs(hi)))
+        f = lambda x: 1.0 + x * x
+        got = quadrature._node_values(f, mid, half, weight)
+        x = mid[:, None] + half[:, None] * quadrature._NODES
+        want = f(x) * _direct_ratio(m, scale, shift, x)
+        assert uncut.sum() >= 8 and (~uncut).sum() >= 2
+        # cut pieces take the direct path; grid panels agree with it to the
+        # rounding of the phase m u
+        assert np.array_equal(got[~uncut], want[~uncut])
+        assert (np.abs(got - want) <= 1e-12 * m * f(x)).all()
+        if shift == -0.25:
+            # u = 0 at the middle node of the panel [0.2, 0.3]: the limit m
+            assert got[2, 7] == m * f(0.25)
+
+    def test_zero_on_a_grid_edge_stays_on_the_table(self, monkeypatch):
+        # x = 0 is a grid edge of the order-1000 kernel grid, so u -> 0 at
+        # the end of two uncut panels, which still take the table
+        weight = quadrature._sine_ratio_weight(2001, 0.5, 0.0, math.pi / 2002, math.pi)
+        direct = []
+        sin_ratio = quadrature._sin_ratio
+        monkeypatch.setattr(quadrature, "_sin_ratio",
+                            lambda m, u: direct.append(u.size) or sin_ratio(m, u))
+        h = math.pi / 2002
+        mid = np.array([-h, h])
+        half = np.full(2, h)
+        got = weight(mid, half, mid[:, None] + h * quadrature._NODES)
+        assert direct == []
+        want = _direct_ratio(2001, 0.5, 0.0, mid[:, None] + h * quadrature._NODES)
+        assert np.abs(got - want).max() <= 1e-12 * 2001
+
+    @pytest.mark.parametrize("sine_ratio, lo, hi, tol", [
+        ((2001, 0.5, -0.15), -math.pi, math.pi, 1e-9),
+        ((7, 3.0, 0.2), -3.0, 3.0, 1e-10),
+        ((1000.5, 1.0, 0.0), 0.0, 1.5, 1e-8),
+    ])
+    def test_integrate_matches_the_weighted_integrand(self, sine_ratio, lo, hi, tol):
+        width = math.pi / sine_ratio[0]
+        f = lambda x: np.exp(np.cos(x))
+        weighted = tc.integrate(f, lo, hi, tol, breakpoints=[0.77],
+                                max_panel_width=width, sine_ratio=sine_ratio)
+        direct = tc.integrate(lambda x: f(x) * _direct_ratio(*sine_ratio, x), lo, hi, tol,
+                              breakpoints=[0.77], max_panel_width=width)
+        assert abs(weighted - direct) <= 1e-12
+
+    def test_intervals_weight_every_component(self):
+        edges = np.arange(6) * math.pi / 10
+        values, errors = tc.integrate_intervals(
+            lambda b: np.stack([1.0 + b, np.ones(b.shape)], axis=1), edges, 1e-10,
+            sine_ratio=(10, 1.0, 0.0))
+        ratio = lambda b: _direct_ratio(10, 1.0, 0.0, b)
+        want, _ = tc.integrate_intervals(
+            lambda b: np.stack([(1.0 + b) * ratio(b), ratio(b)], axis=1), edges, 1e-10)
+        assert np.array_equal(values, want)
+        assert errors.shape == (5,)
+
+    @pytest.mark.parametrize("shape, oracle", [(SQUARE, square_partial_sum),
+                                               (SAWTOOTH, sawtooth_partial_sum)],
+                             ids=["square", "sawtooth"])
+    def test_partial_sum_kernel_matches_the_closed_form_sums(self, shape, oracle):
+        f = build(shape)
+        for x in (0.0, 0.3, 1.3, -2.0):
+            assert abs(tc.partial_sum_kernel(f, x, 16000) - oracle(x, 16000)) <= 1e-9
+
+    def test_all_grid_kernel_costs_four_trig_calls_per_panel(self, monkeypatch):
+        # the square wave at x = 0 seeds only grid panels: sin and cos see
+        # four values per panel and the 15-node table, not two per node
+        seen = []
+        for name in ("sin", "cos"):
+            trig = getattr(np, name)
+            monkeypatch.setattr(np, name, lambda x, *a, trig=trig, **k:
+                                seen.append(np.size(x)) or trig(x, *a, **k))
+        panels = []
+        refine = quadrature._refine
+
+        def recorded_refine(*args):
+            result = refine(*args)
+            panels.append(result[-3].shape[0])
+            return result
+
+        monkeypatch.setattr(quadrature, "_refine", recorded_refine)
+        value = tc.partial_sum_kernel(build(SQUARE), 0.0, 1000)
+        assert abs(value) <= 1e-9
+        assert panels == [2002]
+        assert sum(seen) <= 4 * (panels[0] + 15)
+
+
+class TestSineRatioRefusals:
+    """A bad ``sine_ratio`` is refused before the integrand is evaluated."""
+
+    @staticmethod
+    def refuse(x):
+        raise AssertionError("integrand evaluated for a refused sine_ratio")
+
+    @pytest.mark.parametrize("sine_ratio, lo, hi, match", [
+        ((3, 1.0), 0.0, 1.0, "three numbers"),
+        ("abc", 0.0, 1.0, "three numbers"),
+        ((0, 1.0, 0.0), 0.0, 1.0, "m must be a positive finite"),
+        ((-3, 1.0, 0.0), 0.0, 1.0, "m must be a positive finite"),
+        ((math.inf, 1.0, 0.0), 0.0, 1.0, "m must be a positive finite"),
+        ((math.nan, 1.0, 0.0), 0.0, 1.0, "m must be a positive finite"),
+        ((3, 0.0, 0.0), 0.0, 1.0, "scale must be a nonzero finite"),
+        ((3, math.inf, 0.0), 0.0, 1.0, "scale must be a nonzero finite"),
+        ((3, math.nan, 0.0), 0.0, 1.0, "scale must be a nonzero finite"),
+        ((3, 1.0, math.inf), 0.0, 1.0, "shift must be a finite"),
+        ((3, 1.0, math.nan), 0.0, 1.0, "shift must be a finite"),
+        ((3, 1e308, 0.0), 0.0, 10.0, "phase overflows"),
+        ((2.5, 1.0, 0.0), 0.0, 4.0, r"pole at u = 1 pi"),
+        ((4, 1.0, 0.0), -4.0, -3.0, r"pole at u = -1 pi"),
+        ((2.5, -1.0, -7.0), -1.0, 0.0, r"pole at u = -2 pi"),
+        ((2.5, 1.0, 0.0), -math.pi, 0.5, r"pole at u = -1 pi"),
+    ])
+    @pytest.mark.parametrize("integrator", ["integrate", "integrate_intervals"])
+    def test_refused(self, integrator, sine_ratio, lo, hi, match):
+        with pytest.raises(tc.DomainError, match=match):
+            if integrator == "integrate":
+                tc.integrate(self.refuse, lo, hi, sine_ratio=sine_ratio)
+            else:
+                tc.integrate_intervals(self.refuse, [lo, 0.5 * (lo + hi), hi],
+                                       sine_ratio=sine_ratio)
+
+    @pytest.mark.parametrize("sine_ratio, lo, hi", [
+        ((3, 1.0, 0.0), 0.0, 4.0),
+        ((2.5, 1.0, 0.0), 0.0, 3.0),
+        ((2.5, 1.0, 3.5), 0.0, 2.0),
+    ], ids=["odd-m-across-pi", "below-pi", "between-pi-and-2pi"])
+    def test_admitted(self, sine_ratio, lo, hi):
+        value = tc.integrate(np.ones_like, lo, hi, 1e-10, sine_ratio=sine_ratio)
+        reference = composite_simpson(lambda x: _direct_ratio(*sine_ratio, x), lo, hi, 10**5)
+        assert value == pytest.approx(reference, abs=1e-8)
 
 
 def _sqrt_sawtooth(x):
@@ -500,18 +674,20 @@ class TestIntegrateHarmonics:
         assert (np.abs(cos_int - exact.real) <= errors).all()
         assert (np.abs(sin_int - exact.imag) <= errors).all()
 
-    @pytest.mark.parametrize("breakpoint, cut", [(GRID_EDGE, False), (INSIDE, True)],
-                             ids=["on-grid-edge", "3-ulps-inside"])
+    @pytest.mark.parametrize("breakpoint, cut", [(GRID_EDGE, False), (INSIDE, False),
+                                                 (GRID_EDGE + 1e-12, True)],
+                             ids=["on-grid-edge", "3-ulps-inside", "past-the-merge-distance"])
     def test_grid_cut_only_inside_a_panel(self, breakpoint, cut):
         size = quadrature._fft_length(2 * 41)
         points, uncut = quadrature._grid_panels(quadrature._edges(0.0, 3.0, [breakpoint]),
                                                 math.pi / size)
         half = 0.5 * np.diff(points)
         pieces = ~uncut
-        # the last panel ends at 3, and a breakpoint inside a panel cuts it
-        # into a piece of 3 ulps and the rest
+        # the last panel ends at 3; a breakpoint within the merge distance
+        # 1e-13 * 3 of a grid edge is taken as that edge, so no panel is a
+        # few ulps wide, and one farther inside a panel cuts it in two
         assert pieces[-1] and pieces.sum() == 1 + 2 * cut
-        assert (half[pieces][:-1] < 1e-15).sum() == cut
+        assert (np.diff(points) > 3e-13).all()
         if cut:
             assert half[pieces][:2].sum() == pytest.approx(math.pi / size, abs=1e-15)
 
