@@ -81,12 +81,12 @@ def coefficients(f, n_max, tol=1e-10):
     of a spec with two square-root ends, whose grading adds 30 panels to
     the grid (``POWER_AND_TABLE`` of the tests, at ``n_max`` = 125, 300,
     600, 4000 and 16 000; without grading it took 10, 9, 8, 6 and 4
-    rounds).  An ``n_max`` above the largest order
-    ``10**6``, or whose seeded mesh exceeds the panel cap, is refused
-    before ``f`` is evaluated.
+    rounds).  ``n_max = 0`` tabulates the mean term ``a0`` alone.  An
+    ``n_max`` above the largest order ``10**6``, or whose seeded mesh
+    exceeds the panel cap, is refused before ``f`` is evaluated.
     """
     f = _check_function(f)
-    n_max = check_integer(n_max, "n_max", 1, _MAX_ORDER)
+    n_max = check_integer(n_max, "n_max", 0, _MAX_ORDER)
     cos_int, sin_int, errors = integrate_harmonics(f.eval, -PI, PI, n_max, tol,
                                                    breakpoints=f.breakpoints,
                                                    graded=f.singular_points)
@@ -113,7 +113,9 @@ def partial_sum_kernel(f, x, n, tol=1e-9):
     ``(1/pi) * integral of f(alpha) * D_n(alpha - x)`` over a period, where
     ``D_n(t) = sin((2n + 1) u) / (2 sin(u))``, ``u = t/2``, is the
     closed-form summation kernel, which the quadrature engine applies as
-    its ``sine_ratio`` weight to ``f / 2``.
+    its ``sine_ratio`` weight to ``f / 2``; the weight seeds the mesh with
+    its half-periods, panels ``2 pi / (2n + 1)`` wide, cut at ``x`` and at
+    the breakpoints of ``f``.
     """
     f = _check_function(f)
     n = check_integer(n, "n", 0, _MAX_ORDER)
@@ -122,7 +124,7 @@ def partial_sum_kernel(f, x, n, tol=1e-9):
     # +/-pi among them, and merges duplicates
     value = integrate(lambda alpha: 0.5 * f.eval(alpha), -PI, PI, tol,
                       breakpoints=(*f.breakpoints, x), graded=f.singular_points,
-                      max_panel_width=PI / (n + 1), sine_ratio=(2 * n + 1, 0.5, -0.5 * x))
+                      sine_ratio=(2 * n + 1, 0.5, -0.5 * x))
     return value / PI
 
 
@@ -174,10 +176,11 @@ def split_integrals(f, x, n, tol=1e-9):
     x = check_abscissa(x)
 
     def one_side(side):
-        # seed panels at every mapped non-smooth point of f, which holds
-        # every jump and extremum that beta_split_points reports, and at
-        # the peak pi/2 of the weight's denominator, and grade them toward
-        # every mapped infinite slope (integrate ignores those out of range)
+        # the weight seeds panels pi / (2n + 1) wide, its half-periods; cut
+        # them at every mapped non-smooth point of f, which holds every
+        # jump and extremum that beta_split_points reports, and at the peak
+        # pi/2 of the weight's denominator, and grade them toward every
+        # mapped infinite slope (integrate ignores those out of range)
         length, seeds = _beta_seeds(f.breakpoints, x, side)
         if length <= 0.0:
             return 0.0
@@ -185,7 +188,7 @@ def split_integrals(f, x, n, tol=1e-9):
 
         return integrate(lambda beta: f.eval(np.clip(x + sign * beta, -PI, PI)), 0.0, length,
                          tol, breakpoints=seeds, graded=_to_beta(f.singular_points, x, side),
-                         max_panel_width=PI / (2 * n + 1), sine_ratio=(2 * n + 1, 1.0, 0.0))
+                         sine_ratio=(2 * n + 1, 1.0, 0.0))
 
     return one_side("lower"), one_side("upper")
 

@@ -10,10 +10,10 @@ the equivalent closed form
 ``sin((n + 1/2) t) / (2 sin(t/2))``, which is ``R_{2n+1}(t/2) / 2`` for the
 ratio ``R_m(u) = sin(m u) / sin(u)``.  That ratio, also the sign-block
 weight of :mod:`trigconv.oscillatory`, is computed in one place,
-:func:`trigconv.quadrature._sin_ratio`, whose removable singularity needs
-the limit value only where ``u`` is exactly zero; the quadrature engine
-applies it as the ``sine_ratio`` weight, which is how :func:`kernel_mean`
-integrates the kernel.
+:func:`trigconv.quadrature._sin_ratio`, which reduces ``u`` modulo ``pi``
+for an integer order and then needs the limit value only where ``u`` is
+exactly zero; the quadrature engine applies it as the ``sine_ratio``
+weight, which is how :func:`kernel_mean` integrates the kernel.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from .quadrature import _sin_ratio, integrate
 # the largest order (of the kernel, a partial sum, a coefficient table or
 # the alternating tail) and sine-block frequency admitted
 _MAX_ORDER = 10**6
-_TWO_PI = 2.0 * math.pi
 # cosines evaluated and split per chunk of this many terms, into reused buffers
 _CHUNK = 1 << 14
 # extraction levels per chunk: each takes 53 - ceil(log2(_CHUNK + 2)) = 38 bits
@@ -103,21 +102,16 @@ def cosine_sum(n, t):
 def dirichlet_kernel(n, t):
     """Closed form ``sin((n + 1/2) t) / (2 sin(t/2))``, scalar or array.
 
-    The argument is reduced modulo ``2 pi`` first, so the evaluation is
-    periodic by construction; at the removable singularity the value is
-    ``n + 1/2``.  A non-finite ``t`` is refused.
+    The argument ``t/2`` of the ratio is reduced modulo ``pi`` first, as
+    :func:`~trigconv.quadrature._sin_ratio` does for every integer order,
+    so the evaluation is periodic by construction; at the removable
+    singularity the value is ``n + 1/2``.  A non-finite ``t`` is refused.
     """
     n = check_integer(n, "order", 0, _MAX_ORDER)
     arr = np.asarray(t, dtype=np.float64)
     if not np.isfinite(arr).all():
         raise DomainError(f"t must be finite, got {float(arr[~np.isfinite(arr)][0])!r}")
-    # half of t - 2 pi round(t / (2 pi)), formed in one buffer
-    half = np.divide(arr, _TWO_PI, out=np.empty(arr.shape))
-    np.round(half, out=half)
-    half *= _TWO_PI
-    np.subtract(arr, half, out=half)
-    half *= 0.5
-    out = _sin_ratio(2 * n + 1, half)
+    out = _sin_ratio(2 * n + 1, 0.5 * arr)
     out *= 0.5
     return float(out) if arr.ndim == 0 else out
 
@@ -125,12 +119,12 @@ def dirichlet_kernel(n, t):
 def kernel_mean(n, tol=1e-10):
     """``(1/pi)`` times the kernel's integral over one period; equals 1.
 
-    Computed by adaptive quadrature with panels no wider than the kernel's
-    finest oscillation, the engine applying the kernel as its
-    ``sine_ratio`` weight ``R_{2n+1}(t/2)`` to the constant ``1/2``, as a
+    Computed by adaptive quadrature, the engine applying the kernel as its
+    ``sine_ratio`` weight ``R_{2n+1}(t/2)`` to the constant ``1/2`` on the
+    grid the weight seeds, its half-periods ``2 pi / (2n + 1)``, as a
     self-check of the quadrature machinery.
     """
     n = check_integer(n, "order", 0, _MAX_ORDER)
     value = integrate(lambda t: np.full(t.shape, 0.5), -math.pi, math.pi, tol,
-                      max_panel_width=math.pi / (n + 1), sine_ratio=(2 * n + 1, 0.5, 0.0))
+                      sine_ratio=(2 * n + 1, 0.5, 0.0))
     return value / math.pi

@@ -119,7 +119,9 @@ def _require_monotone(f, lo, hi):
 
 def sine_ratio(i, beta):
     """The oscillating weight ``sin(i b)/sin(b)`` with its ``b = 0``
-    singularity removed (value ``i`` there).  A non-finite ``beta`` is
+    singularity removed (value ``i`` there); for an integer ``i`` every
+    multiple ``k pi`` is removable too (value ``(-1)^(k (i + 1)) i``), and
+    ``b`` is reduced modulo ``pi`` first.  A non-finite ``beta`` is
     refused.  A scalar ``beta`` gives a float, an array an array."""
     i = _check_frequency(i)
     beta = np.asarray(beta, dtype=np.float64)
@@ -213,8 +215,7 @@ def limit_verify(f, g, h, i_schedule, tol=1e-8):
     _require_monotone(f, g, h)
     fn = _vectorized(f, g, h)
     predicted = 0.5 * math.pi * float(fn(np.zeros(1))[0]) if g == 0.0 else 0.0
-    values = np.array([integrate(fn, g, h, tol, graded=_graded(f), max_panel_width=math.pi / i,
-                                 sine_ratio=(i, 1.0, 0.0))
+    values = np.array([integrate(fn, g, h, tol, graded=_graded(f), sine_ratio=(i, 1.0, 0.0))
                        for i in schedule])
     errors = np.abs(values - predicted)
     return ConvergenceReport(x=g, schedule=schedule, values=values,

@@ -18,11 +18,13 @@ geometrically toward the point, at ``g -/+ _GRADING_RATIO^k w``, ``k = 1
 rules converge exponentially on such a mesh (Schwab, *Computing* 53,
 1994), so the point costs a few seeded panels instead of one refinement
 round per level.
-:func:`integrate_intervals`, and :func:`integrate` without a panel width,
-take one grid panel over the whole range, which the inner edges cut into
-one panel per interval.  All three hold one error budget over the whole
-range, as QUADPACK's QAG does, and :func:`integrate_intervals` splits the
-final mesh's per-panel sums by interval only after refinement.
+The grid of :func:`integrate` and :func:`integrate_intervals` is one
+panel over the whole range, which the inner edges cut into one panel per
+interval, unless they carry the sine-ratio weight below, whose grid is the
+half-periods of its numerator; that of :func:`integrate_harmonics` has
+``kh <= pi/2`` at every harmonic.  All three hold one error budget over
+the whole range, as QUADPACK's QAG does, and :func:`integrate_intervals`
+splits the final mesh's per-panel sums by interval only after refinement.
 
 The mesh holds each panel's midpoint, half-width and node values.  A
 moment rule is a pure function of the mesh: it turns node values into
@@ -41,21 +43,23 @@ mesh may hold at most ``_MAX_PANELS`` panels, and a call at most
 too: with ``sine_ratio=(m, scale, shift)`` they integrate ``f(x) sin(m u) /
 sin(u)``, ``u = scale x + shift``, the form of both the Dirichlet kernel
 and the sign-block weight, and :func:`_node_values` multiplies ``f``'s
-values by the weight (see :func:`_sine_ratio_weight`).  Like the harmonic
-rule, it comes two ways.  An uncut grid panel of half-width ``h`` whose
-midpoint has the phase ``u_c`` takes it by angle addition, ``sin(m u_c + m
-d_j) = sin(m u_c) cos(m d_j) + cos(m u_c) sin(m d_j)`` with ``d_j = scale h
-xi_j``, and likewise for ``sin(u)``: four trigonometric calls per panel and
-one 15-node table per mesh, in place of two sines per node.  For an odd
-integer ``m`` the weight has period ``pi`` in ``u``, and ``u`` is reduced
-modulo ``pi`` first.  Cut pieces, graded cuts and refined children take
-the direct path, :func:`_sin_ratio` node by node, the package's one helper
-for the removable singularity at ``u = 0``.  The table's phases are those
-of the nominal ``h``; a grid panel's half-width ``half`` is ``h`` only to
-within the rounding of its edges, ``4 eps max |x|``, so each phase is off
-by at most ``m |scale| |half - h|``, the order of the rounding of ``m u``
-that the direct path makes.  The mesh is the one the unweighted integrand
-would get.
+values by the weight (see :func:`_sine_ratio_weight`).  The weight sets
+the grid: the half-periods of ``sin(m u)``, panels ``pi / (m |scale|)``
+wide (``2 h`` below), anchored at the lower limit, so no caller restates
+the frequency.  Like the harmonic rule, the weight comes two ways.  An
+uncut grid panel of half-width ``h`` whose midpoint has the phase ``u_c``
+takes it by angle addition, ``sin(m u_c + m d_j) = sin(m u_c) cos(m d_j) +
+cos(m u_c) sin(m d_j)`` with ``d_j = scale h xi_j``, and likewise for
+``sin(u)``: four trigonometric calls per panel and one 15-node table per
+mesh, in place of two sines per node.  For an integer ``m`` the weight
+has period ``pi`` in ``u``, up to a sign for an even ``m``, and ``u`` is
+reduced modulo ``pi`` first (:func:`_reduced_phase`).  Cut pieces, graded
+cuts and refined children take the direct path, :func:`_sin_ratio` node
+by node, the package's one helper for the removable singularities.  The
+table's phases are those of the nominal ``h``; a grid panel's half-width
+``half`` is ``h`` only to within the rounding of its edges, ``4 eps max
+|x|``, so each phase is off by at most ``m |scale| |half - h|``, the order
+of the rounding of ``m u`` that the direct path makes.
 
 The harmonic rule writes ``exp(ikx) = exp(ikm) exp(ikh xi_j)`` at the
 nodes ``m + h xi_j`` of a panel with midpoint ``m`` and half-width ``h``.
@@ -129,6 +133,7 @@ _GAP_WEIGHTS = _KRONROD_WEIGHTS - _GAUSS_WEIGHTS
 _MAX_ROUNDS = 48
 _MAX_PANELS = 1 << 15
 _EPS = np.finfo(np.float64).eps
+_HUGE = np.finfo(np.float64).max
 
 # the integrand sees the nodes of at most _CHUNK panels per call
 _CHUNK = 1 << 11
@@ -153,21 +158,40 @@ _SERIES = (np.concatenate([weights[:, None] * _NODES[:, None] ** np.arange(_SERI
 _TILE = 1 << 14
 
 
+def _reduced_phase(m, u):
+    """``u`` reduced to ``u - k pi``, ``k = rint(u / pi)``, for an integer
+    ``m``, and the sign ``(-1)^k`` that ``sin(m u) / sin(u)`` then takes on
+    for an even ``m``: the ratio at ``u`` is that sign times the ratio at
+    the reduced phase, which lies in ``[-pi/2, pi/2]``.  The ratio has
+    period ``pi`` for an odd ``m``, so its sign is ``None``, as it is for
+    any other ``m``, whose ``u`` is returned as it is.  ``u`` is a float
+    array."""
+    if m % 1.0 != 0.0:
+        return u, None
+    k = np.rint(u / math.pi)
+    return u - math.pi * k, None if m % 2.0 == 1.0 else 1.0 - 2.0 * (k % 2.0)
+
+
 def _sin_ratio(m, u):
     """``sin(m u) / sin(u)`` elementwise, with the limit ``m`` at ``u == 0``.
 
+    For an integer ``m`` every multiple of ``pi`` is a removable
+    singularity too, and ``u`` is reduced modulo ``pi`` first (see
+    :func:`_reduced_phase`); for any other ``m`` callers keep ``u`` away
+    from the nonzero multiples of ``pi``, where the ratio has poles.
     ``sin`` keeps full relative accuracy for small arguments, so the plain
     quotient is accurate arbitrarily close to the singularity and only an
-    exact zero needs the substitution.  Callers keep ``u`` away from the
-    other zeros of ``sin(u)``.  The quotient is formed in one buffer; its
-    ``0/0`` at ``u == 0`` is then overwritten with ``m``.
+    exact zero needs the substitution.  The quotient is formed in one
+    buffer; its ``0/0`` at ``u == 0`` is then overwritten with ``m``.
     """
-    u = np.asarray(u, dtype=np.float64)
+    u, sign = _reduced_phase(m, np.asarray(u, dtype=np.float64))
     out = np.multiply(m, u, out=np.empty(u.shape))
     np.sin(out, out=out)
     with np.errstate(invalid="ignore"):
         np.divide(out, np.sin(u), out=out)
     out[u == 0.0] = m
+    if sign is not None:
+        out *= sign
     return out
 
 
@@ -204,40 +228,30 @@ def _check_sine_ratio(sine_ratio, lo, hi):
 
 
 def _sine_ratio_weight(m, scale, shift, h, x_max):
-    """The weight ``sin(m u) / sin(u)``, ``u = scale x + shift``, as
-    ``weight(mid, half, x)`` of :func:`_node_values`: its values at the
-    nodes ``x`` of the panels with midpoints ``mid`` and half-widths
-    ``half``, shape ``(P, 15)``.
+    """The weight ``sin(m u) / sin(u)``, ``u = scale x + shift``, on a grid
+    of panels of half-width ``h`` over ``|x| <= x_max``, as ``weight(mid,
+    half, x)`` of :func:`_node_values`: its values at the nodes ``x`` of the
+    panels with midpoints ``mid`` and half-widths ``half``, shape ``(P,
+    15)``.
 
-    For an odd integer ``m`` the weight has period ``pi`` in ``u``, and
-    ``u`` is reduced modulo ``pi`` first, as
-    :func:`~trigconv.kernel.dirichlet_kernel` reduces ``t`` modulo ``2
-    pi``.  A grid panel, whose half-width is ``h`` to within ``4 eps max
-    |x|`` (the rounding of the grid edges), takes the weight by angle
-    addition: with ``u_c`` the phase of its midpoint and ``d_j = scale h
-    xi_j``, ``sin(m u) = sin(m u_c) cos(m d_j) + cos(m u_c) sin(m d_j)``
-    and likewise for ``sin(u)``, so it costs four trigonometric calls, and
-    the 15 ``d_j`` are shared by the whole mesh.  The table's phases are
-    those of the nominal ``h``, off by at most ``m |scale| |half - h|``, the
-    order of the rounding of ``m u`` that the direct path makes.  Every
-    other panel takes :func:`_sin_ratio` node by node: cut pieces, graded
-    cuts, refined children, and a grid panel whose nodes lie within a few
-    thousandths of its half-width of a zero of ``sin(u)``, where the two
-    sums would cancel; so does the whole mesh when a panel spans more than
-    ``pi/4`` in ``u``.
+    A grid panel, whose half-width is ``h`` to within ``4 eps x_max`` (the
+    rounding of the grid edges), takes the weight by angle addition: with
+    ``u_c`` the phase of its midpoint, reduced modulo ``pi`` for an integer
+    ``m`` (see :func:`_reduced_phase`), and ``d_j = scale h xi_j``, ``sin(m
+    u) = sin(m u_c) cos(m d_j) + cos(m u_c) sin(m d_j)`` and likewise for
+    ``sin(u)``, so it costs four trigonometric calls, and the 15 ``d_j`` are
+    shared by the whole mesh.  The table's phases are those of the nominal
+    ``h``, off by at most ``m |scale| |half - h|``, the order of the
+    rounding of ``m u`` that the direct path makes.  Every other panel
+    takes :func:`_sin_ratio` node by node: cut pieces, graded cuts, refined
+    children, and a grid panel whose nodes lie within a few thousandths of
+    its half-width of a zero of ``sin(u)``, where the two sums would
+    cancel.  So does the whole mesh when ``m < 2``: on the grid of
+    :func:`_plain_refine`, ``h = pi / (2 m |scale|)``, a panel then spans
+    more than ``pi / 2`` in ``u``.
     """
-    odd = m % 2.0 == 1.0
-
-    def phase(v):
-        u = scale * v + shift
-        if odd:
-            u -= math.pi * np.rint(u / math.pi)
-        return u
-
-    # a grid panel's half-width in u
-    reach = abs(scale) * h
-    if reach > 0.25 * math.pi:
-        return lambda mid, half, x: _sin_ratio(m, phase(x))
+    if m < 2.0:
+        return lambda mid, half, x: _sin_ratio(m, scale * x + shift)
     # cos and sin of m d_j and of d_j: a panel's sin and cos of m u_c times
     # tables[0], and of u_c times tables[1], give sin(m u) and sin(u) at its
     # nodes
@@ -247,13 +261,13 @@ def _sine_ratio_weight(m, scale, shift, h, x_max):
     # the outermost nodes lie at 0.9915 half-widths: a zero of sin(u) at
     # least halfway from them to the panel's end leaves every node 0.004
     # half-widths or more away from it
-    clear = 0.5 * (1.0 + _XGK[0]) * reach
+    clear = 0.5 * (1.0 + _XGK[0]) * abs(scale) * h
 
     def weight(mid, half, x):
-        u_c = phase(mid)
+        u_c, sign = _reduced_phase(m, scale * mid + shift)
         grid = (np.abs(half - h) <= slack) & (np.abs(u_c) > clear)
         if not grid.any():
-            return _sin_ratio(m, phase(x))
+            return _sin_ratio(m, scale * x + shift)
         # sin and cos of the centre phases m u_c and u_c, shape (2, P, 2)
         centre = np.empty((2, u_c.shape[0], 2))
         theta = centre[..., 0]
@@ -270,9 +284,11 @@ def _sine_ratio_weight(m, scale, shift, h, x_max):
         # zero here, are then overwritten node by node
         with np.errstate(divide="ignore", invalid="ignore"):
             out /= den
+        if sign is not None:
+            out *= sign[:, None]
         if not grid.all():
             direct = ~grid
-            out[direct] = _sin_ratio(m, phase(x[direct]))
+            out[direct] = _sin_ratio(m, scale * x[direct] + shift)
         return out
     return weight
 
@@ -387,15 +403,25 @@ def _plain_moments(mid, half, y):
     return np.cumsum(sums, axis=1)[None, :, -1], np.cumsum(gaps)[-1:], gaps, sums
 
 
-def _plain_refine(f, edges, half, tol, graded, sine_ratio):
-    """The seeded mesh of :func:`_grid_panels` on ``edges`` with panels of
-    half-width ``half``, graded toward ``graded``, refined by :func:`_refine`
-    with the plain K15 moment rule, ``f`` weighted by ``sine_ratio`` unless
-    it is ``None``; returns what :func:`_refine` returns."""
+def _plain_refine(f, edges, tol, graded, sine_ratio):
+    """The seeded mesh of :func:`_grid_panels` on ``edges``, graded toward
+    ``graded``, refined by :func:`_refine` with the plain K15 moment rule;
+    returns what :func:`_refine` returns.
+
+    Without a weight the grid is one panel over the whole range, which the
+    inner edges cut into one panel per interval.  With ``sine_ratio=(m,
+    scale, shift)``, ``f`` is weighted by :func:`_sine_ratio_weight`, and
+    the grid is that of the weight: the half-periods of ``sin(m u)``,
+    panels ``pi / (m |scale|)`` wide, anchored at ``edges[0]``.
+    """
+    half = edges[-1] - edges[0]
     weight = None
     if sine_ratio is not None:
-        sine_ratio = _check_sine_ratio(sine_ratio, edges[0], edges[-1])
-        weight = _sine_ratio_weight(*sine_ratio, half, max(abs(edges[0]), abs(edges[-1])))
+        m, scale, shift = _check_sine_ratio(sine_ratio, edges[0], edges[-1])
+        # a half-width that overflows is held as _grid_panels holds its
+        # width; one that underflows to 0 is refused there at the panel cap
+        half = min(0.5 * math.pi / m / abs(scale), 0.5 * _HUGE)
+        weight = _sine_ratio_weight(m, scale, shift, half, max(abs(edges[0]), abs(edges[-1])))
     points, _ = _grid_panels(edges, half, graded)
     return _refine(f, 0.5 * (points[:-1] + points[1:]), 0.5 * np.diff(points), tol,
                    _plain_moments, weight)
@@ -404,10 +430,11 @@ def _plain_refine(f, edges, half, tol, graded, sine_ratio):
 def integrate_intervals(f, edges, tol=1e-10, *, graded=(), sine_ratio=None):
     """Integrate ``f`` over every consecutive pair of ``edges`` at once.
 
-    The mesh is seeded by :func:`_grid_panels` with one grid panel as wide
-    as the whole range, which the inner edges cut into one panel per
-    interval (and graded toward the points of ``graded``, as in
-    :func:`integrate`), and refined with the plain K15 moment rule until the
+    The mesh is seeded as in :func:`integrate`: by :func:`_grid_panels`,
+    with one grid panel as wide as the whole range, which the inner edges
+    cut into one panel per interval, or with the grid of the ``sine_ratio``
+    weight, whose panels the inner edges cut; and graded toward the points
+    of ``graded``.  It is refined with the plain K15 moment rule until the
     summed panel error of the whole mesh (the ``|K15 - G7|`` gaps of all its
     panels) falls below one budget ``max(tol * max over components |sum of
     values|, tol)`` over ``[edges[0], edges[-1]]``, as in
@@ -422,7 +449,10 @@ def integrate_intervals(f, edges, tol=1e-10, *, graded=(), sine_ratio=None):
     span that overflows raise :class:`DomainError`.
 
     ``sine_ratio=(m, scale, shift)`` weights ``f`` by ``sin(m u) / sin(u)``,
-    ``u = scale x + shift``, as in :func:`integrate`.
+    ``u = scale x + shift``, as in :func:`integrate`.  Edges on the
+    weight's grid, such as the sign blocks of
+    :func:`~trigconv.oscillatory.decompose` (the zeros of ``sin(m u)``),
+    leave its panels uncut.
 
     Every panel costs 15 integrand evaluations, made ``_CHUNK`` panels per
     call.  A call that needs more than ``_MAX_PANELS`` (32768) panels, at
@@ -431,15 +461,13 @@ def integrate_intervals(f, edges, tol=1e-10, *, graded=(), sine_ratio=None):
     """
     edges, tol = _check_edges(edges, tol)
     n_int = edges.shape[0] - 1
-    _, _, worst, sums, mid, _, y = _plain_refine(f, edges, edges[-1] - edges[0], tol, graded,
-                                                 sine_ratio)
+    _, _, worst, sums, mid, _, y = _plain_refine(f, edges, tol, graded, sine_ratio)
     owner = np.searchsorted(edges[1:-1], mid)
     values = np.stack([np.bincount(owner, v, n_int) for v in sums], axis=1)
     return (values[:, 0] if y.ndim == 2 else values), np.bincount(owner, worst, n_int)
 
 
-def integrate(f, lo, hi, tol=1e-10, *, breakpoints=(), graded=(), max_panel_width=None,
-              sine_ratio=None):
+def integrate(f, lo, hi, tol=1e-10, *, breakpoints=(), graded=(), sine_ratio=None):
     """Adaptive integral of ``f`` over ``[lo, hi]``.
 
     ``breakpoints`` lists interior abscissae that are forced to be panel
@@ -448,40 +476,36 @@ def integrate(f, lo, hi, tol=1e-10, *, breakpoints=(), graded=(), max_panel_widt
     infinite slope, such as the origin of ``sqrt(x - g)``: the seeded mesh
     next to each is cut geometrically toward it (see :func:`_grid_panels`);
     points outside ``[lo, hi]`` are ignored.  The mesh is seeded by
-    :func:`_grid_panels` with panels ``max_panel_width`` wide, anchored at
-    ``lo`` (one panel per interval between breakpoints when it is ``None``,
-    as in :func:`integrate_intervals`), which is how oscillatory integrands
-    declare their finest relevant scale; a width that is not positive and
-    finite raises :class:`DomainError`, as does a range whose span ``hi -
-    lo`` overflows.  Each panel's half-width is half the gap between its
-    two edges, so the panels tile ``[lo, hi]`` exactly.  The result's
-    estimated error, the ``|K15 - G7|`` gaps summed over every panel, is
-    below one budget ``max(tol * |integral|, tol)`` over the whole of
-    ``[lo, hi]``.  Panel caps are those of :func:`integrate_intervals`.
+    :func:`_grid_panels`, one panel per interval between breakpoints
+    without a weight, as in :func:`integrate_intervals`; an integrand that
+    needs finer seeding passes the cuts as ``breakpoints``, as
+    :func:`~trigconv.oscillatory.tail` passes the zeros of ``sin g`` as
+    edges.  A range whose span ``hi - lo`` overflows raises
+    :class:`DomainError`.
+    Each panel's half-width is half the gap between its two edges, so the
+    panels tile ``[lo, hi]`` exactly.  The result's estimated error, the
+    ``|K15 - G7|`` gaps summed over every panel, is below one budget
+    ``max(tol * |integral|, tol)`` over the whole of ``[lo, hi]``.  Panel
+    caps are those of :func:`integrate_intervals`.
 
     ``sine_ratio=(m, scale, shift)`` integrates ``f(x) sin(m u) / sin(u)``
     with ``u = scale x + shift`` instead, the removable singularity at
     ``u = 0`` taking the limit ``m``; the weight is the engine's, so the
-    integrand stays ``f``.  Uncut grid panels, those of half-width
-    ``max_panel_width / 2``, get the weight by angle addition from four
-    trigonometric calls each and one table of the 15 node offsets; every
-    other panel gets it node by node.  The table's phase error is at most
-    ``m |scale| |half - max_panel_width / 2|``, of the order of the rounding
-    of ``m u`` (see the module notes).  ``m`` must be positive, ``scale``
-    nonzero and all three finite; unless ``m`` is an odd integer, where the
-    weight has period ``pi``, ``u`` must stay off every nonzero multiple of
-    ``pi`` over ``[lo, hi]``.  Anything else raises :class:`DomainError`
-    before ``f`` is evaluated.
+    integrand stays ``f``.  The weight sets the seeding grid: the
+    half-periods of ``sin(m u)``, panels ``pi / (m |scale|)`` wide,
+    anchored at ``lo``, which the breakpoints cut.  Uncut grid panels get
+    the weight by angle addition from four trigonometric calls each and
+    one table of the 15 node offsets; every other panel gets it node by
+    node (see the module notes).  ``m`` must be positive, ``scale`` nonzero
+    and all three finite; unless ``m`` is an odd integer, where the weight
+    has period ``pi``, ``u`` must stay off every nonzero multiple of ``pi``
+    over ``[lo, hi]``.  Anything else raises :class:`DomainError` before
+    ``f`` is evaluated.  A grid of more than ``_MAX_PANELS`` panels, from a
+    large ``m |scale|``, raises :class:`QuadratureError`, also before ``f``
+    is evaluated.
     """
     edges, tol = _check_edges(_edges(lo, hi, breakpoints), tol)
-    if max_panel_width is None:
-        half = edges[-1] - edges[0]
-    else:
-        width = float(max_panel_width)
-        if not (math.isfinite(width) and width > 0):
-            raise DomainError(f"max_panel_width must be a positive finite number, got {width}")
-        half = 0.5 * width
-    totals, *_, y = _plain_refine(f, edges, half, tol, graded, sine_ratio)
+    totals, *_, y = _plain_refine(f, edges, tol, graded, sine_ratio)
     return float(totals[0, 0]) if y.ndim == 2 else totals[0]
 
 
@@ -548,7 +572,7 @@ def _grid_panels(edges, half, graded=()):
     # a huge count, or a width that underflows, must reach the cap check, and
     # a width that overflows is held to the largest float, still above hi - lo
     with np.errstate(all="ignore"):
-        width = min(2.0 * half, np.finfo(np.float64).max)
+        width = min(2.0 * half, _HUGE)
         graded_cuts = np.empty(0)
         if graded:
             edges, graded_cuts = _graded_cuts(edges, np.array(graded), width, merge)

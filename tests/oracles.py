@@ -57,6 +57,16 @@ def dirichlet_kernel_mp(n, t, dps=50):
         return float(mpmath.sin((n + mpmath.mpf(0.5)) * t) / (2 * mpmath.sin(t / 2)))
 
 
+def sine_ratio_mp(i, beta, dps=50):
+    """``sin(i b) / sin(b)`` in ``dps``-digit arithmetic, for the float
+    ``beta`` taken exactly; ``sin(beta)`` must not vanish."""
+    import mpmath
+
+    with mpmath.workdps(dps):
+        beta = mpmath.mpf(beta)
+        return float(mpmath.sin(i * beta) / mpmath.sin(beta))
+
+
 def qawo_coefficients(f, k):
     """``(a_k, b_k)`` of a parsed spec by QUADPACK's QAWO rule
     (``scipy.integrate.quad`` with a ``cos``/``sin`` weight), ``k >= 1``.

@@ -97,6 +97,17 @@ class TestPartialSum:
             assert row[4] < 1e-6
             assert row[4] == abs(row[2] - row[3])
 
+    @pytest.mark.parametrize("orders", ["0", "0,3"])
+    def test_order_zero_is_the_mean(self, capsys, sawtooth_file, orders):
+        code, out, _ = run_cli(capsys, "partialsum", "--function", sawtooth_file,
+                               "--x", "1.0", "--n", orders)
+        assert code == 0
+        rows = json.loads(out)["rows"]
+        assert [row[0] for row in rows] == [int(n) for n in orders.split(",")]
+        # the sawtooth's mean term is 0, by both paths
+        assert rows[0][2] == pytest.approx(0.0, abs=1e-12)
+        assert rows[0][3] == pytest.approx(0.0, abs=1e-12)
+
     @pytest.mark.parametrize("x, orders", [("4.0", "10,400"), ("1.0", "-1,400")],
                              ids=["abscissa", "order"])
     def test_bad_input_refused_before_coefficients(self, capsys, monkeypatch,
@@ -320,26 +331,26 @@ class TestPinnedBytes:
                 '"i": 10, "h": 1.5707963267948966, "tol": 1e-08}, "full_blocks": 5, '
                 '"columns": ["block", "lo", "hi", "value", "weight_magnitude", "mean_factor"], '
                 '"rows": ['
-                '[1, 0, 0.31415926535897931, 1.8571968075395158, 1.8571968075395158, 1], '
-                '[2, 0.31415926535897931, 0.62831853071795862, -0.44993800360553671, '
-                '0.44993800360553671, 1], '
+                '[1, 0, 0.31415926535897931, 1.8571968075395164, 1.8571968075395164, 1], '
+                '[2, 0.31415926535897931, 0.62831853071795862, -0.44993800360553665, '
+                '0.44993800360553665, 1], '
                 '[3, 0.62831853071795862, 0.94247779607693793, 0.2848586385261716, '
                 '0.2848586385261716, 1], '
-                '[4, 0.94247779607693793, 1.2566370614359172, -0.22526849372939112, '
-                '0.22526849372939112, 1], '
-                '[5, 1.2566370614359172, 1.5707963267948966, 0.20299232111051047, '
-                '0.20299232111051047, 1]]}\n'),
+                '[4, 0.94247779607693793, 1.2566370614359172, -0.22526849372939109, '
+                '0.22526849372939109, 1], '
+                '[5, 1.2566370614359172, 1.5707963267948966, 0.20299232111051038, '
+                '0.20299232111051038, 1]]}\n'),
             "csv": (
                 "block,lo,hi,value,weight_magnitude,mean_factor\n"
-                "1,0,0.31415926535897931,1.8571968075395158,1.8571968075395158,1\n"
-                "2,0.31415926535897931,0.62831853071795862,-0.44993800360553671,"
-                "0.44993800360553671,1\n"
+                "1,0,0.31415926535897931,1.8571968075395164,1.8571968075395164,1\n"
+                "2,0.31415926535897931,0.62831853071795862,-0.44993800360553665,"
+                "0.44993800360553665,1\n"
                 "3,0.62831853071795862,0.94247779607693793,0.2848586385261716,"
                 "0.2848586385261716,1\n"
-                "4,0.94247779607693793,1.2566370614359172,-0.22526849372939112,"
-                "0.22526849372939112,1\n"
-                "5,1.2566370614359172,1.5707963267948966,0.20299232111051047,"
-                "0.20299232111051047,1\n"),
+                "4,0.94247779607693793,1.2566370614359172,-0.22526849372939109,"
+                "0.22526849372939109,1\n"
+                "5,1.2566370614359172,1.5707963267948966,0.20299232111051038,"
+                "0.20299232111051038,1\n"),
         },
         "kernel --n 5,8 --x 0.3": {
             "json": (
@@ -347,15 +358,15 @@ class TestPinnedBytes:
                 '"x": 0.29999999999999999, "tol": 1e-10}, "columns": ["n", "t", '
                 '"cosine_sum", "closed_form", "abs_difference", "mean"], "rows": ['
                 '[5, 0.29999999999999999, 3.3353770284503255, 3.3353770284503255, 0, '
-                '1.0000000000000002], '
+                '1], '
                 '[8, 0.29999999999999999, 1.8659351136161355, 1.8659351136161357, '
-                '2.2204460492503131e-16, 0.99999999999999989]]}\n'),
+                '2.2204460492503131e-16, 0.99999999999999967]]}\n'),
             "csv": (
                 "n,t,cosine_sum,closed_form,abs_difference,mean\n"
                 "5,0.29999999999999999,3.3353770284503255,3.3353770284503255,0,"
-                "1.0000000000000002\n"
+                "1\n"
                 "8,0.29999999999999999,1.8659351136161355,1.8659351136161357,"
-                "2.2204460492503131e-16,0.99999999999999989\n"),
+                "2.2204460492503131e-16,0.99999999999999967\n"),
         },
         "coeffs --function <square.json> --n 4": {
             "json": (

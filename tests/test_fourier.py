@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 import trigconv as tc
 from trigconv import quadrature
-from conftest import (SAWTOOTH, SQUARE, build, harmonic_grid, many_segment_spec, random_spec,
-                      route_through_series, traced_peak)
+from conftest import (SAWTOOTH, SQUARE, TRIANGLE, build, harmonic_grid, many_segment_spec,
+                      random_spec, route_through_series, traced_peak)
 from oracles import (exact_harmonic_integrals, qawo_coefficients, sawtooth_partial_sum,
                      sawtooth_sine_coefficient, square_partial_sum, square_sine_coefficient)
 
@@ -54,6 +54,19 @@ class TestCoefficients:
         assert c.a0 == pytest.approx(1.0, abs=1e-12)
         assert c.a == pytest.approx(np.zeros(3), abs=1e-10)
         assert c.b == pytest.approx(np.zeros(3), abs=1e-10)
+
+    @pytest.mark.parametrize("spec, mean", [
+        (SQUARE, 0.0),
+        ({"segments": [{"lo": "-pi", "hi": "pi", "kind": "affine",
+                        "params": {"a": 0.7, "b": 1.0}}]}, 0.7),
+        (TRIANGLE, PI / 2),
+    ], ids=["square", "offset-sawtooth", "triangle"])
+    def test_order_zero_is_the_mean_term(self, spec, mean):
+        c = tc.coefficients(build(spec), 0)
+        assert c.n_max == 0 and c.a.shape == c.b.shape == (0,)
+        assert c.error.shape == (1,)
+        assert abs(c.a0 - mean) <= c.error[0] <= 1e-10
+        assert tc.partial_sum(c, 0.3, 0) == c.a0
 
     def test_tolerance_recorded(self, square):
         assert tc.coefficients(square, 1, tol=1e-8).tol == 1e-8
@@ -136,7 +149,7 @@ class TestCoefficients:
         with pytest.raises(tc.DomainError):
             tc.coefficients(lambda x: x, 3)
         with pytest.raises(tc.DomainError):
-            tc.coefficients(square, 0)
+            tc.coefficients(square, -1)
         with pytest.raises(tc.DomainError):
             tc.coefficients(square, 2.5)
 

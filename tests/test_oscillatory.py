@@ -5,7 +5,7 @@ import pytest
 
 import trigconv as tc
 from conftest import build, random_positive_decreasing
-from oracles import sinc_block_magnitude
+from oracles import sinc_block_magnitude, sine_ratio_mp
 
 PI = math.pi
 HALF_PI = math.pi / 2
@@ -33,6 +33,19 @@ class TestSineRatio:
             assert isinstance(tc.sine_ratio(3, beta), np.ndarray)
             assert isinstance(tc.dirichlet_kernel(3, beta), np.ndarray)
         assert tc.sine_ratio(3, 0.5) == pytest.approx(math.sin(1.5) / math.sin(0.5), rel=1e-15)
+
+    @pytest.mark.parametrize("i", [999, 1000, 1001])
+    def test_integer_order_at_multiples_of_pi(self, i):
+        # k pi is a removable singularity for an integer order, of value
+        # (-1)^(k (i + 1)) i; the unreduced quotient loses every digit there
+        # (-72.37 for 1001 at pi)
+        mpmath = pytest.importorskip("mpmath")
+        betas = [math.pi, 3 * math.pi, -5 * math.pi, math.pi + 1e-9]
+        want = [sine_ratio_mp(i, beta) for beta in betas]
+        assert tc.sine_ratio(i, np.array(betas)) == pytest.approx(want, rel=1e-13)
+        for beta, value in zip(betas, want):
+            assert tc.sine_ratio(i, beta) == pytest.approx(value, rel=1e-13)
+        assert abs(tc.sine_ratio(i, math.pi)) == i
 
     def test_continuous_through_origin(self):
         left = tc.sine_ratio(25, 1e-7)

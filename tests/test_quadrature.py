@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import trigconv as tc
-from conftest import (SAWTOOTH, SQUARE, build, harmonic_grid, route_through_series,
+from conftest import (CONSTANT_ONE, SAWTOOTH, SQUARE, build, harmonic_grid, route_through_series,
                       traced_peak)
 from oracles import composite_simpson, sawtooth_partial_sum, square_partial_sum
 from trigconv import quadrature
@@ -74,11 +74,6 @@ class TestIntegrate:
         exact = 0.3**2 / 2 + 0.7**2 / 2
         assert value == pytest.approx(exact, abs=1e-13)
 
-    def test_max_panel_width_resolves_oscillation(self):
-        value = tc.integrate(lambda x: np.cos(50.0 * x), 0.0, 2.0 * math.pi,
-                             1e-10, max_panel_width=math.pi / 51)
-        assert abs(value) < 1e-10
-
     def test_vector_integrand_matches_components(self):
         def pair(x):
             return np.stack([np.sin(x), np.cos(3 * x) * x], axis=1)
@@ -135,22 +130,6 @@ class TestIntegrate:
         with pytest.raises(tc.QuadratureError, match="panel budget 32 exhausted"):
             tc.integrate(jump, 0.0, 1.0, 1e-12)
 
-    @pytest.mark.parametrize("width", [0.0, -1.0, math.nan, math.inf])
-    def test_rejects_bad_max_panel_width(self, width):
-        def refuse(x):
-            raise AssertionError("integrand evaluated for a bad panel width")
-
-        with pytest.raises(tc.DomainError, match="max_panel_width"):
-            tc.integrate(refuse, 0.0, 1.0, max_panel_width=width)
-
-    def test_tiny_max_panel_width_hits_the_cap_before_evaluation(self):
-        # 1e25 panels: the count is compared with the cap before any cast
-        def refuse(x):
-            raise AssertionError("integrand evaluated above the panel cap")
-
-        with pytest.raises(tc.QuadratureError, match="above the cap 32768"):
-            tc.integrate(refuse, 0.0, 1.0, max_panel_width=1e-25)
-
     @pytest.mark.parametrize("tol", [1e-6, 1e-8])
     def test_one_budget_over_many_breakpoints(self, tol):
         # a square-root cusp at the left end of each of 100 intervals; the
@@ -166,8 +145,12 @@ class TestIntegrate:
     @pytest.mark.parametrize("width", [None, 0.05, math.pi / 1001, 2.0])
     def test_seeded_panels_tile_the_range(self, monkeypatch, width):
         # the seeded panels run from lo to hi edge to edge, every breakpoint
-        # is a panel edge, and no panel is wider than max_panel_width but
-        # for the rounding of the grid edges lo + p * max_panel_width
+        # is a panel edge, and no panel is wider than the grid of the
+        # weight, the half-periods pi / (m |scale|) of sin(m u), but for the
+        # rounding of its edges lo + p * width; without a weight there is
+        # one panel per interval.  The weight sin(3 u) / sin(u), u = s x,
+        # is 1 + 2 cos(2 s x), so the integral of cos(50 x) times it is
+        # the sum over c = 50 -/+ 2 s of 2 sin(c pi) / c
         rng = np.random.default_rng(7)
         breakpoints = np.sort(rng.uniform(-math.pi, math.pi, 40))
         seeded = []
@@ -185,9 +168,15 @@ class TestIntegrate:
 
         monkeypatch.setattr(quadrature, "_grid_panels", recorded_grid)
         monkeypatch.setattr(quadrature, "_refine", recorded_refine)
-        value = tc.integrate(np.cos, -math.pi, math.pi, 1e-10, breakpoints=breakpoints,
-                             max_panel_width=width)
-        assert abs(value) <= 1e-10
+        if width is None:
+            sine_ratio, exact = None, 0.0
+        else:
+            sine_ratio = (3, math.pi / (3.0 * width), 0.0)
+            exact = sum(2.0 * math.sin(c * math.pi) / c
+                        for c in (50.0 - 2.0 * sine_ratio[1], 50.0 + 2.0 * sine_ratio[1]))
+        value = tc.integrate(lambda x: np.cos(50.0 * x), -math.pi, math.pi, 1e-10,
+                             breakpoints=breakpoints, sine_ratio=sine_ratio)
+        assert abs(value - exact) <= 1e-10
         points, mid, half = seeded
         assert points[0] == -math.pi and points[-1] == math.pi
         assert (np.diff(points) > 0).all()
@@ -282,21 +271,35 @@ class TestSineRatioWeight:
         want = _direct_ratio(2001, 0.5, 0.0, mid[:, None] + h * quadrature._NODES)
         assert np.abs(got - want).max() <= 1e-12 * 2001
 
+    def test_even_m_changes_sign_every_pi(self):
+        # the grid panels of m = 4 between pi and 2 pi: their centres
+        # reduce modulo pi with k = 1 or 2, and the table takes the sign
+        # (-1)^k; sin(4 u) / sin(u) = 4 cos(u) cos(2 u) has no cancellation
+        h = math.pi / 8
+        mid = math.pi + h * np.arange(1, 8, 2)
+        x = mid[:, None] + h * quadrature._NODES
+        got = quadrature._sine_ratio_weight(4, 1.0, 0.0, h, 2.0 * math.pi)(mid, np.full(4, h), x)
+        assert np.abs(got - 4.0 * np.cos(x) * np.cos(2.0 * x)).max() <= 1e-14
+
     @pytest.mark.parametrize("sine_ratio, lo, hi, tol", [
         ((2001, 0.5, -0.15), -math.pi, math.pi, 1e-9),
         ((7, 3.0, 0.2), -3.0, 3.0, 1e-10),
         ((1000.5, 1.0, 0.0), 0.0, 1.5, 1e-8),
     ])
     def test_integrate_matches_the_weighted_integrand(self, sine_ratio, lo, hi, tol):
-        width = math.pi / sine_ratio[0]
+        width = math.pi / (sine_ratio[0] * sine_ratio[1])
         f = lambda x: np.exp(np.cos(x))
-        weighted = tc.integrate(f, lo, hi, tol, breakpoints=[0.77],
-                                max_panel_width=width, sine_ratio=sine_ratio)
+        weighted = tc.integrate(f, lo, hi, tol, breakpoints=[0.77], sine_ratio=sine_ratio)
+        # the weight's grid, given to the plain integrand as breakpoints
+        grid = lo + width * np.arange(1, math.ceil((hi - lo) / width))
         direct = tc.integrate(lambda x: f(x) * _direct_ratio(*sine_ratio, x), lo, hi, tol,
-                              breakpoints=[0.77], max_panel_width=width)
+                              breakpoints=[0.77, *grid])
         assert abs(weighted - direct) <= 1e-12
 
     def test_intervals_weight_every_component(self):
+        # the sign blocks of sin(10 u) are the weight's grid panels, which
+        # take the table; the plain integrand gets the same mesh, one panel
+        # per block, and the weight node by node
         edges = np.arange(6) * math.pi / 10
         values, errors = tc.integrate_intervals(
             lambda b: np.stack([1.0 + b, np.ones(b.shape)], axis=1), edges, 1e-10,
@@ -304,7 +307,7 @@ class TestSineRatioWeight:
         ratio = lambda b: _direct_ratio(10, 1.0, 0.0, b)
         want, _ = tc.integrate_intervals(
             lambda b: np.stack([(1.0 + b) * ratio(b), ratio(b)], axis=1), edges, 1e-10)
-        assert np.array_equal(values, want)
+        assert np.abs(values - want).max() <= 1e-14
         assert errors.shape == (5,)
 
     @pytest.mark.parametrize("shape, oracle", [(SQUARE, square_partial_sum),
@@ -315,9 +318,11 @@ class TestSineRatioWeight:
         for x in (0.0, 0.3, 1.3, -2.0):
             assert abs(tc.partial_sum_kernel(f, x, 16000) - oracle(x, 16000)) <= 1e-9
 
-    def test_all_grid_kernel_costs_four_trig_calls_per_panel(self, monkeypatch):
-        # the square wave at x = 0 seeds only grid panels: sin and cos see
-        # four values per panel and the 15-node table, not two per node
+    @staticmethod
+    def trig_values(monkeypatch):
+        """A list that gets the size of every array ``np.sin`` and
+        ``np.cos`` see, and one that gets the final panel count of every
+        refinement."""
         seen = []
         for name in ("sin", "cos"):
             trig = getattr(np, name)
@@ -332,10 +337,30 @@ class TestSineRatioWeight:
             return result
 
         monkeypatch.setattr(quadrature, "_refine", recorded_refine)
-        value = tc.partial_sum_kernel(build(SQUARE), 0.0, 1000)
-        assert abs(value) <= 1e-9
-        assert panels == [2002]
+        return seen, panels
+
+    def test_all_grid_kernel_costs_four_trig_calls_per_panel(self, monkeypatch):
+        # the order-1000 kernel grid has 2001 panels 2 pi / 2001 wide from
+        # -pi; the sawtooth, whose only jump is at +/-pi, at x on a grid
+        # edge seeds only grid panels: sin and cos see four values per panel
+        # and the 15-node table, not two per node
+        x = -math.pi + (2.0 * math.pi / 2001) * 1400
+        want = sawtooth_partial_sum(x, 1000)
+        seen, panels = self.trig_values(monkeypatch)
+        value = tc.partial_sum_kernel(build(SAWTOOTH), x, 1000)
+        assert abs(value - want) <= 1e-9
+        assert panels == [2001]
         assert sum(seen) <= 4 * (panels[0] + 15)
+
+    def test_decompose_blocks_are_grid_panels(self, monkeypatch):
+        # the 500 sign blocks of order 1000 over [0, pi/2] are the weight's
+        # grid panels, four trigonometric values each, where the direct
+        # path sees 30 a panel
+        seen, panels = self.trig_values(monkeypatch)
+        d = tc.decompose(build(CONSTANT_ONE), 1000, math.pi / 2)
+        assert d.full_blocks == 500
+        assert panels == [500]
+        assert sum(seen) <= 4 * (panels[0] + 15) + 30
 
 
 class TestSineRatioRefusals:
@@ -371,6 +396,30 @@ class TestSineRatioRefusals:
             else:
                 tc.integrate_intervals(self.refuse, [lo, 0.5 * (lo + hi), hi],
                                        sine_ratio=sine_ratio)
+
+    @pytest.mark.parametrize("sine_ratio, value", [
+        ((1e-200, 1e-200, 0.0), 1e-200),
+        ((2.0, 5e-324, 0.0), 2.0),
+        ((1e308, 3.0, 0.0), None),
+        ((1e300, 1.0, 0.0), None),
+    ], ids=["product-underflows", "width-overflows", "product-overflows", "1e300-panels"])
+    @pytest.mark.parametrize("integrator", ["integrate", "integrate_intervals"])
+    def test_extreme_grid_widths(self, integrator, sine_ratio, value):
+        # the grid's width pi / (m |scale|): a product m |scale| that
+        # underflows to 0, or a quotient that overflows, leaves one panel
+        # over [0, 1], on which the weight is about m, computed to the
+        # budget tol = 1e-10; a product that overflows, or a huge count, is
+        # refused at the panel cap before f is evaluated
+        def run(f):
+            if integrator == "integrate":
+                return tc.integrate(f, 0.0, 1.0, sine_ratio=sine_ratio)
+            return tc.integrate_intervals(f, [0.0, 0.5, 1.0], sine_ratio=sine_ratio)[0].sum()
+
+        if value is None:
+            with pytest.raises(tc.QuadratureError, match="above the cap 32768"):
+                run(self.refuse)
+        else:
+            assert run(np.ones_like) == pytest.approx(value, abs=1e-10)
 
     @pytest.mark.parametrize("sine_ratio, lo, hi", [
         ((3, 1.0, 0.0), 0.0, 4.0),
@@ -486,7 +535,10 @@ class TestRefusalMessages:
     def test_initial_subdivision_names_the_range(self, monkeypatch):
         with pytest.raises(tc.QuadratureError, match=r"needs \d+ panels, above the cap 32768, "
                                                      r"over \[0\.0, 1\.0\]"):
-            tc.integrate(np.sin, 0.0, 1.0, max_panel_width=1e-25)
+            # 1e25 panels, the half-periods of sin(m u) at m = pi 1e25: the
+            # count is compared with the cap before any cast or evaluation
+            tc.integrate(TestSineRatioRefusals.refuse, 0.0, 1.0,
+                         sine_ratio=(math.pi * 1e25, 1.0, 0.0))
         monkeypatch.setattr(quadrature, "_MAX_PANELS", 2)
         with pytest.raises(tc.QuadratureError, match=r"initial subdivision needs 3 panels, "
                                                      r"above the cap 2, over \[0\.0, 3\.0\]"):
@@ -849,7 +901,7 @@ class TestChunkedEvaluation:
     def test_default_chunk_splits_a_large_mesh(self):
         sizes = []
         value = tc.integrate(self.recorded(np.cos, sizes), 0.0, 1.0, 1e-10,
-                             max_panel_width=1.0 / 5000)
+                             breakpoints=np.arange(1, 5000) / 5000)
         assert value == pytest.approx(math.sin(1.0), abs=1e-12)
         assert quadrature._CHUNK < 5000
         assert len(sizes) == math.ceil(5000 / quadrature._CHUNK)
