@@ -80,10 +80,10 @@ def coefficients(f, n_max, tol=1e-10):
     and 16 000 (8100 and 8363 panels of 15 points at ``n_max = 4000``), nor
     of a spec with two square-root ends, whose grading adds 30 panels to
     the grid (``POWER_AND_TABLE`` of the tests, at ``n_max`` = 125, 300,
-    600, 4000 and 16 000; without grading it took 10, 9, 8, 6 and 4
-    rounds).  ``n_max = 0`` tabulates the mean term ``a0`` alone.  An
-    ``n_max`` above the largest order ``10**6``, or whose seeded mesh
-    exceeds the panel cap, is refused before ``f`` is evaluated.
+    600, 4000 and 16 000).  ``n_max = 0`` tabulates the mean term ``a0``
+    alone.  An ``n_max`` above the largest order ``10**6``, or whose
+    seeded mesh exceeds the panel cap, is refused before ``f`` is
+    evaluated.
     """
     f = _check_function(f)
     n_max = check_integer(n_max, "n_max", 0, _MAX_ORDER)

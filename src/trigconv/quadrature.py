@@ -17,7 +17,10 @@ geometrically toward the point, at ``g -/+ _GRADING_RATIO^k w``, ``k = 1
 .. _GRADING_LEVELS``, with ``w`` at most two grid panels; composite Gauss
 rules converge exponentially on such a mesh (Schwab, *Computing* 53,
 1994), so the point costs a few seeded panels instead of one refinement
-round per level.
+round per level.  Breakpoints, graded points and graded cuts are alike
+inner edges, and one rule merges them with the grid: an inner edge within
+``1e-13 (hi - lo)`` of a grid edge is dropped, and the grid edge stands in
+for it.
 The grid of :func:`integrate` and :func:`integrate_intervals` is one
 panel over the whole range, which the inner edges cut into one panel per
 interval, unless they carry the sine-ratio weight below, whose grid is the
@@ -198,7 +201,7 @@ def _sin_ratio(m, u):
 def _check_sine_ratio(sine_ratio, lo, hi):
     """``sine_ratio = (m, scale, shift)`` as three floats, refused with
     :class:`DomainError` unless ``m`` is positive and finite, ``scale``
-    finite and nonzero and ``shift`` finite, and, when ``m`` is not an odd
+    finite and nonzero and ``shift`` finite, and, when ``m`` is not an
     integer, unless ``u = scale x + shift`` stays off every nonzero
     multiple of ``pi`` over ``[lo, hi]``: there ``sin(m u) / sin(u)`` has a
     pole, not a removable singularity."""
@@ -217,13 +220,13 @@ def _check_sine_ratio(sine_ratio, lo, hi):
     if not (math.isfinite(u_lo) and math.isfinite(u_hi)):
         raise DomainError(f"sine_ratio phase overflows: u = {scale!r} x + {shift!r} "
                           f"over [{lo}, {hi}]")
-    if m % 2.0 != 1.0:
+    if m % 1.0 != 0.0:
         k_lo = math.ceil(u_lo / math.pi)
         k_hi = math.floor(u_hi / math.pi)
         if k_lo <= k_hi and not k_lo == k_hi == 0:
             raise DomainError(f"sin({m!r} u) / sin(u) has a pole at u = {k_lo if k_lo else 1} pi: "
-                              f"u = {scale!r} x + {shift!r} over [{lo}, {hi}]; only an odd "
-                              f"integer m allows that")
+                              f"u = {scale!r} x + {shift!r} over [{lo}, {hi}]; only an integer m "
+                              f"allows that")
     return m, scale, shift
 
 
@@ -497,12 +500,12 @@ def integrate(f, lo, hi, tol=1e-10, *, breakpoints=(), graded=(), sine_ratio=Non
     the weight by angle addition from four trigonometric calls each and
     one table of the 15 node offsets; every other panel gets it node by
     node (see the module notes).  ``m`` must be positive, ``scale`` nonzero
-    and all three finite; unless ``m`` is an odd integer, where the weight
-    has period ``pi``, ``u`` must stay off every nonzero multiple of ``pi``
-    over ``[lo, hi]``.  Anything else raises :class:`DomainError` before
-    ``f`` is evaluated.  A grid of more than ``_MAX_PANELS`` panels, from a
-    large ``m |scale|``, raises :class:`QuadratureError`, also before ``f``
-    is evaluated.
+    and all three finite; unless ``m`` is an integer, where every multiple
+    of ``pi`` is a removable singularity of the weight, ``u`` must stay off
+    every nonzero multiple of ``pi`` over ``[lo, hi]``.  Anything else
+    raises :class:`DomainError` before ``f`` is evaluated.  A grid of more
+    than ``_MAX_PANELS`` panels, from a large ``m |scale|``, raises
+    :class:`QuadratureError`, also before ``f`` is evaluated.
     """
     edges, tol = _check_edges(_edges(lo, hi, breakpoints), tol)
     totals, *_, y = _plain_refine(f, edges, tol, graded, sine_ratio)
@@ -532,15 +535,18 @@ def _edges(lo, hi, breakpoints):
 def _grid_panels(edges, half, graded=()):
     """The seeded mesh of every integrator: one grid of panels of
     half-width ``half`` with edges ``lo + 2 half p`` from ``lo = edges[0]``
-    to ``hi = edges[-1]``, where each grid panel that holds an edge strictly
-    inside is cut there and the last one ends at ``hi``.  An edge within
-    the merge distance of :func:`_edges`, ``1e-13 (hi - lo)``, of a grid
-    edge above ``lo``, above or below, is taken as that edge: an inner one
-    is dropped, and ``hi`` ends the last grid panel.  So no panel is left as
-    narrow as the rounding of ``lo + 2 half p``, and the panels next to
-    such an edge stay grid panels.  With ``half = hi - lo`` the grid is one
-    panel, which the inner edges cut into one panel per interval, however
-    close they lie.
+    to ``hi = edges[-1]``, where each grid panel that holds an inner edge
+    is cut there and the last one ends at ``hi``.
+
+    One merge rule holds for every inner edge, whether the caller's, a
+    graded point or a graded cut: an inner edge within the merge distance
+    of :func:`_edges`, ``1e-13 (hi - lo)``, of a grid edge above ``lo``,
+    above or below, is dropped, and that grid edge stands in for it; ``hi``
+    within it ends the last grid panel.  So no panel is left as narrow as
+    the rounding of ``lo + 2 half p``, and the panels next to such an edge
+    stay grid panels.  With ``half = hi - lo`` the grid is one panel, which
+    the inner edges cut into one panel per interval, however close they
+    lie.
 
     Each point of ``graded`` in ``[lo, hi]`` (an infinite slope of the
     integrand) is an edge too, unless an edge lies within the merge
@@ -550,9 +556,9 @@ def _grid_panels(edges, half, graded=()):
     the width of two grid panels, or the distance to the next edge on that
     side if that is less; so, up to that edge, no uncut grid panel lies
     closer to ``g`` than half its width, wherever the grid edges fall.
-    ``lo`` and ``hi`` are graded on the inside only, and a cut
-    within the merge distance of ``g``, of that next edge or of a grid edge
-    is dropped.  Composite Gauss rules on such a mesh converge
+    ``lo`` and ``hi`` are graded on the inside only.  These cuts are inner
+    edges (see :func:`_graded_edges`), merged with the grid edges by the
+    one rule above.  Composite Gauss rules on such a mesh converge
     exponentially toward an algebraic end point (Schwab, *Computing* 53,
     1994), so an end like ``sqrt(x - g)`` costs about ``2
     _GRADING_LEVELS`` seeded panels instead of one refinement round of the
@@ -573,9 +579,8 @@ def _grid_panels(edges, half, graded=()):
     # a width that overflows is held to the largest float, still above hi - lo
     with np.errstate(all="ignore"):
         width = min(2.0 * half, _HUGE)
-        graded_cuts = np.empty(0)
         if graded:
-            edges, graded_cuts = _graded_cuts(edges, np.array(graded), width, merge)
+            edges = _graded_edges(edges, np.array(graded), width, merge)
         index = np.floor((edges - lo) / width)
         index -= lo + index * width > edges
         index += lo + (index + 1.0) * width <= edges
@@ -584,31 +589,32 @@ def _grid_panels(edges, half, graded=()):
         off_above = lo + (index + 1.0) * width - edges > merge
         hi_on_grid = not (off_below[-1] and off_above[-1])
     # the grid edges below hi, then one panel more for each inner edge
-    # farther than the merge distance from both ends of its grid panel and
-    # for each graded cut; compared in floating point, so that a huge count
-    # cannot wrap in the cast
+    # farther than the merge distance from both ends of its grid panel;
+    # compared in floating point, so that a huge count cannot wrap in the
+    # cast
     n_grid = index[-1] + off_below[-1]
     cuts = edges[1:-1][(off_below & off_above)[1:-1]]
-    n_panels = n_grid + cuts.shape[0] + graded_cuts.shape[0]
+    n_panels = n_grid + cuts.shape[0]
     if not n_panels <= _MAX_PANELS:
         raise QuadratureError(f"initial subdivision needs {n_panels:.0f} panels, above the cap "
                               f"{_MAX_PANELS}, over [{lo}, {edges[-1]}]")
-    points = np.concatenate([lo + width * np.arange(n_grid), cuts, graded_cuts, edges[-1:]])
+    points = np.concatenate([lo + width * np.arange(n_grid), cuts, edges[-1:]])
     on_grid = np.concatenate([np.ones(int(n_grid), dtype=bool),
-                              np.zeros(cuts.shape[0] + graded_cuts.shape[0], dtype=bool),
-                              [hi_on_grid]])
+                              np.zeros(cuts.shape[0], dtype=bool), [hi_on_grid]])
     order = np.argsort(points, kind="stable")
     on_grid = on_grid[order]
     return points[order], on_grid[:-1] & on_grid[1:]
 
 
-def _graded_cuts(edges, graded, width, merge):
-    """``edges`` with the points of ``graded`` added, and the cuts toward
-    them, as :func:`_grid_panels` describes, on a grid of panels ``width``
-    wide with the merge distance ``merge``.  Past ``edges[0]`` and
-    ``edges[-1]`` the distance to the next edge is NaN, which drops every
-    cut there."""
-    lo = edges[0]
+def _graded_edges(edges, graded, width, merge):
+    """``edges`` with the points of ``graded`` and the cuts toward them
+    added, in ascending order, as :func:`_grid_panels` describes, on a grid
+    of panels ``width`` wide with the merge distance ``merge``.  A cut
+    within the merge distance of its point or of the next edge on its side
+    is left out here; one next to a grid edge is left to
+    :func:`_grid_panels`, which drops it as it drops any inner edge there.
+    Past ``edges[0]`` and ``edges[-1]`` the distance to the next edge is
+    NaN, which drops every cut there."""
     pos = np.clip(np.searchsorted(edges, graded), 1, edges.shape[0] - 1)
     pos -= graded - edges[pos - 1] < edges[pos] - graded
     near = np.abs(edges[pos] - graded) <= merge
@@ -616,14 +622,12 @@ def _graded_cuts(edges, graded, width, merge):
     g = np.array(sorted(set(np.where(near, edges[pos], graded).tolist())))
     edges = np.sort(np.concatenate([edges, sorted(set(graded[~near].tolist()))]))
     j = np.searchsorted(edges, g)
-    cuts = []
+    parts = [edges]
     for side, gap in ((-1.0, g - np.r_[np.nan, edges][j]), (1.0, np.r_[edges, np.nan][j + 1] - g)):
         w = np.minimum(gap, 2.0 * width)[:, None]
         d = w * _GRADING
-        c = g[:, None] + side * d
-        off_grid = np.abs(c - (lo + np.rint((c - lo) / width) * width)) > merge
-        cuts.append(c[(d > merge) & (w - d > merge) & off_grid])
-    return edges, np.concatenate(cuts)
+        parts.append((g[:, None] + side * d)[(d > merge) & (w - d > merge)])
+    return np.sort(np.concatenate(parts))
 
 
 def _fft_length(n):
@@ -639,7 +643,7 @@ def _fft_length(n):
     return best
 
 
-def _series_moments(n_max, mid, half, y, direct):
+def _series_moments(n_max, h_ref, mid, half, y, direct):
     """K15 integrals of ``y(x) exp(ikx)``, ``k = 0 .. n_max``, summed over
     the ``direct`` panels, and a bound on the K15 - G7 gap of every panel.
 
@@ -647,15 +651,15 @@ def _series_moments(n_max, mid, half, y, direct):
     ``exp(ikm) sum_r (ikh)^r nu_r`` with ``nu_r = h sum_n w_n xi_n^r / r!
     y_n``, and the gap ``exp(ikm) sum_r (ikh)^r mu_r`` with the gap weights
     ``g_n`` in place of ``w_n``, so ``|gap| <= sum_r (kh)^r |mu_r|`` whatever
-    the phase.  With ``h_ref`` the largest half-width, each series is a
-    polynomial in ``k h_ref`` with the coefficients ``(h / h_ref)^r nu_r``
-    (or ``|mu_r|``): the real and imaginary parts of an integral are
-    products of its even and odd terms with the powers of ``k h_ref``.
+    the phase.  With ``h_ref`` the half-width of the grid, which no panel
+    exceeds, each series is a polynomial in ``k h_ref`` with the
+    coefficients ``(h / h_ref)^r nu_r`` (or ``|mu_r|``): the real and
+    imaginary parts of an integral are products of its even and odd terms
+    with the powers of ``k h_ref``.
     Returns the cosine and sine integrals, shape ``(n_max + 1, 2)``, the
     gap bounds summed over all panels, shape ``(n_max + 1,)``, and every
     panel's bound at ``k = n_max``, the largest.
     """
-    h_ref = half.max()
     k = np.arange(n_max + 1, dtype=np.float64)
     # powers[r, k] = (k h_ref)^r
     powers = np.empty((_SERIES_TERMS, n_max + 1))
@@ -716,7 +720,7 @@ def _harmonic_rule(n_max, lo, size):
 
     def moments(mid, half, y):
         grid = half == h
-        totals, err, worst = _series_moments(n_max, mid, half, y, ~grid)
+        totals, err, worst = _series_moments(n_max, h, mid, half, y, ~grid)
         count = np.count_nonzero(grid)
         if count:
             if count != grid_sums[0]:
@@ -767,11 +771,7 @@ def integrate_harmonics(f, lo, hi, n_max, tol=1e-10, *, breakpoints=(), graded=(
     panels of ``sum_r (kh)^r |mu_r|``, ``r < 28``, a bound on the modulus
     of the panel's K15 - G7 gap of ``f(x) exp(ikx)`` that holds at every
     phase (both series are cut where ``kh <= pi/2`` leaves out less than
-    ``1e-24`` relative; see :func:`_series_moments`).  This one budget
-    replaced one per interval between breakpoints, whose floors summed to
-    ``tol`` times their number; at ``tol = 1e-10`` neither refines any
-    panel of the square wave or of a 200-segment random spec on ``[-pi,
-    pi]`` at ``n_max = 4000`` (8100 and 8363 seeded panels now).
+    ``1e-24`` relative; see :func:`_series_moments`).
 
     Returns ``(cos_integrals, sin_integrals, errors)``, each of length
     ``n_max + 1``.  ``errors[k]`` estimates harmonic ``k``'s absolute error:

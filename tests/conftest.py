@@ -72,7 +72,7 @@ def route_through_series(monkeypatch):
     ``_series_moments`` instead of the real FFT of the grid."""
     def rule(n_max, lo, size):
         def moments(mid, half, y):
-            return quadrature._series_moments(n_max, mid, half, y,
+            return quadrature._series_moments(n_max, math.pi / size, mid, half, y,
                                               np.ones(mid.shape[0], dtype=bool))
         return moments
     monkeypatch.setattr(quadrature, "_harmonic_rule", rule)

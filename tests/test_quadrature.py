@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import trigconv as tc
 from conftest import (CONSTANT_ONE, SAWTOOTH, SQUARE, build, harmonic_grid, route_through_series,
                       traced_peak)
-from oracles import composite_simpson, sawtooth_partial_sum, square_partial_sum
+from oracles import composite_simpson, sawtooth_partial_sum, sine_ratio_mp, square_partial_sum
 from trigconv import quadrature
 
 
@@ -384,7 +384,7 @@ class TestSineRatioRefusals:
         ((3, 1.0, math.nan), 0.0, 1.0, "shift must be a finite"),
         ((3, 1e308, 0.0), 0.0, 10.0, "phase overflows"),
         ((2.5, 1.0, 0.0), 0.0, 4.0, r"pole at u = 1 pi"),
-        ((4, 1.0, 0.0), -4.0, -3.0, r"pole at u = -1 pi"),
+        ((4.5, 1.0, 0.0), -4.0, -3.0, r"pole at u = -1 pi"),
         ((2.5, -1.0, -7.0), -1.0, 0.0, r"pole at u = -2 pi"),
         ((2.5, 1.0, 0.0), -math.pi, 0.5, r"pole at u = -1 pi"),
     ])
@@ -430,6 +430,22 @@ class TestSineRatioRefusals:
         value = tc.integrate(np.ones_like, lo, hi, 1e-10, sine_ratio=sine_ratio)
         reference = composite_simpson(lambda x: _direct_ratio(*sine_ratio, x), lo, hi, 10**5)
         assert value == pytest.approx(reference, abs=1e-8)
+
+    @pytest.mark.parametrize("m, lo, hi", [(4, -4.0, -3.0), (2, -7.0, 7.0)])
+    @pytest.mark.parametrize("integrator", ["integrate", "integrate_intervals"])
+    def test_even_integer_m_across_multiples_of_pi(self, integrator, m, lo, hi):
+        # at u = k pi the weight of an integer m has the removable
+        # singularity (-1)^(k (m + 1)) m, whatever the parity of m
+        mpmath = pytest.importorskip("mpmath")
+        if integrator == "integrate":
+            value = tc.integrate(np.cos, lo, hi, 1e-12, sine_ratio=(m, 1.0, 0.0))
+        else:
+            value = tc.integrate_intervals(np.cos, [lo, 0.5 * (lo + hi), hi], 1e-12,
+                                           sine_ratio=(m, 1.0, 0.0))[0].sum()
+        k = range(math.ceil(lo / math.pi), math.floor(hi / math.pi) + 1)
+        reference = float(mpmath.quad(lambda x: mpmath.cos(x) * sine_ratio_mp(m, x),
+                                      [lo, *(j * mpmath.pi for j in k), hi]))
+        assert value == pytest.approx(reference, rel=1e-14, abs=1e-14)
 
 
 def _sqrt_sawtooth(x):
@@ -607,6 +623,44 @@ class TestGradedSeeding:
         above = points[(points > 0.5) & (points < edges[2])]
         assert np.array_equal(above, 0.5 + width * quadrature._GRADING[1::-1])
         assert (np.diff(points) > 1e-13).all()
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(lo=st.floats(-4.0, 4.0), span=st.floats(0.1, 8.0), count=st.integers(1, 30),
+           stretch=st.floats(0.5, 1.5), inner=st.lists(st.floats(0.0, 1.0), max_size=4),
+           near_grid=st.lists(st.tuples(st.integers(0, 40),
+                                        st.sampled_from([-2.0, -0.5, 0.0, 0.5, 2.0])), max_size=2),
+           anywhere=st.lists(st.floats(-0.1, 1.1), max_size=3),
+           grid_graded=st.lists(st.tuples(st.integers(0, 40), st.sampled_from([0.25, 0.5, 0.75])),
+                                max_size=3),
+           edge_graded=st.lists(st.integers(0, 10), max_size=2))
+    def test_one_merge_rule_for_every_cut(self, lo, span, count, stretch, inner, near_grid,
+                                          anywhere, grid_graded, edge_graded):
+        # caller edges at and next to grid edges, and graded points at
+        # grid-panel midpoints and quarter points, whose cuts then land on
+        # grid edges; ranges near the origin, where the merge distance is
+        # wider than the rounding of a cut
+        hi = lo + span
+        half = stretch * span / (2 * count)
+        width = 2.0 * half
+        merge = 1e-13 * (hi - lo)
+        breakpoints = ([lo + f * span for f in inner]
+                       + [lo + width * p + s * merge for p, s in near_grid])
+        edges = np.unique(np.r_[lo, [b for b in breakpoints if lo < b < hi], hi])
+        graded = ([lo + f * span for f in anywhere]
+                  + [lo + width * (p + q) for p, q in grid_graded]
+                  + [edges[j % edges.shape[0]] for j in edge_graded])
+        points, uncut = quadrature._grid_panels(edges, half, graded)
+        assert points[0] == lo and points[-1] == hi
+        assert (np.diff(points) > 0).all()
+        grid = lo + width * np.arange(math.ceil(span / width) + 2)
+        on_grid = np.isin(points, grid)
+        cut = ~(on_grid | np.isin(points, edges) | np.isin(points, graded))
+        for j in np.flatnonzero(cut):
+            assert np.abs(points[j] - grid).min() > merge
+            assert min(points[j] - points[j - 1], points[j + 1] - points[j]) > merge
+        hi_on_grid = np.abs(hi - grid).min() <= merge
+        upper = on_grid[1:] | ((points[1:] == hi) & hi_on_grid)
+        assert np.array_equal(uncut, on_grid[:-1] & upper)
 
     def test_cap_counts_graded_cuts_before_evaluation(self, monkeypatch):
         def refuse(x):
@@ -799,7 +853,7 @@ class TestGridTransform:
         y = rng.standard_normal((mid.shape[0], 15))
         got, err, worst = quadrature._harmonic_rule(n_max, lo, size)(mid, half, y)
         want, want_err, want_worst = quadrature._series_moments(
-            n_max, mid, half, y, np.ones(mid.shape[0], dtype=bool))
+            n_max, math.pi / size, mid, half, y, np.ones(mid.shape[0], dtype=bool))
         assert np.array_equal(err, want_err) and np.array_equal(worst, want_worst)
         # the series path rounds the phase k m of each panel
         k = np.arange(n_max + 1)
@@ -869,14 +923,16 @@ class TestSeriesMoments:
     def test_matches_node_sums(self, harmonics, seed):
         rng = np.random.default_rng(seed)
         n_panels = 12
-        # panels of mixed half-widths, summed one at a time
-        half = math.pi / (2 * harmonics) / 2.0 ** rng.integers(0, 12, n_panels)
+        # panels of mixed half-widths up to that of the grid, h, summed one
+        # at a time
+        h = math.pi / (2 * harmonics)
+        half = h / 2.0 ** rng.integers(0, 12, n_panels)
         mid = rng.uniform(-math.pi, math.pi, n_panels)
         y = rng.standard_normal((n_panels, 15)) * 10.0 ** rng.uniform(-3, 3, (n_panels, 1))
         k = np.arange(harmonics, dtype=np.float64)
         weighted = half[:, None] * quadrature._KRONROD_WEIGHTS * y
         for p in range(n_panels):
-            totals, _, _ = quadrature._series_moments(harmonics - 1, mid, half, y,
+            totals, _, _ = quadrature._series_moments(harmonics - 1, h, mid, half, y,
                                                       np.arange(n_panels) == p)
             # h sum_n w_n y_n exp(ik(m + h xi_n)), with exp(ikm) taken out
             # so that the reference does not round k (m + h xi_n)
