@@ -30,6 +30,14 @@ Supported kinds and their parameters:
     rationals and irrationals is bounded yet has no workable integral, so
     every downstream quantity would be undefined.
 
+A segment's direction is read off its exact end values, the values the
+jumps, one-sided limits and ``abs_bound`` read too: ``constant`` when they
+are equal, else ``increasing`` or ``decreasing`` by the sign of ``f(hi) -
+f(lo)``.  So a segment whose end values are equal in floating point (a
+slope too small to move them) is constant, as a ``constant`` segment is.
+An optional ``"direction"`` key in a segment must match it.  Non-finite
+end values are refused.
+
 Evaluation at a jump abscissa follows the right-continuous convention (the
 segment owning the point is the one whose ``lo`` equals it); ``x = pi``
 belongs to the last segment.
@@ -53,14 +61,14 @@ DECREASING = "decreasing"
 CONSTANT = "constant"
 _DIRECTIONS = (INCREASING, DECREASING, CONSTANT)
 
-_KINDS = ("constant", "affine", "exponential", "power",
-          "monotone-table", "pathological-rational")
-_PARAM_KEYS = {
-    "constant": ("c",),
-    "affine": ("a", "b"),
-    "exponential": ("a", "b"),
-    "power": ("a", "x0", "p"),
-    "monotone-table": ("xs", "ys"),
+# each primitive kind: its parameter names and its values at abscissae x
+_PRIMITIVES = {
+    "constant": (("c",), lambda p, x: np.full(x.shape, p["c"])),
+    "affine": (("a", "b"), lambda p, x: p["a"] + p["b"] * x),
+    "exponential": (("a", "b"), lambda p, x: p["a"] * np.exp(p["b"] * x)),
+    "power": (("a", "x0", "p"),
+              lambda p, x: p["a"] * np.power(np.maximum(x - p["x0"], 0.0), p["p"])),
+    "monotone-table": (("xs", "ys"), lambda p, x: np.interp(x, p["xs"], p["ys"])),
 }
 
 
@@ -78,31 +86,28 @@ class MonotoneSegment:
 
     ``lo_value``/``hi_value`` are the exact one-sided endpoint values
     (equal to the primitive at ``lo`` and ``hi``, since each primitive is
-    continuous on its closed interval).
+    continuous on its closed interval).  ``direction`` is read off them:
+    ``constant`` when they are equal, otherwise the sign of ``hi_value -
+    lo_value``.  Every primitive is monotone on its segment, so the two
+    cannot disagree.
     """
     lo: float
     hi: float
     kind: str
     params: dict
-    direction: str
     lo_value: float
     hi_value: float
 
+    @property
+    def direction(self):
+        return (INCREASING if self.hi_value > self.lo_value
+                else DECREASING if self.hi_value < self.lo_value else CONSTANT)
+
     def values(self, x):
         """Evaluate the primitive on an array of abscissae inside [lo, hi]."""
-        x = np.asarray(x, dtype=np.float64)
-        p = self.params
-        if self.kind == "constant":
-            return np.full(x.shape, p["c"])
-        if self.kind == "affine":
-            return p["a"] + p["b"] * x
-        if self.kind == "exponential":
-            return p["a"] * np.exp(p["b"] * x)
-        if self.kind == "power":
-            return p["a"] * np.power(np.maximum(x - p["x0"], 0.0), p["p"])
-        if self.kind == "monotone-table":
-            return np.interp(x, p["xs"], p["ys"])
-        raise DomainError(f"segment kind {self.kind!r} cannot be evaluated")
+        if self.kind not in _PRIMITIVES:
+            raise DomainError(f"segment kind {self.kind!r} cannot be evaluated")
+        return _PRIMITIVES[self.kind][1](self.params, np.asarray(x, dtype=np.float64))
 
 
 def _as_number(value, where, *, allow_pi=False):
@@ -123,29 +128,6 @@ def _as_number(value, where, *, allow_pi=False):
     return value
 
 
-def _derive_direction(kind, params, where):
-    if kind == "constant":
-        return CONSTANT
-    if kind == "affine":
-        slope = params["b"]
-    elif kind == "exponential":
-        slope = params["a"] * params["b"]
-    elif kind == "power":
-        slope = params["a"]
-    else:  # monotone-table
-        dys = np.diff(params["ys"])
-        if (dys > 0).all():
-            return INCREASING
-        if (dys < 0).all():
-            return DECREASING
-        raise MonotonicityError(f"{where}: table ys must be strictly monotone")
-    if slope > 0:
-        return INCREASING
-    if slope < 0:
-        return DECREASING
-    return CONSTANT
-
-
 def _build_segment(raw, index):
     where = f"segments[{index}]"
     if not isinstance(raw, dict):
@@ -161,16 +143,16 @@ def _build_segment(raw, index):
     if not lo < hi:
         raise SpecSyntaxError(f"{where}: lo must be strictly below hi")
     kind = raw["kind"]
-    if kind not in _KINDS:
-        raise SpecSyntaxError(f"{where}: unknown kind {kind!r}")
     if kind == "pathological-rational":
         raise UnboundedError(
             f"{where}: a rational/irrational indicator is bounded but has no "
             "usable integral, so it is rejected at validation")
+    if not isinstance(kind, str) or kind not in _PRIMITIVES:
+        raise SpecSyntaxError(f"{where}: unknown kind {kind!r}")
     raw_params = raw["params"]
     if not isinstance(raw_params, dict):
         raise SpecSyntaxError(f"{where}.params: expected an object")
-    expected = _PARAM_KEYS[kind]
+    expected, primitive = _PRIMITIVES[kind]
     if set(raw_params) != set(expected):
         raise SpecSyntaxError(
             f"{where}.params: kind {kind!r} needs exactly {sorted(expected)}")
@@ -190,32 +172,31 @@ def _build_segment(raw, index):
             raise SpecSyntaxError(f"{where}.params.xs: must be strictly increasing")
         if params["xs"][0] != lo or params["xs"][-1] != hi:
             raise SpecSyntaxError(f"{where}.params.xs: must span exactly [lo, hi]")
+        # strictly monotone: every ys step has the sign of the end-to-end step
+        ys = params["ys"].tolist()
+        for j, (a, b) in enumerate(zip(ys, ys[1:])):
+            if not (b > a if ys[-1] > ys[0] else b < a):
+                raise MonotonicityError(f"{where}: table ys must be strictly monotone: "
+                                        f"ys[{j}] = {a!r} -> ys[{j + 1}] = {b!r}")
     else:
         for key in expected:
             params[key] = _as_number(raw_params[key], f"{where}.params.{key}")
-        if kind == "power":
-            if params["p"] <= 0:
-                raise SpecSyntaxError(f"{where}.params.p: must be positive")
-            if params["x0"] > lo:
-                raise SpecSyntaxError(f"{where}.params.x0: must satisfy x0 <= lo")
+        if kind == "power" and params["p"] <= 0:
+            raise SpecSyntaxError(f"{where}.params.p: must be positive")
+        if kind == "power" and params["x0"] > lo:
+            raise SpecSyntaxError(f"{where}.params.x0: must satisfy x0 <= lo")
 
-    direction = _derive_direction(kind, params, where)
-    if "direction" in raw:
-        declared = raw["direction"]
-        if declared not in _DIRECTIONS:
-            raise SpecSyntaxError(f"{where}.direction: must be one of {_DIRECTIONS}")
-        if declared != direction:
-            raise MonotonicityError(
-                f"{where}: declared direction {declared!r} but the primitive is {direction}")
-
-    seg = MonotoneSegment(lo=lo, hi=hi, kind=kind, params=params,
-                          direction=direction, lo_value=0.0, hi_value=0.0)
-    with np.errstate(over="ignore"):
-        ends = seg.values(np.array([lo, hi]))
-    if not np.isfinite(ends).all():
+    if "direction" in raw and raw["direction"] not in _DIRECTIONS:
+        raise SpecSyntaxError(f"{where}.direction: must be one of {_DIRECTIONS}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        lo_value, hi_value = primitive(params, np.array([lo, hi])).tolist()
+    if not (math.isfinite(lo_value) and math.isfinite(hi_value)):
         raise UnboundedError(f"{where}: endpoint values are not finite")
-    object.__setattr__(seg, "lo_value", float(ends[0]))
-    object.__setattr__(seg, "hi_value", float(ends[1]))
+    seg = MonotoneSegment(lo=lo, hi=hi, kind=kind, params=params,
+                          lo_value=lo_value, hi_value=hi_value)
+    if raw.get("direction", seg.direction) != seg.direction:
+        raise MonotonicityError(f"{where}: declared direction {raw['direction']!r} but the end "
+                                f"values {lo_value!r} -> {hi_value!r} make it {seg.direction}")
     return seg
 
 

@@ -608,10 +608,10 @@ def _grid_panels(edges, half, graded=()):
 
 def _graded_edges(edges, graded, width, merge):
     """``edges`` with the points of ``graded`` and the cuts toward them
-    added, in ascending order, as :func:`_grid_panels` describes, on a grid
-    of panels ``width`` wide with the merge distance ``merge``.  A cut
-    within the merge distance of its point or of the next edge on its side
-    is left out here; one next to a grid edge is left to
+    added, in strictly ascending order, as :func:`_grid_panels` describes,
+    on a grid of panels ``width`` wide with the merge distance ``merge``.
+    A cut within the merge distance of its point or of the next edge on its
+    side is left out here; one next to a grid edge is left to
     :func:`_grid_panels`, which drops it as it drops any inner edge there.
     Past ``edges[0]`` and ``edges[-1]`` the distance to the next edge is
     NaN, which drops every cut there."""
@@ -627,7 +627,9 @@ def _graded_edges(edges, graded, width, merge):
         w = np.minimum(gap, 2.0 * width)[:, None]
         d = w * _GRADING
         parts.append((g[:, None] + side * d)[(d > merge) & (w - d > merge)])
-    return np.sort(np.concatenate(parts))
+    # where one ulp exceeds the merge distance a cut can round onto a listed point
+    points = np.sort(np.concatenate(parts))
+    return points[np.r_[True, points[1:] > points[:-1]]]
 
 
 def _fft_length(n):

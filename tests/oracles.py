@@ -47,6 +47,27 @@ def square_partial_sum(x, n):
     return float(np.sum(coeff * np.sin(k * x)))
 
 
+def slope_direction(kind, params):
+    """The direction of a spec primitive from the sign of its slope, read
+    off the spec's parameters: ``b`` for ``affine``, ``a`` times ``b`` for
+    ``exponential``, ``a`` for ``power`` (``p > 0``), and the common sign of
+    the ``ys`` steps for ``monotone-table``; ``None`` for a table whose
+    steps do not share one."""
+    if kind == "constant":
+        return "constant"
+    if kind == "monotone-table":
+        ys = params["ys"]
+        signs = {(y1 > y0) - (y1 < y0) for y0, y1 in zip(ys, ys[1:])}
+        sign = signs.pop() if len(signs) == 1 else None
+    elif kind == "affine":
+        sign = np.sign(params["b"])
+    elif kind == "exponential":
+        sign = np.sign(params["a"]) * np.sign(params["b"])
+    else:  # power
+        sign = np.sign(params["a"])
+    return {1: "increasing", -1: "decreasing", 0: "constant", None: None}[sign]
+
+
 def dirichlet_kernel_mp(n, t, dps=50):
     """``sin((n + 1/2) t) / (2 sin(t/2))`` in ``dps``-digit arithmetic, for
     the float ``t`` taken exactly; ``t`` must be nonzero."""

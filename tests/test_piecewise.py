@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 import trigconv as tc
 from conftest import (MALFORMED_SPECS, SAWTOOTH, SQUARE, TRIANGLE, build,
                       many_segment_spec, random_spec)
+from oracles import slope_direction
 
 
 def spec_text(segments):
@@ -87,13 +88,17 @@ class TestParsing:
                   "params": {}}]))
 
     def test_rejects_exponential_overflow(self):
-        with pytest.raises(tc.UnboundedError):
-            tc.parse_spec(spec_text(
-                [{"lo": "-pi", "hi": "pi", "kind": "exponential",
-                  "params": {"a": 1.0, "b": 500.0}}]))
+        # non-finite end values are refused before any declared direction is read
+        for declared in ({}, {"direction": "decreasing"}):
+            with pytest.raises(tc.UnboundedError, match="endpoint values are not finite"):
+                tc.parse_spec(spec_text(
+                    [{"lo": "-pi", "hi": "pi", "kind": "exponential",
+                      "params": {"a": 1.0, "b": 500.0}, **declared}]))
 
     def test_rejects_non_monotone_table(self):
-        with pytest.raises(tc.MonotonicityError):
+        # the refusal names the first step against the end-to-end step
+        with pytest.raises(tc.MonotonicityError, match=r"table ys must be strictly monotone: "
+                                                       r"ys\[1\] = 1\.0 -> ys\[2\] = 0\.5"):
             tc.parse_spec(spec_text(
                 [{"lo": "-pi", "hi": "pi", "kind": "monotone-table",
                   "params": {"xs": ["-pi", 0.0, "pi"], "ys": [0.0, 1.0, 0.5]}}]))
@@ -109,6 +114,18 @@ class TestParsing:
             [{"lo": "-pi", "hi": "pi", "kind": "affine",
               "params": {"a": 0.0, "b": 1.0}, "direction": "increasing"}]))
         assert f.segments[0].direction == "increasing"
+
+    def test_flat_in_floating_point_is_constant(self):
+        # a slope too small to move either end value: the segment is
+        # constant, as a constant segment is, whatever the sign of b
+        flat = {"lo": "-pi", "hi": "pi", "kind": "affine",
+                "params": {"a": 0.4763519921373529, "b": -1.9338909554963908e-175}}
+        seg = tc.parse_spec(spec_text([flat])).segments[0]
+        assert seg.lo_value == seg.hi_value == 0.4763519921373529
+        assert seg.direction == "constant"
+        assert tc.parse_spec(spec_text([{**flat, "direction": "constant"}])).segments[0] == seg
+        with pytest.raises(tc.MonotonicityError, match="declared direction 'decreasing'"):
+            tc.parse_spec(spec_text([{**flat, "direction": "decreasing"}]))
 
     def test_power_param_validation(self):
         with pytest.raises(tc.SpecSyntaxError):
@@ -274,6 +291,19 @@ class TestExtremaAndJumps:
         # decrease begins, and plateau edges alone are not extrema
         assert f.extrema_and_jumps() == [1.0]
 
+    def test_reversal_across_a_piece_flat_in_floating_point(self):
+        # the middle piece has a negative slope too small to move its end
+        # values, so it is a plateau and the decrease begins at its end
+        f = tc.parse_spec(spec_text([
+            {"lo": "-pi", "hi": -1.0, "kind": "affine", "params": {"a": 2.0, "b": 1.0}},
+            {"lo": -1.0, "hi": 1.0, "kind": "affine",
+             "params": {"a": 1.0, "b": -1.9338909554963908e-175}},
+            {"lo": 1.0, "hi": "pi", "kind": "affine", "params": {"a": 2.0, "b": -1.0}},
+        ]))
+        assert f.jumps == ()
+        assert [s.direction for s in f.segments] == ["increasing", "constant", "decreasing"]
+        assert f.extrema_and_jumps() == [1.0]
+
     def test_plateau_without_reversal(self):
         f = tc.parse_spec(spec_text([
             {"lo": "-pi", "hi": 0.0, "kind": "affine", "params": {"a": 1.0, "b": 1.0}},
@@ -305,6 +335,59 @@ class TestSingularPoints:
     def test_none_without_power_pieces(self, square, sawtooth):
         assert square.singular_points == []
         assert sawtooth.singular_points == []
+
+
+_TINY = st.builds(lambda sign, e: sign * 10.0 ** e,
+                  st.sampled_from([-1.0, 1.0]), st.floats(-320.0, -14.0))
+_SLOPES = st.one_of(st.floats(-2.0, 2.0), _TINY)
+_OFFSETS = st.one_of(st.floats(-2.0, 2.0), st.floats(-1e300, 1e300))
+
+
+@st.composite
+def _segment_lists(draw):
+    """1 to 3 admitted segments of every kind on equal parts of [-pi, pi],
+    with slopes small enough that the end values round equal, and offsets
+    large enough that small slopes vanish in them."""
+    count = draw(st.integers(1, 3))
+    edges = np.linspace(-math.pi, math.pi, count + 1).tolist()
+    segments = []
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        kind = draw(st.sampled_from(["constant", "affine", "exponential", "power",
+                                     "monotone-table"]))
+        if kind == "constant":
+            params = {"c": draw(_OFFSETS)}
+        elif kind in ("affine", "exponential"):
+            params = {"a": draw(_OFFSETS), "b": draw(_SLOPES)}
+        elif kind == "power":
+            params = {"a": draw(st.one_of(_SLOPES, _OFFSETS)),
+                      "x0": lo - draw(st.sampled_from([0.0, 1e-3, 0.5, 2.0])),
+                      "p": draw(st.floats(0.05, 3.0))}
+        else:
+            ys = sorted(draw(st.lists(st.floats(-1e300, 1e300), min_size=2, max_size=5,
+                                      unique=True)), reverse=draw(st.booleans()))
+            xs = [lo + (hi - lo) * j / (len(ys) - 1) for j in range(len(ys) - 1)] + [hi]
+            params = {"xs": xs, "ys": ys}
+        segments.append({"lo": lo, "hi": hi, "kind": kind, "params": params})
+    return segments
+
+
+class TestDirectionFromEndValues:
+    """A segment's direction is the sign of its end-to-end step, and agrees
+    with the sign of the primitive's slope wherever the end values differ."""
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(segments=_segment_lists())
+    def test_direction_against_the_slope_oracle(self, segments):
+        text = spec_text(segments)
+        f = tc.parse_spec(text)
+        for seg, raw in zip(f.segments, segments):
+            step = (seg.hi_value > seg.lo_value) - (seg.hi_value < seg.lo_value)
+            assert seg.direction == {1: "increasing", -1: "decreasing", 0: "constant"}[step]
+            if seg.lo_value != seg.hi_value:
+                assert seg.direction == slope_direction(raw["kind"], raw["params"])
+        # parse followed by eval is bitwise stable
+        grid = np.linspace(-math.pi, math.pi, 1001)
+        assert np.array_equal(_bits(f.eval(grid)), _bits(tc.parse_spec(text).eval(grid)))
 
 
 class TestRandomSpecs:

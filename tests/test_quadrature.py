@@ -625,20 +625,23 @@ class TestGradedSeeding:
         assert (np.diff(points) > 1e-13).all()
 
     @settings(derandomize=True, max_examples=150, deadline=None)
-    @given(lo=st.floats(-4.0, 4.0), span=st.floats(0.1, 8.0), count=st.integers(1, 30),
+    @given(far=st.sampled_from([0.0, 0.0, 1e3, 1e5, 1e6]), lo=st.floats(-4.0, 4.0),
+           span=st.floats(0.1, 8.0), count=st.integers(1, 30),
            stretch=st.floats(0.5, 1.5), inner=st.lists(st.floats(0.0, 1.0), max_size=4),
            near_grid=st.lists(st.tuples(st.integers(0, 40),
                                         st.sampled_from([-2.0, -0.5, 0.0, 0.5, 2.0])), max_size=2),
            anywhere=st.lists(st.floats(-0.1, 1.1), max_size=3),
            grid_graded=st.lists(st.tuples(st.integers(0, 40), st.sampled_from([0.25, 0.5, 0.75])),
                                 max_size=3),
-           edge_graded=st.lists(st.integers(0, 10), max_size=2))
-    def test_one_merge_rule_for_every_cut(self, lo, span, count, stretch, inner, near_grid,
+           edge_graded=st.lists(st.tuples(st.integers(0, 10), st.integers(-3, 3)), max_size=2))
+    def test_one_merge_rule_for_every_cut(self, far, lo, span, count, stretch, inner, near_grid,
                                           anywhere, grid_graded, edge_graded):
         # caller edges at and next to grid edges, and graded points at
         # grid-panel midpoints and quarter points, whose cuts then land on
-        # grid edges; ranges near the origin, where the merge distance is
-        # wider than the rounding of a cut
+        # grid edges, and at or a few ulps off an edge; ranges near the
+        # origin, where the merge distance is wider than the rounding of a
+        # cut, and far from it, where one ulp is wider than the merge distance
+        lo += far
         hi = lo + span
         half = stretch * span / (2 * count)
         width = 2.0 * half
@@ -648,7 +651,8 @@ class TestGradedSeeding:
         edges = np.unique(np.r_[lo, [b for b in breakpoints if lo < b < hi], hi])
         graded = ([lo + f * span for f in anywhere]
                   + [lo + width * (p + q) for p, q in grid_graded]
-                  + [edges[j % edges.shape[0]] for j in edge_graded])
+                  + [edges[j % edges.shape[0]] + k * np.spacing(edges[j % edges.shape[0]])
+                     for j, k in edge_graded])
         points, uncut = quadrature._grid_panels(edges, half, graded)
         assert points[0] == lo and points[-1] == hi
         assert (np.diff(points) > 0).all()
