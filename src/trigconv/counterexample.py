@@ -35,7 +35,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DomainError, check_integer
+from .errors import DomainError, check_integer, check_real
 
 KINDS = ("u", "v", "diff")
 
@@ -75,16 +75,6 @@ def _check_kind(kind):
 
 def _check_terms(n_terms, name="n_terms"):
     return check_integer(n_terms, name, 1, _MAX_TERMS)
-
-
-def _check_bound(bound):
-    try:
-        bound = float(bound)
-    except (TypeError, ValueError):
-        raise DomainError(f"bound must be a number, got {bound!r}") from None
-    if not -math.inf < bound < 0:
-        raise DomainError(f"bound must be finite and negative, got {bound!r}")
-    return bound
 
 
 def _chunk_terms(kinds, start, index, alternating, terms):
@@ -167,7 +157,7 @@ def summarize_all(n_terms, bound):
 
 def _summaries(kinds, n_terms, bound):
     n_terms = _check_terms(n_terms)
-    bound = _check_bound(bound)
+    bound = check_real(bound, "bound", hi=0, open_hi=True)
     lo, hi, escape = [math.inf] * len(kinds), [-math.inf] * len(kinds), [None] * len(kinds)
     for start, _, chunk in _chunk_sums(kinds, n_terms):
         for k, sums in enumerate(chunk):
@@ -192,7 +182,7 @@ def divergence_witness(kind, bound, n_max):
     """
     n_max = _check_terms(n_max, "n_max")
     _check_kind(kind)
-    bound = _check_bound(bound)
+    bound = check_real(bound, "bound", hi=0, open_hi=True)
     for start, _, (sums,) in _chunk_sums((kind,), n_max):
         outside = (sums < bound) | (sums > -bound)
         if outside.any():

@@ -1,8 +1,27 @@
-"""Exception types shared across the package, and the integer, schedule and
-abscissa validators."""
+"""The package's exception types, the domains of its arguments and every
+argument validator.
+
+Each public function refuses an argument outside its domain with a
+:class:`TrigconvError` before any work starts.  The validators here name
+the argument in the message and return it converted: :func:`check_integer`
+for orders and term counts, :func:`check_real` and :func:`check_finite` for
+real scalars and arrays, :func:`check_abscissa` for points of ``[-pi,
+pi]`` and :func:`check_schedule` for refinement schedules.  Function specs
+are checked by :mod:`trigconv.piecewise`, which raises
+:class:`SpecSyntaxError` and its siblings instead.
+"""
 
 import math
 import numbers
+
+import numpy as np
+
+# the largest order (of the kernel, a partial sum, a coefficient table or
+# the alternating tail) and sine-block frequency admitted
+MAX_ORDER = 10**6
+
+# interval ends written by name in messages
+_NAMED_ENDS = {math.pi: "pi", -math.pi: "-pi", math.pi / 2: "pi/2"}
 
 
 class TrigconvError(Exception):
@@ -59,10 +78,40 @@ def check_schedule(values, name):
     return values
 
 
+def check_real(value, name, lo=-math.inf, hi=math.inf, *, open_lo=False, open_hi=False):
+    """Return ``float(value)`` after checking it is finite and lies between
+    ``lo`` and ``hi``, each end closed unless ``open_lo``/``open_hi``.
+
+    What ``float()`` refuses, NaN, infinities and values out of range are
+    refused with a :class:`DomainError` whose message starts with ``name``.
+    """
+    try:
+        x = float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise DomainError(f"{name} must be a number, got {value!r}") from None
+    if math.isfinite(x) and (lo < x if open_lo else lo <= x) and (x < hi if open_hi else x <= hi):
+        return x
+    if lo == -math.inf and hi == math.inf:
+        raise DomainError(f"{name} must be finite, got {x!r}")
+    interval = (f"{'(' if open_lo or lo == -math.inf else '['}{_NAMED_ENDS.get(lo, lo)}, "
+                f"{_NAMED_ENDS.get(hi, hi)}{')' if open_hi or hi == math.inf else ']'}")
+    verb = "be finite and lie" if lo == -math.inf or hi == math.inf else "lie"
+    raise DomainError(f"{name} must {verb} in {interval}, got {x!r}")
+
+
+def check_finite(values, name):
+    """Return ``values`` as a float64 array after checking every entry is
+    finite; what ``np.asarray`` refuses and non-finite entries are refused
+    with a :class:`DomainError` whose message starts with ``name``."""
+    try:
+        arr = np.asarray(values, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise DomainError(f"{name} must hold numbers: {exc}") from None
+    if not np.isfinite(arr).all():
+        raise DomainError(f"{name} must be finite, got {float(arr[~np.isfinite(arr)][0])!r}")
+    return arr
+
+
 def check_abscissa(x):
-    """Return ``x`` as a float after checking it lies in [-pi, pi]; NaN and
-    infinities are refused with the same :class:`DomainError`."""
-    x = float(x)
-    if not -math.pi <= x <= math.pi:
-        raise DomainError(f"x must lie in [-pi, pi], got {x!r}")
-    return x
+    """Return ``x`` as a float after checking it lies in [-pi, pi]."""
+    return check_real(x, "x", -math.pi, math.pi)

@@ -17,8 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DomainError, check_abscissa, check_integer, check_schedule
-from .kernel import _MAX_ORDER
+from .errors import MAX_ORDER, DomainError, check_abscissa, check_integer, check_schedule
 from .oscillatory import ConvergenceReport
 from .piecewise import PiecewiseFunction
 from .quadrature import integrate, integrate_harmonics
@@ -86,7 +85,7 @@ def coefficients(f, n_max, tol=1e-10):
     evaluated.
     """
     f = _check_function(f)
-    n_max = check_integer(n_max, "n_max", 0, _MAX_ORDER)
+    n_max = check_integer(n_max, "n_max", 0, MAX_ORDER)
     cos_int, sin_int, errors = integrate_harmonics(f.eval, -PI, PI, n_max, tol,
                                                    breakpoints=f.breakpoints,
                                                    graded=f.singular_points)
@@ -118,7 +117,7 @@ def partial_sum_kernel(f, x, n, tol=1e-9):
     the breakpoints of ``f``.
     """
     f = _check_function(f)
-    n = check_integer(n, "n", 0, _MAX_ORDER)
+    n = check_integer(n, "n", 0, MAX_ORDER)
     x = _wrap_abscissa(x)
     # integrate sorts the breakpoints, drops those outside (-pi, pi), x at
     # +/-pi among them, and merges duplicates
@@ -172,7 +171,7 @@ def split_integrals(f, x, n, tol=1e-9):
     -pi`` / ``x = pi`` the respective integral is empty and exactly ``0.0``.
     """
     f = _check_function(f)
-    n = check_integer(n, "n", 0, _MAX_ORDER)
+    n = check_integer(n, "n", 0, MAX_ORDER)
     x = check_abscissa(x)
 
     def one_side(side):
@@ -211,7 +210,7 @@ def convergence_report(f, x, schedule, tol=1e-10):
     f = _check_function(f)
     x = check_abscissa(x)
     orders = check_schedule(
-        (check_integer(n, "schedule entry", 1, _MAX_ORDER) for n in schedule),
+        (check_integer(n, "schedule entry", 1, MAX_ORDER) for n in schedule),
         "order schedule")
     coeff = coefficients(f, orders[-1], tol)
     values = np.array([partial_sum(coeff, x, n) for n in orders])

@@ -22,12 +22,9 @@ import math
 
 import numpy as np
 
-from .errors import DomainError, check_integer
+from .errors import MAX_ORDER, check_finite, check_integer, check_real
 from .quadrature import _sin_ratio, integrate
 
-# the largest order (of the kernel, a partial sum, a coefficient table or
-# the alternating tail) and sine-block frequency admitted
-_MAX_ORDER = 10**6
 # cosines evaluated and split per chunk of this many terms, into reused buffers
 _CHUNK = 1 << 14
 # extraction levels per chunk: each takes 53 - ceil(log2(_CHUNK + 2)) = 38 bits
@@ -78,12 +75,11 @@ def cosine_sum(n, t):
     sums and the few remainders those leave (none, for most chunks), and
     :func:`math.fsum` rounds the short list of all chunks' parts correctly,
     so the result is that of rounding the exact sum.  Memory stays two
-    chunk buffers whatever ``n``.  A non-finite ``t`` is refused.
+    chunk buffers whatever ``n``.  A ``t`` that is not a finite number is
+    refused with a :class:`~trigconv.errors.DomainError`.
     """
-    n = check_integer(n, "order", 0, _MAX_ORDER)
-    t = float(t)
-    if not math.isfinite(t):
-        raise DomainError(f"t must be finite, got {t!r}")
+    n = check_integer(n, "order", 0, MAX_ORDER)
+    t = check_real(t, "t")
     size = min(n, _CHUNK)
     first_k = np.arange(1, size + 1, dtype=np.float64)
     values = np.empty(size)
@@ -105,12 +101,11 @@ def dirichlet_kernel(n, t):
     The argument ``t/2`` of the ratio is reduced modulo ``pi`` first, as
     :func:`~trigconv.quadrature._sin_ratio` does for every integer order,
     so the evaluation is periodic by construction; at the removable
-    singularity the value is ``n + 1/2``.  A non-finite ``t`` is refused.
+    singularity the value is ``n + 1/2``.  A ``t`` holding anything but
+    finite numbers is refused with a :class:`~trigconv.errors.DomainError`.
     """
-    n = check_integer(n, "order", 0, _MAX_ORDER)
-    arr = np.asarray(t, dtype=np.float64)
-    if not np.isfinite(arr).all():
-        raise DomainError(f"t must be finite, got {float(arr[~np.isfinite(arr)][0])!r}")
+    n = check_integer(n, "order", 0, MAX_ORDER)
+    arr = check_finite(t, "t")
     out = _sin_ratio(2 * n + 1, 0.5 * arr)
     out *= 0.5
     return float(out) if arr.ndim == 0 else out
@@ -124,7 +119,7 @@ def kernel_mean(n, tol=1e-10):
     grid the weight seeds, its half-periods ``2 pi / (2n + 1)``, as a
     self-check of the quadrature machinery.
     """
-    n = check_integer(n, "order", 0, _MAX_ORDER)
+    n = check_integer(n, "order", 0, MAX_ORDER)
     value = integrate(lambda t: np.full(t.shape, 0.5), -math.pi, math.pi, tol,
                       sine_ratio=(2 * n + 1, 0.5, 0.0))
     return value / math.pi

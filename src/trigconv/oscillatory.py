@@ -15,8 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, check_integer, check_schedule
-from .kernel import _MAX_ORDER
+from .errors import MAX_ORDER, DomainError, check_finite, check_integer, check_real, check_schedule
 from .piecewise import PiecewiseFunction
 from .quadrature import _sin_ratio, integrate, integrate_intervals
 
@@ -73,22 +72,24 @@ class ConvergenceReport:
     extras: dict = field(default_factory=dict)
 
 
-def _check_frequency(i):
-    i = float(i)
-    if not 0 < i <= _MAX_ORDER:
-        raise DomainError(f"frequency must lie in (0, {_MAX_ORDER}], got {i!r}")
-    return i
+def _integrand(f, lo, hi):
+    """``f`` on ``[lo, hi]`` as ``(fn, graded)``: a float-array-in,
+    float-array-out ``fn`` and the infinite slopes that quadrature grades
+    toward.
 
-
-def _vectorized(f, lo, hi):
-    """Return a float-array-in, float-array-out view of ``f``.
-
+    A :class:`PiecewiseFunction` must be continuous and monotone on ``[lo,
+    hi]``, which is checked structurally, and gives its ``singular_points``.
     A callable must map a float array to a float array of the same shape;
     a two-point probe call inside ``[lo, hi]`` checks this before any
-    quadrature starts.
+    quadrature starts, and it grades toward nothing.
     """
     if isinstance(f, PiecewiseFunction):
-        return f.eval
+        inside = [p for p in f.extrema_and_jumps() if lo < p < hi]
+        if inside:
+            raise DomainError(
+                f"f must be continuous and monotone on [{lo}, {hi}]; it has "
+                f"jumps or direction changes at {inside}")
+        return f.eval, f.singular_points
     if not callable(f):
         raise DomainError(f"expected a PiecewiseFunction or callable, got {type(f)!r}")
     probe = lo + (hi - lo) * np.array([0.25, 0.75])
@@ -99,35 +100,19 @@ def _vectorized(f, lo, hi):
     if out.shape != probe.shape:
         raise DomainError(f"f must return one value per point: shape {out.shape} "
                           f"for an input of shape {probe.shape}")
-    return lambda x: np.asarray(f(x), dtype=np.float64)
-
-
-def _graded(f):
-    """The infinite slopes of ``f`` that quadrature grades toward: those of
-    a :class:`PiecewiseFunction`, none for a callable."""
-    return f.singular_points if isinstance(f, PiecewiseFunction) else ()
-
-
-def _require_monotone(f, lo, hi):
-    if isinstance(f, PiecewiseFunction):
-        inside = [p for p in f.extrema_and_jumps() if lo < p < hi]
-        if inside:
-            raise DomainError(
-                f"f must be continuous and monotone on [{lo}, {hi}]; it has "
-                f"jumps or direction changes at {inside}")
+    return (lambda x: np.asarray(f(x), dtype=np.float64)), ()
 
 
 def sine_ratio(i, beta):
     """The oscillating weight ``sin(i b)/sin(b)`` with its ``b = 0``
     singularity removed (value ``i`` there); for an integer ``i`` every
     multiple ``k pi`` is removable too (value ``(-1)^(k (i + 1)) i``), and
-    ``b`` is reduced modulo ``pi`` first.  A non-finite ``beta`` is
-    refused.  A scalar ``beta`` gives a float, an array an array."""
-    i = _check_frequency(i)
-    beta = np.asarray(beta, dtype=np.float64)
-    if not np.isfinite(beta).all():
-        raise DomainError(
-            f"beta must be finite, got {float(beta[~np.isfinite(beta)][0])!r}")
+    ``b`` is reduced modulo ``pi`` first.  A frequency outside ``(0,
+    10**6]`` or a ``beta`` holding anything but finite numbers is refused
+    with a :class:`~trigconv.errors.DomainError`.  A scalar ``beta`` gives
+    a float, an array an array."""
+    i = check_real(i, "frequency", 0, MAX_ORDER, open_lo=True)
+    beta = check_finite(beta, "beta")
     out = _sin_ratio(i, beta)
     return float(out) if beta.ndim == 0 else out
 
@@ -150,16 +135,13 @@ def decompose(f, i, h, tol=1e-8):
     float arrays, or a :class:`PiecewiseFunction`, which is checked
     structurally); ``h`` must lie in ``(0, pi/2]``.
     """
-    i = _check_frequency(i)
-    h = float(h)
-    if not 0.0 < h <= H_MAX:
-        raise DomainError(f"h must lie in (0, pi/2], got {h!r}")
-    _require_monotone(f, 0.0, h)
-    fn = _vectorized(f, 0.0, h)
+    i = check_real(i, "frequency", 0, MAX_ORDER, open_lo=True)
+    h = check_real(h, "h", 0, H_MAX, open_lo=True)
+    fn, graded = _integrand(f, 0.0, h)
     full, edges = _block_boundaries(i, h)
 
     pair, _ = integrate_intervals(lambda b: np.stack([fn(b), np.ones(b.shape)], axis=1),
-                                  edges, tol, graded=_graded(f), sine_ratio=(i, 1.0, 0.0))
+                                  edges, tol, graded=graded, sine_ratio=(i, 1.0, 0.0))
     values = pair[:, 0]
     magnitudes = np.abs(pair[:, 1])
     return SignBlockDecomposition(
@@ -190,7 +172,7 @@ def tail(n_max, tol=1e-10):
     Block ``nu`` covers ``[(nu - 1) pi, nu pi]``; the alternating partial
     sums straddle ``pi / 2`` and each gap is below the next magnitude.
     """
-    n_max = check_integer(n_max, "n_max", 1, _MAX_ORDER)
+    n_max = check_integer(n_max, "n_max", 1, MAX_ORDER)
     edges = np.arange(n_max + 2) * math.pi
     values, _ = integrate_intervals(lambda g: np.sinc(g / math.pi), edges, tol)
     terms = np.abs(values)
@@ -203,19 +185,19 @@ def limit_verify(f, g, h, i_schedule, tol=1e-8):
     """Track ``integral of f(b) sin(i b)/sin(b) over [g, h]`` as ``i`` grows.
 
     The predicted limit is ``0`` when ``g > 0`` and ``(pi/2) * f(0+)`` when
-    ``g = 0``.  Returns a :class:`ConvergenceReport` whose ``x`` field
-    holds ``g``.
+    ``g = 0``.  ``g`` must lie in ``[0, pi/2)``, ``h`` in ``(g, pi/2]`` and
+    each frequency in ``(0, 10**6]``, increasing; anything else is refused
+    with a :class:`~trigconv.errors.DomainError` before ``f`` is evaluated.
+    Returns a :class:`ConvergenceReport` whose ``x`` field holds ``g``.
     """
-    g = float(g)
-    h = float(h)
-    if not (0.0 <= g < h <= H_MAX):
-        raise DomainError(f"need 0 <= g < h <= pi/2, got g={g!r}, h={h!r}")
-    schedule = check_schedule((_check_frequency(i) for i in i_schedule),
-                              "frequency schedule")
-    _require_monotone(f, g, h)
-    fn = _vectorized(f, g, h)
+    g = check_real(g, "g", 0, H_MAX, open_hi=True)
+    h = check_real(h, "h", g, H_MAX, open_lo=True)
+    schedule = check_schedule(
+        (check_real(i, "frequency", 0, MAX_ORDER, open_lo=True) for i in i_schedule),
+        "frequency schedule")
+    fn, graded = _integrand(f, g, h)
     predicted = 0.5 * math.pi * float(fn(np.zeros(1))[0]) if g == 0.0 else 0.0
-    values = np.array([integrate(fn, g, h, tol, graded=_graded(f), sine_ratio=(i, 1.0, 0.0))
+    values = np.array([integrate(fn, g, h, tol, graded=graded, sine_ratio=(i, 1.0, 0.0))
                        for i in schedule])
     errors = np.abs(values - predicted)
     return ConvergenceReport(x=g, schedule=schedule, values=values,

@@ -30,6 +30,10 @@ Supported kinds and their parameters:
     rationals and irrationals is bounded yet has no workable integral, so
     every downstream quantity would be undefined.
 
+An ``exponential`` or ``power`` segment with ``a = 0`` is built as the
+``constant`` segment ``c = a``: its values are ``a`` times a non-negative
+factor, zero with the sign of ``a``, even where that factor overflows.
+
 A segment's direction is read off its exact end values, the values the
 jumps, one-sided limits and ``abs_bound`` read too: ``constant`` when they
 are equal, else ``increasing`` or ``decreasing`` by the sign of ``f(hi) -
@@ -52,7 +56,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (CoverageError, DomainError, MonotonicityError,
-                     SpecSyntaxError, UnboundedError)
+                     SpecSyntaxError, UnboundedError, check_abscissa)
 
 PI = math.pi
 
@@ -152,7 +156,7 @@ def _build_segment(raw, index):
     raw_params = raw["params"]
     if not isinstance(raw_params, dict):
         raise SpecSyntaxError(f"{where}.params: expected an object")
-    expected, primitive = _PRIMITIVES[kind]
+    expected = _PRIMITIVES[kind][0]
     if set(raw_params) != set(expected):
         raise SpecSyntaxError(
             f"{where}.params: kind {kind!r} needs exactly {sorted(expected)}")
@@ -185,11 +189,15 @@ def _build_segment(raw, index):
             raise SpecSyntaxError(f"{where}.params.p: must be positive")
         if kind == "power" and params["x0"] > lo:
             raise SpecSyntaxError(f"{where}.params.x0: must satisfy x0 <= lo")
+        if kind in ("exponential", "power") and params["a"] == 0.0:
+            # the constant zero with the sign of a, whatever the other factor,
+            # which may overflow: 0 * exp(300 pi) would be NaN
+            kind, params = "constant", {"c": params["a"]}
 
     if "direction" in raw and raw["direction"] not in _DIRECTIONS:
         raise SpecSyntaxError(f"{where}.direction: must be one of {_DIRECTIONS}")
     with np.errstate(over="ignore", invalid="ignore"):
-        lo_value, hi_value = primitive(params, np.array([lo, hi])).tolist()
+        lo_value, hi_value = _PRIMITIVES[kind][1](params, np.array([lo, hi])).tolist()
     if not (math.isfinite(lo_value) and math.isfinite(hi_value)):
         raise UnboundedError(f"{where}: endpoint values are not finite")
     seg = MonotoneSegment(lo=lo, hi=hi, kind=kind, params=params,
@@ -247,8 +255,7 @@ class PiecewiseFunction:
         seeds): the origin ``x0 == lo`` of every non-constant ``power``
         segment with ``0 < p < 1``, ascending."""
         return sorted({float(s.lo) for s in self.segments
-                       if s.kind == "power" and s.params["p"] < 1.0
-                       and s.params["x0"] == s.lo and s.params["a"] != 0.0})
+                       if s.kind == "power" and s.params["p"] < 1.0 and s.params["x0"] == s.lo})
 
     def abs_bound(self):
         """A sup bound for |f|; by monotonicity the extremes sit at segment ends."""
@@ -302,9 +309,7 @@ class PiecewiseFunction:
         near ``x``.  Both ``x = -pi`` and ``x = pi`` return the periodic
         pair ``(f(pi-), f(-pi+))`` so that their mean is the wrap value.
         """
-        x = float(x)
-        if not -PI <= x <= PI:
-            raise DomainError("abscissa must lie in [-pi, pi]")
+        x = check_abscissa(x)
         if x == -PI or x == PI:
             return (self.segments[-1].hi_value, self.segments[0].lo_value)
         for j in range(1, len(self.segments)):

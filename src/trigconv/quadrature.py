@@ -101,7 +101,7 @@ import math
 
 import numpy as np
 
-from .errors import DomainError, QuadratureError
+from .errors import DomainError, QuadratureError, check_real
 
 # QUADPACK qk15 (Piessens et al., 1983): the non-negative Kronrod nodes in
 # decreasing order, their K15 weights, and the G7 weights of the nodes
@@ -333,10 +333,7 @@ def _check_edges(edges, tol):
     # increasing edges over a finite span are finite; Python floats overflow silently
     if not (math.isfinite(float(edges[-1]) - float(edges[0])) and (np.diff(edges) > 0).all()):
         raise DomainError("edges must be finite and strictly increasing, over a finite span")
-    tol = float(tol)
-    if not (math.isfinite(tol) and tol > 0):
-        raise DomainError("tol must be a positive finite number")
-    return edges, tol
+    return edges, check_real(tol, "tol", 0, open_lo=True)
 
 
 def _refine(f, mid, half, tol, moments, weight=None):
@@ -515,8 +512,8 @@ def integrate(f, lo, hi, tol=1e-10, *, breakpoints=(), graded=(), sine_ratio=Non
 def _edges(lo, hi, breakpoints):
     """``[lo, *breakpoints, hi]`` with points outside ``(lo, hi)`` dropped
     and points within ``1e-13 * (hi - lo)`` of the previous edge merged."""
-    lo = float(lo)
-    hi = float(hi)
+    lo = check_real(lo, "lo")
+    hi = check_real(hi, "hi")
     span = hi - lo
     if not (math.isfinite(span) and span > 0):
         raise DomainError(f"need finite lo < hi with a finite span hi - lo, got [{lo}, {hi}]")

@@ -658,6 +658,14 @@ class TestExitCodes:
         assert f"argument {argv[-2]}: " in err
         assert repr(argv[-1]) in err
 
+    def test_comma_list_with_a_bad_entry(self, capsys, sawtooth_file):
+        with pytest.raises(SystemExit) as info:
+            main(["partialsum", "--function", sawtooth_file, "--x", "0.5", "--n", "3,x"])
+        out, err = capsys.readouterr()
+        assert info.value.code == 2
+        assert out == ""
+        assert "expected an integer or comma list of integers" in err
+
     def test_argparse_rejects_unknown_subcommand(self, capsys):
         with pytest.raises(SystemExit) as info:
             main(["frobnicate"])

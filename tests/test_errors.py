@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 import trigconv as tc
 from conftest import SQUARE, build
+from trigconv.errors import check_real
 
 
 def _blocks():
@@ -43,3 +45,81 @@ def test_schedules_must_be_non_empty_and_strictly_increasing(call, name):
     for bad in ((10, 5), (5, 5)):
         with pytest.raises(tc.DomainError, match=rf"^the {name} must be strictly increasing"):
             call(bad)
+
+
+@functools.cache
+def _square():
+    return build(SQUARE)
+
+
+@functools.cache
+def _square_coefficients():
+    return tc.coefficients(_square(), 4)
+
+
+# every real argument slot of the public API: a call taking the bad value,
+# and the name its refusal starts with
+_REAL_SLOTS = {
+    "partial_sum_kernel-x": (lambda bad: tc.partial_sum_kernel(_square(), bad, 3), "x"),
+    "partial_sum_kernel-tol": (lambda bad: tc.partial_sum_kernel(_square(), 0.0, 3, bad), "tol"),
+    "partial_sum-x": (lambda bad: tc.partial_sum(_square_coefficients(), bad, 3), "x"),
+    "split_integrals-x": (lambda bad: tc.split_integrals(_square(), bad, 3), "x"),
+    "split_integrals-tol": (lambda bad: tc.split_integrals(_square(), 0.0, 3, bad), "tol"),
+    "beta_split_points-x": (lambda bad: tc.beta_split_points(_square(), bad, "lower"), "x"),
+    "predicted_limit-x": (lambda bad: tc.predicted_limit(_square(), bad), "x"),
+    "convergence_report-x": (lambda bad: tc.convergence_report(_square(), bad, (1,)), "x"),
+    "convergence_report-tol": (lambda bad: tc.convergence_report(_square(), 0.0, (1,), bad),
+                               "tol"),
+    "coefficients-tol": (lambda bad: tc.coefficients(_square(), 2, bad), "tol"),
+    "cosine_sum-t": (lambda bad: tc.cosine_sum(3, bad), "t"),
+    "dirichlet_kernel-t": (lambda bad: tc.dirichlet_kernel(3, bad), "t"),
+    "kernel_mean-tol": (lambda bad: tc.kernel_mean(3, bad), "tol"),
+    "sine_ratio-i": (lambda bad: tc.sine_ratio(bad, 0.3), "frequency"),
+    "sine_ratio-beta": (lambda bad: tc.sine_ratio(3.0, bad), "beta"),
+    "decompose-i": (lambda bad: tc.decompose(np.exp, bad, 1.0), "frequency"),
+    "decompose-h": (lambda bad: tc.decompose(np.exp, 3.0, bad), "h"),
+    "decompose-tol": (lambda bad: tc.decompose(np.exp, 3.0, 1.0, bad), "tol"),
+    "tail-tol": (lambda bad: tc.tail(3, bad), "tol"),
+    "limit_verify-g": (lambda bad: tc.limit_verify(np.exp, bad, 1.0, (3,)), "g"),
+    "limit_verify-h": (lambda bad: tc.limit_verify(np.exp, 0.0, bad, (3,)), "h"),
+    "limit_verify-i": (lambda bad: tc.limit_verify(np.exp, 0.0, 1.0, (3, bad)), "frequency"),
+    "limit_verify-tol": (lambda bad: tc.limit_verify(np.exp, 0.0, 1.0, (3,), bad), "tol"),
+    "integrate-lo": (lambda bad: tc.integrate(np.cos, bad, 1.0), "lo"),
+    "integrate-hi": (lambda bad: tc.integrate(np.cos, 0.0, bad), "hi"),
+    "integrate-tol": (lambda bad: tc.integrate(np.cos, 0.0, 1.0, bad), "tol"),
+    "integrate_intervals-tol": (lambda bad: tc.integrate_intervals(np.cos, [0.0, 1.0], bad),
+                                "tol"),
+    "one_sided_limits-x": (lambda bad: _square().one_sided_limits(bad), "x"),
+    "summarize-bound": (lambda bad: tc.summarize("u", 5, bad), "bound"),
+}
+
+
+@pytest.mark.parametrize("bad", [None, "a", math.nan, math.inf], ids=repr)
+@pytest.mark.parametrize("slot", _REAL_SLOTS)
+def test_real_arguments_are_refused_by_name(slot, bad):
+    call, name = _REAL_SLOTS[slot]
+    with pytest.raises(tc.DomainError, match=rf"^{name} must"):
+        call(bad)
+
+
+@pytest.mark.parametrize("value, bounds, message", [
+    ("a", {}, "x must be a number, got 'a'"),
+    (math.nan, {}, "x must be finite, got nan"),
+    (4.0, {"lo": -math.pi, "hi": math.pi}, "x must lie in [-pi, pi], got 4.0"),
+    (0.0, {"lo": 0, "hi": math.pi / 2, "open_lo": True}, "x must lie in (0, pi/2], got 0.0"),
+    (2.5, {"lo": 0.5, "hi": 2.5, "open_hi": True}, "x must lie in [0.5, 2.5), got 2.5"),
+    (0.0, {"hi": 0, "open_hi": True}, "x must be finite and lie in (-inf, 0), got 0.0"),
+    (math.inf, {"lo": 0, "open_lo": True}, "x must be finite and lie in (0, inf), got inf"),
+])
+def test_check_real_messages(value, bounds, message):
+    with pytest.raises(tc.DomainError) as info:
+        check_real(value, "x", **bounds)
+    assert str(info.value) == message
+
+
+def test_check_real_converts_as_float_does():
+    for value in (True, np.float32(0.1), "2.5", 3):
+        result = check_real(value, "x")
+        assert type(result) is float and result == float(value)
+    assert check_real(-0.0, "x", 0) == 0.0
+    assert math.copysign(1.0, check_real(-0.0, "x", 0)) == -1.0

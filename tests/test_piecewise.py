@@ -95,6 +95,33 @@ class TestParsing:
                     [{"lo": "-pi", "hi": "pi", "kind": "exponential",
                       "params": {"a": 1.0, "b": 500.0}, **declared}]))
 
+    @pytest.mark.parametrize("kind, params", [
+        ("exponential", {"a": 0.0, "b": 300.0}),
+        ("exponential", {"a": -0.0, "b": 300.0}),
+        ("power", {"a": 0.0, "x0": -3.2, "p": 700.0}),
+    ], ids=["exponential", "exponential-negative-zero", "power"])
+    def test_zero_amplitude_admitted_where_its_factor_overflows(self, kind, params):
+        # a times a factor that overflows on the segment is still zero with
+        # the sign of a, though 0 * inf is NaN
+        zero = {"lo": -3.0, "hi": 3.0, "kind": kind, "params": params}
+        grid = np.linspace(-math.pi, math.pi, 101)
+        alone = tc.parse_spec(spec_text([{**zero, "lo": "-pi", "hi": "pi"}]))
+        assert np.array_equal(_bits(alone.eval(grid)), _bits(np.full(101, params["a"])))
+        assert alone.singular_points == [] and alone.jumps == ()
+        # between a decreasing piece that jumps down to it and an increasing
+        # piece that leaves it continuously
+        f = tc.parse_spec(spec_text([
+            {"lo": "-pi", "hi": -3.0, "kind": "affine", "params": {"a": -2.0, "b": -1.0}},
+            zero,
+            {"lo": 3.0, "hi": "pi", "kind": "affine", "params": {"a": -3.0, "b": 1.0}}]))
+        assert _bits(f.eval(0.5)) == _bits(params["a"])
+        assert f.segments[1].direction == "constant"
+        assert f.singular_points == []
+        assert f.jumps == (tc.JumpPoint(x=-3.0, left_limit=1.0, right_limit=0.0),)
+        assert _bits(f.jumps[0].right_limit) == _bits(params["a"])
+        assert f.extrema_and_jumps() == [-3.0, 3.0]
+        assert f.one_sided_limits(3.0) == (0.0, 0.0)
+
     def test_rejects_non_monotone_table(self):
         # the refusal names the first step against the end-to-end step
         with pytest.raises(tc.MonotonicityError, match=r"table ys must be strictly monotone: "
@@ -142,6 +169,57 @@ class TestParsing:
             tc.parse_spec(spec_text(
                 [{"lo": "-pi", "hi": "pi", "kind": "monotone-table",
                   "params": {"xs": [-3.0, 0.0, 3.0], "ys": [0.0, 1.0, 2.0]}}]))
+
+
+_WHOLE = {"lo": "-pi", "hi": "pi", "kind": "constant", "params": {"c": 0.0}}
+
+
+def _table(xs, ys):
+    return spec_text([{"lo": "-pi", "hi": "pi", "kind": "monotone-table",
+                       "params": {"xs": xs, "ys": ys}}])
+
+
+@pytest.mark.parametrize("call, error, phrase", [
+    (lambda: tc.parse_spec(spec_text([1.0])), tc.SpecSyntaxError,
+     r"^segments\[0\]: expected an object$"),
+    (lambda: tc.parse_spec(spec_text([{**_WHOLE, "shape": "flat"}])), tc.SpecSyntaxError,
+     r"unknown keys \['shape'\]"),
+    (lambda: tc.parse_spec(spec_text([{**_WHOLE, "params": [0.0]}])), tc.SpecSyntaxError,
+     r"params: expected an object"),
+    (lambda: tc.parse_spec(_table(["-pi"], [0.0])), tc.SpecSyntaxError,
+     r"params\.xs: need a list of >= 2 numbers"),
+    (lambda: tc.parse_spec(_table(["-pi", 0.0, "pi"], [0.0, 1.0])), tc.SpecSyntaxError,
+     r"xs and ys must have equal length"),
+    (lambda: tc.parse_spec(_table(["-pi", 1.0, 0.5, "pi"], [0.0, 1.0, 2.0, 3.0])),
+     tc.SpecSyntaxError, r"params\.xs: must be strictly increasing"),
+    (lambda: tc.parse_spec(spec_text([{**_WHOLE, "direction": "sideways"}])),
+     tc.SpecSyntaxError, r"direction: must be one of"),
+    (lambda: tc.parse_spec(spec_text([])), tc.SpecSyntaxError,
+     r"'segments' must be a non-empty list"),
+    (lambda: tc.parse_spec("[]"), tc.SpecSyntaxError, r"top level must be an object"),
+    (lambda: tc.parse_spec(json.dumps({"segments": [_WHOLE], "name": "zero"})),
+     tc.SpecSyntaxError, r"unknown top-level keys \['name'\]"),
+    (lambda: tc.parse_spec(spec_text([{**_WHOLE, "params": {"c": True}}])),
+     tc.SpecSyntaxError, r"params\.c: expected a number, got True"),
+    (lambda: tc.parse_spec(spec_text([{**_WHOLE, "params": {"c": math.nan}}])),
+     tc.SpecSyntaxError, r"params\.c: number must be finite"),
+    (lambda: tc.parse_spec(spec_text([{**_WHOLE, "params": {"c": math.inf}}])),
+     tc.SpecSyntaxError, r"params\.c: number must be finite"),
+    (lambda: tc.parse_spec(spec_text([{**_WHOLE, "hi": "2pi"}])), tc.SpecSyntaxError,
+     r"hi: only 'pi' and '-pi' are accepted as strings"),
+    (lambda: tc.PiecewiseFunction([]), tc.CoverageError, r"at least one segment is required"),
+    (lambda: tc.parse_spec(spec_text([{**_WHOLE, "hi": 3.0}])), tc.CoverageError,
+     r"last segment ends at 3\.0, not pi"),
+    (lambda: tc.MonotoneSegment(lo=0.0, hi=1.0, kind="nope", params={}, lo_value=0.0,
+                                hi_value=0.0).values([0.5]), tc.DomainError,
+     r"segment kind 'nope' cannot be evaluated"),
+], ids=["segment-not-object", "unknown-segment-keys", "params-not-object", "short-table",
+        "unequal-table", "table-not-increasing", "bad-direction", "no-segments",
+        "top-not-object", "unknown-top-keys", "bool-number", "json-nan", "json-infinity",
+        "other-string", "no-segment-objects", "short-of-pi", "unknown-kind-values"])
+def test_malformed_spec_refused(call, error, phrase):
+    with pytest.raises(error, match=phrase):
+        call()
 
 
 class TestEval:

@@ -455,6 +455,16 @@ def _sqrt_sawtooth(x):
 
 
 class TestIntegrateIntervals:
+    @pytest.mark.parametrize("edges", [[0.0], [[0.0, 1.0]]], ids=["one-edge", "two-d"])
+    def test_rejects_edges_that_hold_no_interval(self, edges):
+        with pytest.raises(tc.DomainError, match="1-D array with at least two entries"):
+            tc.integrate_intervals(np.cos, edges)
+
+    def test_breakpoint_within_the_merge_distance_of_hi_becomes_hi(self):
+        # 1e-14 below hi is within 1e-13 (hi - lo): the last edge moves onto hi
+        edges = quadrature._edges(0, 1, [0.5, 1 - 1e-14])
+        assert edges.tolist() == [0.0, 0.5, 1.0]
+
     @pytest.mark.parametrize("tol", [1e-6, 1e-8])
     def test_one_budget_over_many_intervals(self, tol):
         # one budget max(tol |sum|, tol) = tol holds the sum of the 100
