@@ -5,9 +5,11 @@ Each public function refuses an argument outside its domain with a
 :class:`TrigconvError` before any work starts.  The validators here name
 the argument in the message and return it converted: :func:`check_integer`
 for orders and term counts, :func:`check_real` and :func:`check_finite` for
-real scalars and arrays, :func:`check_abscissa` for points of ``[-pi,
-pi]`` and :func:`check_schedule` for refinement schedules.  Function specs
-are checked by :mod:`trigconv.piecewise`, which raises
+real scalars and arrays, :func:`check_points` for sequences of points,
+whose entries outside a range callers ignore, :func:`check_abscissa` for
+points of ``[-pi, pi]`` and :func:`check_schedule` for refinement
+schedules.  Every array argument is converted once, by :func:`as_floats`.
+Function specs are checked by :mod:`trigconv.piecewise`, which raises
 :class:`SpecSyntaxError` and its siblings instead.
 """
 
@@ -99,16 +101,38 @@ def check_real(value, name, lo=-math.inf, hi=math.inf, *, open_lo=False, open_hi
     raise DomainError(f"{name} must {verb} in {interval}, got {x!r}")
 
 
-def check_finite(values, name):
-    """Return ``values`` as a float64 array after checking every entry is
-    finite; what ``np.asarray`` refuses and non-finite entries are refused
-    with a :class:`DomainError` whose message starts with ``name``."""
+def as_floats(values, name):
+    """Return ``values`` as a float64 array; what ``np.asarray`` refuses
+    (``None``, a string that is no number, a ragged nesting) is refused with
+    a :class:`DomainError` whose message starts with ``name``.  The one
+    conversion of every array argument."""
     try:
-        arr = np.asarray(values, dtype=np.float64)
+        return np.asarray(values, dtype=np.float64)
     except (TypeError, ValueError, OverflowError) as exc:
         raise DomainError(f"{name} must hold numbers: {exc}") from None
+
+
+def check_finite(values, name):
+    """Return ``values`` as a float64 array (see :func:`as_floats`) after
+    checking every entry is finite; non-finite entries are refused with a
+    :class:`DomainError` whose message starts with ``name``."""
+    arr = as_floats(values, name)
     if not np.isfinite(arr).all():
         raise DomainError(f"{name} must be finite, got {float(arr[~np.isfinite(arr)][0])!r}")
+    return arr
+
+
+def check_points(values, name):
+    """Return a sequence of points, such as the breakpoints of an integral,
+    as a 1-D float64 array (see :func:`as_floats`); one that is not 1-D, or
+    holds a NaN, is refused with a :class:`DomainError` whose message starts
+    with ``name``.  Infinities pass: callers ignore the points outside
+    their range, finite or not."""
+    arr = as_floats(values, name)
+    if arr.ndim != 1:
+        raise DomainError(f"{name} must be a 1-D sequence of numbers, got shape {arr.shape}")
+    if np.isnan(arr).any():
+        raise DomainError(f"{name} must not hold NaN or None")
     return arr
 
 

@@ -56,7 +56,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (CoverageError, DomainError, MonotonicityError,
-                     SpecSyntaxError, UnboundedError, check_abscissa)
+                     SpecSyntaxError, UnboundedError, as_floats, check_abscissa)
 
 PI = math.pi
 
@@ -275,9 +275,11 @@ class PiecewiseFunction:
         input is used as it is, descending input as a contiguous reversed
         copy, and only other orders are sorted.  Once sorted, only the two
         ends need the range check; a NaN never passes the order checks and
-        sorts last, so it fails that check too.
+        sorts last, so it fails that check too.  What is no number, such as
+        a string, is refused with :class:`DomainError` by the one conversion
+        of the input.
         """
-        arr = np.asarray(x, dtype=np.float64)
+        arr = as_floats(x, "x")
         flat = arr.reshape(-1)
         order = None
         if flat.size > 1 and not (flat[1:] >= flat[:-1]).all():

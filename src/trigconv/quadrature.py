@@ -49,12 +49,12 @@ and the sign-block weight, and :func:`_node_values` multiplies ``f``'s
 values by the weight (see :func:`_sine_ratio_weight`).  The weight sets
 the grid: the half-periods of ``sin(m u)``, panels ``pi / (m |scale|)``
 wide (``2 h`` below), anchored at the lower limit, so no caller restates
-the frequency.  Like the harmonic rule, the weight comes two ways.  An
-uncut grid panel of half-width ``h`` whose midpoint has the phase ``u_c``
-takes it by angle addition, ``sin(m u_c + m d_j) = sin(m u_c) cos(m d_j) +
-cos(m u_c) sin(m d_j)`` with ``d_j = scale h xi_j``, and likewise for
-``sin(u)``: four trigonometric calls per panel and one 15-node table per
-mesh, in place of two sines per node.  For an integer ``m`` the weight
+the frequency.  The weight comes two ways.  An uncut grid panel of
+half-width ``h`` whose midpoint has the phase ``u_c`` takes it by angle
+addition, ``sin(m u_c + m d_j) = sin(m u_c) cos(m d_j) + cos(m u_c) sin(m
+d_j)`` with ``d_j = scale h xi_j``, and likewise for ``sin(u)``: four
+trigonometric calls per panel and one 15-node table per mesh, in place of
+two sines per node.  For an integer ``m`` the weight
 has period ``pi`` in ``u``, up to a sign for an even ``m``, and ``u`` is
 reduced modulo ``pi`` first (:func:`_reduced_phase`).  Cut pieces, graded
 cuts and refined children take the direct path, :func:`_sin_ratio` node
@@ -64,35 +64,36 @@ table's phases are those of the nominal ``h``; a grid panel's half-width
 |x|``, so each phase is off by at most ``m |scale| |half - h|``, the order
 of the rounding of ``m u`` that the direct path makes.
 
-The harmonic rule writes ``exp(ikx) = exp(ikm) exp(ikh xi_j)`` at the
-nodes ``m + h xi_j`` of a panel with midpoint ``m`` and half-width ``h``.
-Its integrals come two ways.  The grid of :func:`integrate_harmonics` has
-panels of half-width ``h = pi / M``, so the phases ``exp(2ihkp)`` of grid
-panel ``p`` are ``M``-th roots of unity and one real FFT per node column
-gives every uncut grid panel's integrals for all ``K = n_max + 1``
-harmonics in ``O(M log M)`` work instead of ``O(MK)``, kept from round
-to round until a split removes grid panels.  The pieces of grid panels
-cut at a breakpoint, and refined children, take the direct path: a
-panel's K15 sum is ``exp(ikm)`` times a power series in ``kh``, so its
-integrals are two real products of fixed per-panel coefficients with the
-powers of ``k``, and only one phase ``exp(ikm)`` per panel and harmonic
-needs trigonometry, in tiles of about ``_TILE`` panel-by-harmonic entries.
+The harmonic rule takes every panel's integrals through one transform.
+The grid of :func:`integrate_harmonics` has cells of half-width ``h = pi /
+M``, and every panel, uncut grid panel, cut piece, graded cut or refined
+child, lies inside one cell ``p``, centre ``c = lo + (2p + 1) h`` (the
+midpoint of that cell's grid panel), with its nodes at ``t_n = (x_n - c) /
+h`` in ``[-1, 1]``.  With ``exp(ikh t) = sum_r (ikh t)^r / r!``, a panel's
+K15 sum is ``exp(ikc) sum_r (ikh)^r nu_r`` with the moments ``nu_r = half
+sum_n w_n y_n t_n^r / r!``, which do not depend on ``k``; an uncut grid
+panel has ``t = xi`` and takes its moments from one constant matrix, every
+other panel from the powers of its node offsets.  The phases ``exp(2ihkp)``
+are ``M``-th roots of unity, so each moment row, folded by cell modulo
+``M``, takes one real FFT with exact phases, and ``_SERIES_TERMS`` FFTs
+give every panel's integrals for all ``K = n_max + 1`` harmonics in ``O(M
+log M)`` work per row, whatever the number of cut pieces and children (the
+Taylor form of the nonuniform FFT: Anderson & Dahleh, *SIAM J. Sci.
+Comput.* 17(4), 1996; Dutt & Rokhlin, *ibid.* 14(6), 1993).
 
-One power series serves the direct sums and every error bound.  With
-``exp(ikh xi_n) = sum_r (ikh xi_n)^r / r!``, a panel's K15 sum is
-``exp(ikm) sum_r (ikh)^r nu_r`` with ``nu_r = h sum_n w_n xi_n^r / r!
-y_n``, and its K15 - G7 gap is ``exp(ikm) sum_r (ikh)^r mu_r``, the same
-sum with the gap weights ``g_n`` in place of ``w_n``.  The moments do not
-depend on ``k``, and one constant 15 x 56 matrix maps a panel's node
-values to both (see :func:`_series_moments`).  Since ``kh <= pi/2`` on
-every mesh :func:`integrate_harmonics` builds, 28 terms of each leave out
-less than ``1e-24`` of the panel's ``sum_n |w_n y_n|``.  An FFT yields
-only sums over panels, so the harmonic error rule does not look at any one
-panel's gap for any one harmonic: it bounds the gap's modulus by ``sum_r
-(kh)^r |mu_r|`` at every phase.  Harmonic ``k``'s error is that bound
-summed over all panels, a polynomial in ``k``, held to one budget over the
-whole range; refinement splits a panel by its bound at ``k = n_max``, the
-largest.
+One power series serves the integrals and every error bound.  A panel's
+K15 - G7 gap is ``exp(ikm) sum_r (ikh)^r mu_r`` about its own midpoint
+``m``, with ``mu_r = h sum_n g_n xi_n^r / r! y_n``, the gap weights ``g_n``
+in place of ``w_n``, and one constant 15 x 56 matrix maps a panel's node
+values to its centred moments of both kinds (see :func:`_gap_bounds`).
+Since ``kh <= pi/2`` on every mesh :func:`integrate_harmonics` builds, 28
+terms of each leave out less than ``1e-24`` of the panel's ``sum_n |w_n
+y_n|``.  An FFT yields only sums over panels, so the harmonic error rule
+does not look at any one panel's gap for any one harmonic: it bounds the
+gap's modulus by ``sum_r (kh)^r |mu_r|`` at every phase.  Harmonic ``k``'s
+error is that bound summed over all panels, a polynomial in ``k``, held to
+one budget over the whole range; refinement splits a panel by its bound at
+``k = n_max``, the largest.
 """
 
 from __future__ import annotations
@@ -101,7 +102,7 @@ import math
 
 import numpy as np
 
-from .errors import DomainError, QuadratureError, check_real
+from .errors import DomainError, QuadratureError, as_floats, check_points, check_real
 
 # QUADPACK qk15 (Piessens et al., 1983): the non-negative Kronrod nodes in
 # decreasing order, their K15 weights, and the G7 weights of the nodes
@@ -148,17 +149,19 @@ _GRADING_RATIO = 0.25
 _GRADING_LEVELS = 10
 _GRADING = _GRADING_RATIO ** np.arange(1, _GRADING_LEVELS + 1)
 
-# The power series of the direct sums and of the gap bounds (see
-# _series_moments) have _SERIES_TERMS terms and are summed over harmonics in
-# tiles of about _TILE (panel, harmonic) entries.  The columns of _SERIES
-# are sign(i^r) w_n xi_n^r / r!, then g_n xi_n^r / r!, r < _SERIES_TERMS.
+# The power series of the harmonic rule and of its gap bounds (see
+# _harmonic_rule and _gap_bounds) have _SERIES_TERMS terms, and the rule
+# transforms its moments _BLOCK terms at a time.  The columns of _SERIES are
+# sign(i^r) w_n xi_n^r / r!, then g_n xi_n^r / r!, r < _SERIES_TERMS, with
+# sign(i^r) = (-1)^(r // 2); row r of _TAYLOR is sign(i^r) w_n / r!.
 _SERIES_TERMS = 28
+_BLOCK = 7
+_SIGNS = (-1.0) ** (np.arange(_SERIES_TERMS) // 2)
+_FACTORIALS = np.array([math.factorial(r) for r in range(_SERIES_TERMS)], dtype=np.float64)
 _SERIES = (np.concatenate([weights[:, None] * _NODES[:, None] ** np.arange(_SERIES_TERMS)
-                           / np.array([math.factorial(r) for r in range(_SERIES_TERMS)],
-                                      dtype=np.float64)
-                           for weights in (_KRONROD_WEIGHTS, _GAP_WEIGHTS)], axis=1)
-           * np.r_[(-1.0) ** (np.arange(_SERIES_TERMS) // 2), np.ones(_SERIES_TERMS)])
-_TILE = 1 << 14
+                           / _FACTORIALS for weights in (_KRONROD_WEIGHTS, _GAP_WEIGHTS)], axis=1)
+           * np.r_[_SIGNS, np.ones(_SERIES_TERMS)])
+_TAYLOR = (_SIGNS / _FACTORIALS)[:, None] * _KRONROD_WEIGHTS
 
 
 def _reduced_phase(m, u):
@@ -325,15 +328,17 @@ def _node_values(f, mid, half, weight=None):
     return out
 
 
-def _check_edges(edges, tol):
-    """``edges`` as a strictly increasing float array and ``tol`` as a float."""
-    edges = np.asarray(edges, dtype=np.float64)
+def _check_edges(edges, tol, graded):
+    """``edges`` as a strictly increasing float array, ``tol`` as a float
+    and ``graded`` as a float array of points (see
+    :func:`~trigconv.errors.check_points`)."""
+    edges = as_floats(edges, "edges")
     if edges.ndim != 1 or edges.shape[0] < 2:
         raise DomainError("edges must be a 1-D array with at least two entries")
     # increasing edges over a finite span are finite; Python floats overflow silently
     if not (math.isfinite(float(edges[-1]) - float(edges[0])) and (np.diff(edges) > 0).all()):
         raise DomainError("edges must be finite and strictly increasing, over a finite span")
-    return edges, check_real(tol, "tol", 0, open_lo=True)
+    return edges, check_real(tol, "tol", 0, open_lo=True), check_points(graded, "graded")
 
 
 def _refine(f, mid, half, tol, moments, weight=None):
@@ -445,8 +450,9 @@ def integrate_intervals(f, edges, tol=1e-10, *, graded=(), sine_ratio=None):
     last round's K15 sums and gaps of its panels, added in mesh order.
     Returns ``(values, errors)`` with one entry per interval, whose errors
     add up to the one budget or less; when ``f`` returns several
-    components per node, ``values`` has one row per interval.  Edges over a
-    span that overflows raise :class:`DomainError`.
+    components per node, ``values`` has one row per interval.  Edges that
+    are no numbers, and edges over a span that overflows, raise
+    :class:`DomainError`.
 
     ``sine_ratio=(m, scale, shift)`` weights ``f`` by ``sin(m u) / sin(u)``,
     ``u = scale x + shift``, as in :func:`integrate`.  Edges on the
@@ -459,7 +465,7 @@ def integrate_intervals(f, edges, tol=1e-10, *, graded=(), sine_ratio=None):
     the start or during refinement, raises :class:`QuadratureError`; at the
     start, that happens before ``f`` is evaluated.
     """
-    edges, tol = _check_edges(edges, tol)
+    edges, tol, graded = _check_edges(edges, tol, graded)
     n_int = edges.shape[0] - 1
     _, _, worst, sums, mid, _, y = _plain_refine(f, edges, tol, graded, sine_ratio)
     owner = np.searchsorted(edges[1:-1], mid)
@@ -480,8 +486,9 @@ def integrate(f, lo, hi, tol=1e-10, *, breakpoints=(), graded=(), sine_ratio=Non
     without a weight, as in :func:`integrate_intervals`; an integrand that
     needs finer seeding passes the cuts as ``breakpoints``, as
     :func:`~trigconv.oscillatory.tail` passes the zeros of ``sin g`` as
-    edges.  A range whose span ``hi - lo`` overflows raises
-    :class:`DomainError`.
+    edges.  A range whose span ``hi - lo`` overflows, and breakpoints or
+    graded points that are no numbers or NaN, raise :class:`DomainError`
+    (see :func:`~trigconv.errors.check_points`).
     Each panel's half-width is half the gap between its two edges, so the
     panels tile ``[lo, hi]`` exactly.  The result's estimated error, the
     ``|K15 - G7|`` gaps summed over every panel, is below one budget
@@ -504,20 +511,22 @@ def integrate(f, lo, hi, tol=1e-10, *, breakpoints=(), graded=(), sine_ratio=Non
     than ``_MAX_PANELS`` panels, from a large ``m |scale|``, raises
     :class:`QuadratureError`, also before ``f`` is evaluated.
     """
-    edges, tol = _check_edges(_edges(lo, hi, breakpoints), tol)
+    edges, tol, graded = _check_edges(_edges(lo, hi, breakpoints), tol, graded)
     totals, *_, y = _plain_refine(f, edges, tol, graded, sine_ratio)
     return float(totals[0, 0]) if y.ndim == 2 else totals[0]
 
 
 def _edges(lo, hi, breakpoints):
     """``[lo, *breakpoints, hi]`` with points outside ``(lo, hi)`` dropped
-    and points within ``1e-13 * (hi - lo)`` of the previous edge merged."""
+    and points within ``1e-13 * (hi - lo)`` of the previous edge merged;
+    ``breakpoints`` that are no numbers, or NaN, are refused (see
+    :func:`~trigconv.errors.check_points`)."""
     lo = check_real(lo, "lo")
     hi = check_real(hi, "hi")
     span = hi - lo
     if not (math.isfinite(span) and span > 0):
         raise DomainError(f"need finite lo < hi with a finite span hi - lo, got [{lo}, {hi}]")
-    inner = sorted(float(p) for p in breakpoints if lo < p < hi)
+    inner = sorted(p for p in check_points(breakpoints, "breakpoints").tolist() if lo < p < hi)
     edges = [lo]
     for p in inner:
         if p - edges[-1] > 1e-13 * span:
@@ -642,102 +651,100 @@ def _fft_length(n):
     return best
 
 
-def _series_moments(n_max, h_ref, mid, half, y, direct):
-    """K15 integrals of ``y(x) exp(ikx)``, ``k = 0 .. n_max``, summed over
-    the ``direct`` panels, and a bound on the K15 - G7 gap of every panel.
+def _gap_bounds(powers, h_ref, half, y):
+    """A bound on the K15 - G7 gap of every panel's integrals of ``y(x)
+    exp(ikx)``, ``k = 0 .. n_max``, given ``powers[r, k] = (k h_ref)^r``.
 
-    A panel with midpoint ``m`` and half-width ``h`` has the integral
-    ``exp(ikm) sum_r (ikh)^r nu_r`` with ``nu_r = h sum_n w_n xi_n^r / r!
-    y_n``, and the gap ``exp(ikm) sum_r (ikh)^r mu_r`` with the gap weights
-    ``g_n`` in place of ``w_n``, so ``|gap| <= sum_r (kh)^r |mu_r|`` whatever
-    the phase.  With ``h_ref`` the half-width of the grid, which no panel
-    exceeds, each series is a polynomial in ``k h_ref`` with the
-    coefficients ``(h / h_ref)^r nu_r`` (or ``|mu_r|``): the real and
-    imaginary parts of an integral are products of its even and odd terms
-    with the powers of ``k h_ref``.
-    Returns the cosine and sine integrals, shape ``(n_max + 1, 2)``, the
-    gap bounds summed over all panels, shape ``(n_max + 1,)``, and every
-    panel's bound at ``k = n_max``, the largest.
+    A panel with midpoint ``m`` and half-width ``h`` has the gap ``exp(ikm)
+    sum_r (ikh)^r mu_r`` with ``mu_r = h sum_n g_n xi_n^r / r! y_n``, so
+    ``|gap| <= sum_r (kh)^r |mu_r|`` whatever the phase.  With ``h_ref``
+    the half-width of the grid, which no panel exceeds, that bound is a
+    polynomial in ``k h_ref`` with the coefficients ``(h / h_ref)^r
+    |mu_r|``.  Returns the bounds summed over all panels, shape ``(n_max +
+    1,)``, and every panel's bound at ``k = n_max``, the largest.
     """
-    k = np.arange(n_max + 1, dtype=np.float64)
-    # powers[r, k] = (k h_ref)^r
-    powers = np.empty((_SERIES_TERMS, n_max + 1))
-    powers[0] = 1.0
-    t = k * h_ref
-    for r in range(1, _SERIES_TERMS):
-        np.multiply(powers[r - 1], t, out=powers[r])
-    pick = np.flatnonzero(direct)
-    nu = _SERIES[:, :_SERIES_TERMS].T @ y[pick].T
     mu = _SERIES[:, _SERIES_TERMS:].T @ y.T
     np.abs(mu, out=mu)
-    # row r of both is scaled by h (h / h_ref)^r
+    # row r is scaled by h (h / h_ref)^r
     ratio = half / h_ref
     scale = half.copy()
-    for nu_row, mu_row in zip(nu, mu):
-        nu_row *= scale[pick]
+    for mu_row in mu:
         mu_row *= scale
         scale *= ratio
-    tile = max(1, _TILE // (n_max + 1))
-    totals = np.zeros((n_max + 1, 2))
-    for j in range(0, pick.shape[0], tile):
-        re = nu[0::2, j:j + tile].T @ powers[0::2]
-        im = nu[1::2, j:j + tile].T @ powers[1::2]
-        phase = np.outer(mid[pick[j:j + tile]], k)
-        c = np.cos(phase)
-        s = np.sin(phase)
-        totals[:, 0] += (c * re - s * im).sum(axis=0)
-        totals[:, 1] += (s * re + c * im).sum(axis=0)
-    return totals, powers.T @ mu.sum(axis=1), powers[:, -1] @ mu
+    return powers.T @ mu.sum(axis=1), powers[:, -1] @ mu
 
 
 def _harmonic_rule(n_max, lo, size):
     """The moment rule of :func:`integrate_harmonics` on the grid of
-    ``size`` panels of half-width ``h = pi / size`` per period, anchored at
+    ``size`` cells of half-width ``h = pi / size`` per period, anchored at
     ``lo``: ``moments(mid, half, y)`` as :func:`_refine` calls it.
 
-    A grid panel, half-width ``h`` and midpoint ``lo + (2p + 1) h``, has the
-    K15 integral ``h exp(ik(lo + h)) sum_j w_j exp(ikh xi_j) y[p, j]
-    exp(2ihkp)``.  As ``2hk`` is a multiple of ``2 pi / size``, the sums
-    over ``p`` are ``conj(rfft(Y_j))[k]`` of node column ``j`` folded
-    modulo ``size`` into ``Y_j``: one real FFT per column, with exact
-    phases, gives every harmonic.  Every other panel, and every panel's gap
-    bound, comes from :func:`_series_moments`.
+    A panel in cell ``p``, centre ``c = lo + (2p + 1) h``, has the K15
+    integrals ``exp(ikc) sum_r (kh)^r i^r nu_r`` with the moments ``nu_r =
+    half sum_n w_n y_n t_n^r / r!`` of its node offsets ``t_n = (x_n - c) /
+    h`` (see the module notes).  As ``2hk`` is a multiple of ``2 pi /
+    size``, ``exp(ikc) = exp(ik(lo + h)) exp(2 pi i kp / size)``, so the
+    sums over all panels are ``exp(ik(lo + h)) sum_r (kh)^r i^r
+    conj(F_r[k])``, where ``F_r`` is the real FFT of the row ``nu_r`` folded
+    by cell modulo ``size``.  The rows are built, folded and transformed
+    ``_BLOCK`` at a time, so that no array holds all ``_SERIES_TERMS``
+    rows.  Every harmonic's error comes from :func:`_gap_bounds`.
+
+    An uncut grid panel is taken as centred, so the offsets of the other
+    panels are measured from the same floating-point centre, the midpoint
+    that cell's grid panel has in the seeded mesh, between the grid edges
+    of :func:`_grid_panels`.  Then a cut or refined panel keeps the phases
+    of the grid panel it lies in, up to the rounding of its own midpoint.
+    A centre rounded on its own would shift every cell by its own ``eps
+    |c|``, and move the coefficients of the square wave at ``n_max = 4000``
+    and tol ``1e-12``, where every panel is split, by ``2e-13`` instead of
+    ``8e-16``.
     """
     h = math.pi / size
     k = np.arange(n_max + 1, dtype=np.float64)
-    # w_j exp(ikh xi_j), one row per node, and h exp(ik(lo + h)); the nodes
-    # and weights are symmetric, and exp(-i theta) is conj(exp(i theta)) bit
-    # for bit, so the rows of the negative nodes are the conjugates of the
-    # others
-    half_phases = _KRONROD_WEIGHTS[7:, None] * np.exp(1j * (_NODES[7:, None] * (k * h)))
-    node_phases = np.concatenate([half_phases[:0:-1].conj(), half_phases])
-    shift = h * np.exp(1j * (k * (lo + h)))
-    # Refinement only removes grid panels: every cut piece and every child
-    # has a half-width below h.  So the count of grid panels names their set,
-    # and their integrals are transformed again only when it changes.
-    grid_sums = [0, None]
+    # powers[r, k] = (kh)^r
+    powers = np.empty((_SERIES_TERMS, n_max + 1))
+    powers[0] = 1.0
+    kh = k * h
+    for r in range(1, _SERIES_TERMS):
+        np.multiply(powers[r - 1], kh, out=powers[r])
+    # the moments of an uncut grid panel per node value
+    centred = h * _SERIES[:, :_SERIES_TERMS]
+    shift = np.exp(1j * (k * (lo + h)))
 
     def moments(mid, half, y):
-        grid = half == h
-        totals, err, worst = _series_moments(n_max, h, mid, half, y, ~grid)
-        count = np.count_nonzero(grid)
-        if count:
-            if count != grid_sums[0]:
-                # grid indices, ascending, and node columns folded modulo
-                # size: the panels of one period fill distinct columns
-                p = np.rint((mid[grid] - lo) / (2.0 * h) - 0.5).astype(np.intp)
-                values = y[grid].T
-                folded = np.zeros((_NODES.shape[0], size))
-                for start in range(0, p[-1] + 1, size):
-                    run = slice(*np.searchsorted(p, (start, start + size)))
-                    folded[:, p[run] - start] += values[:, run]
-                z = np.fft.rfft(folded)[:, :n_max + 1]
-                np.conjugate(z, out=z)
-                z *= node_phases
-                grid_sums[:] = count, shift * z.sum(axis=0)
-            totals[:, 0] += grid_sums[1].real
-            totals[:, 1] += grid_sums[1].imag
-        return totals, err, worst
+        err, worst = _gap_bounds(powers, h, half, y)
+        p = np.floor((mid - lo) / (2.0 * h))
+        # row j of a block of moments is folded into the columns j size ..
+        # (j + 1) size - 1 by cell modulo size
+        index = ((p % size).astype(np.intp) + size * np.arange(_BLOCK)[:, None]).ravel()
+        off = np.flatnonzero(half != h)
+        # the node offsets of the panels off the grid from their cell's
+        # centre, the midpoint its grid panel has in the seeded mesh, and
+        # their terms half y_n t_n^r, raised one power of t per row from r = 0
+        edges = lo + 2.0 * h * np.stack([p[off], p[off] + 1.0])
+        t = (((mid[off] - 0.5 * (edges[0] + edges[1])) / h)[:, None]
+             + (half[off] / h)[:, None] * _NODES)
+        term = half[off, None] * y[off]
+        off_rows = np.empty((_BLOCK, off.shape[0]))
+        # sum_r (kh)^r (-i)^(r mod 2) F_r, the conjugate of the sums over the
+        # rows' harmonics, as i^r = sign(i^r) i^(r mod 2) and nu_r holds sign(i^r)
+        sums = np.zeros(n_max + 1, dtype=np.complex128)
+        for start in range(0, _SERIES_TERMS, _BLOCK):
+            nu = centred[:, start:start + _BLOCK].T @ y.T
+            if off.size:
+                for r, row in enumerate(off_rows, start):
+                    if r:
+                        term *= t
+                    np.matmul(term, _TAYLOR[r], out=row)
+                nu[:, off] = off_rows
+            folded = np.bincount(index, nu.ravel(), _BLOCK * size).reshape(_BLOCK, size)
+            z = np.fft.rfft(folded)[:, :n_max + 1]
+            z *= powers[start:start + _BLOCK]
+            z[(start + 1) % 2::2] *= -1j
+            sums += z.sum(axis=0)
+        sums = shift * sums.conj()
+        return np.stack([sums.real, sums.imag], axis=1), err, worst
     return moments
 
 
@@ -750,15 +757,14 @@ def integrate_harmonics(f, lo, hi, n_max, tol=1e-10, *, breakpoints=(), graded=(
     period ``2 pi``, so ``kh <= pi/2``.  Panels that hold one of
     ``breakpoints`` (as in :func:`integrate`) are cut there, the mesh next
     to each point of ``graded`` is cut geometrically toward it (as in
-    :func:`integrate`; the pieces are direct panels, so ``kh <= pi/2``
-    still holds), and the last is clipped at ``hi``.  ``f`` is evaluated
-    once per Kronrod node, ``_CHUNK`` panels per call, and its values are
-    kept per panel.  The
-    uncut grid panels get every harmonic from one real FFT per node column
-    (columns of spans longer than ``2 pi`` folded modulo ``M``), in
-    ``O(M log M)`` work; cut pieces and refined children get them from a
-    power series in ``kh`` per panel, ``r < 28`` terms times one phase
-    ``exp(ikm)`` per harmonic (see :func:`_harmonic_rule`).
+    :func:`integrate`; every piece stays inside its grid panel, so ``kh <=
+    pi/2`` still holds), and the last is clipped at ``hi``.  ``f`` is
+    evaluated once per Kronrod node, ``_CHUNK`` panels per call, and its
+    values are kept per panel.  Every panel, uncut, cut or refined, gets
+    every harmonic from one transform: its moments about the centre of its
+    grid cell, ``r < 28`` of them, folded by cell modulo ``M`` (so spans
+    longer than ``2 pi`` fold too) and put through one real FFT per moment,
+    in ``O(M log M)`` work (see :func:`_harmonic_rule`).
 
     The grid comes from :func:`_grid_panels`, as in :func:`integrate`, and
     its uncut panels keep the half-width ``h`` (a last panel whose end is
@@ -770,20 +776,21 @@ def integrate_harmonics(f, lo, hi, n_max, tol=1e-10, *, breakpoints=(), graded=(
     panels of ``sum_r (kh)^r |mu_r|``, ``r < 28``, a bound on the modulus
     of the panel's K15 - G7 gap of ``f(x) exp(ikx)`` that holds at every
     phase (both series are cut where ``kh <= pi/2`` leaves out less than
-    ``1e-24`` relative; see :func:`_series_moments`).
+    ``1e-24`` relative; see :func:`_gap_bounds`).
 
     Returns ``(cos_integrals, sin_integrals, errors)``, each of length
     ``n_max + 1``.  ``errors[k]`` estimates harmonic ``k``'s absolute error:
     its gap bounds summed over all panels, plus a rounding term ``eps * (50
     + k * max|x|) * integral of |f|``.  The gap bounds measure truncation
     only.  Rounding the phase ``k x`` costs up to ``eps * k * |x|``
-    relative per node; QUADPACK's ``50 * eps`` allowance covers the rest of
-    the arithmetic, the FFTs included, whose phases are exact roots of
-    unity.  A mesh that needs more than ``_MAX_PANELS`` panels raises
+    relative per node, and so does rounding the centre of a cut or refined
+    panel's cell; QUADPACK's ``50 * eps`` allowance covers the rest of the
+    arithmetic, the FFTs included, whose phases are exact roots of unity.
+    A mesh that needs more than ``_MAX_PANELS`` panels raises
     :class:`QuadratureError`; when the seeded mesh alone is too large, that
     happens before ``f`` is evaluated.
     """
-    edges, tol = _check_edges(_edges(lo, hi, breakpoints), tol)
+    edges, tol, graded = _check_edges(_edges(lo, hi, breakpoints), tol, graded)
     size = _fft_length(2 * (n_max + 1))
     h = math.pi / size
     try:

@@ -66,18 +66,6 @@ def harmonic_grid(edges, size):
     return 0.5 * (points[:-1] + points[1:]), np.where(uncut, h, 0.5 * np.diff(points))
 
 
-def route_through_series(monkeypatch):
-    """Make :func:`trigconv.quadrature.integrate_harmonics` take every
-    panel, grid panels included, through the power series of
-    ``_series_moments`` instead of the real FFT of the grid."""
-    def rule(n_max, lo, size):
-        def moments(mid, half, y):
-            return quadrature._series_moments(n_max, math.pi / size, mid, half, y,
-                                              np.ones(mid.shape[0], dtype=bool))
-        return moments
-    monkeypatch.setattr(quadrature, "_harmonic_rule", rule)
-
-
 @pytest.fixture
 def refine_rounds(monkeypatch):
     """A list that gets, for each call of the refinement loop, the number of
@@ -101,6 +89,20 @@ def refine_rounds(monkeypatch):
     monkeypatch.setattr(quadrature, "_node_values", counted_node_values)
     monkeypatch.setattr(quadrature, "_refine", counted_refine)
     return calls
+
+
+@pytest.fixture
+def transformed_rows(monkeypatch):
+    """A list that gets the number of rows of every real FFT numpy takes."""
+    rows = []
+    rfft = np.fft.rfft
+
+    def counted(x, *args, **kwargs):
+        rows.append(x.shape[0] if x.ndim == 2 else 1)
+        return rfft(x, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "rfft", counted)
+    return rows
 
 
 @pytest.fixture

@@ -372,13 +372,15 @@ class TestPinnedBytes:
             "json": (
                 '{"command": "coeffs", "format": "json", "inputs": {"function": '
                 '<square.json>, "n": 4, "tol": 1e-10}, "columns": ["k", "a_k", "b_k"], '
-                '"rows": [[0, 0, 0], [1, -7.2955881419868447e-17, 1.2732395447351625], '
-                '[2, 0, 0], [3, -1.2563979944471942e-16, 0.42441318157838764], '
-                '[4, 6.3929749670069989e-17, -2.0772034843044854e-17]]}\n'),
+                '"rows": [[0, 0, 0], [1, 4.8136001329057333e-18, 1.273239544735163], '
+                '[2, 9.3866784455816969e-18, -1.2918751353596242e-17], '
+                '[3, -1.169532283379582e-16, 0.42441318157838764], '
+                '[4, 6.6006139570820204e-18, 2.0309175320873877e-17]]}\n'),
             "csv": (
-                "k,a_k,b_k\n0,0,0\n1,-7.2955881419868447e-17,1.2732395447351625\n2,0,0\n"
-                "3,-1.2563979944471942e-16,0.42441318157838764\n"
-                "4,6.3929749670069989e-17,-2.0772034843044854e-17\n"),
+                "k,a_k,b_k\n0,0,0\n1,4.8136001329057333e-18,1.273239544735163\n"
+                "2,9.3866784455816969e-18,-1.2918751353596242e-17\n"
+                "3,-1.169532283379582e-16,0.42441318157838764\n"
+                "4,6.6006139570820204e-18,2.0309175320873877e-17\n"),
         },
     }
 

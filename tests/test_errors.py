@@ -6,7 +6,8 @@ import pytest
 
 import trigconv as tc
 from conftest import SQUARE, build
-from trigconv.errors import check_real
+from trigconv import quadrature
+from trigconv.errors import check_points, check_real
 
 
 def _blocks():
@@ -123,3 +124,65 @@ def test_check_real_converts_as_float_does():
         assert type(result) is float and result == float(value)
     assert check_real(-0.0, "x", 0) == 0.0
     assert math.copysign(1.0, check_real(-0.0, "x", 0)) == -1.0
+
+
+# every sequence-of-points argument: a call taking the bad points, and the
+# name its refusal starts with
+_POINT_SLOTS = {
+    "integrate-breakpoints": (lambda bad: tc.integrate(np.cos, 0.0, 1.0, breakpoints=bad),
+                              "breakpoints"),
+    "integrate-graded": (lambda bad: tc.integrate(np.cos, 0.0, 1.0, graded=bad), "graded"),
+    "integrate_intervals-edges": (lambda bad: tc.integrate_intervals(np.cos, [*bad, 1.0]),
+                                  "edges"),
+    "integrate_intervals-graded": (lambda bad: tc.integrate_intervals(np.cos, [0.0, 1.0],
+                                                                      graded=bad), "graded"),
+    "integrate_harmonics-breakpoints": (
+        lambda bad: quadrature.integrate_harmonics(np.cos, 0.0, 1.0, 3, breakpoints=bad),
+        "breakpoints"),
+    "integrate_harmonics-graded": (
+        lambda bad: quadrature.integrate_harmonics(np.cos, 0.0, 1.0, 3, graded=bad), "graded"),
+}
+
+
+@pytest.mark.parametrize("bad", [["a"], [None], [0.5, "a"]], ids=repr)
+@pytest.mark.parametrize("slot", _POINT_SLOTS)
+def test_point_sequences_of_non_numbers_are_refused_by_name(slot, bad):
+    call, name = _POINT_SLOTS[slot]
+    with pytest.raises(tc.DomainError, match=rf"^{name} must"):
+        call(bad)
+
+
+@pytest.mark.parametrize("slot", [slot for slot in _POINT_SLOTS if "edges" not in slot])
+def test_nan_points_are_refused_by_name(slot):
+    call, name = _POINT_SLOTS[slot]
+    with pytest.raises(tc.DomainError, match=rf"^{name} must not hold NaN"):
+        call([0.5, math.nan])
+
+
+@pytest.mark.parametrize("keyword", ["breakpoints", "graded"])
+def test_points_outside_the_range_are_ignored(keyword):
+    # finite or not, a point outside [0, 1] changes nothing
+    outside = {keyword: [-math.inf, -3.0, 5.0, math.inf]}
+    assert tc.integrate(np.cos, 0.0, 1.0, **outside) == tc.integrate(np.cos, 0.0, 1.0)
+    harmonics = quadrature.integrate_harmonics(np.exp, 0.0, 1.0, 5, **outside)
+    for got, want in zip(harmonics, quadrature.integrate_harmonics(np.exp, 0.0, 1.0, 5)):
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("values, message", [
+    (["a"], "p must hold numbers: could not convert string to float: 'a'"),
+    ([None, 1.0], "p must not hold NaN or None"),
+    (0.5, "p must be a 1-D sequence of numbers, got shape ()"),
+    ([[0.5]], "p must be a 1-D sequence of numbers, got shape (1, 1)"),
+])
+def test_check_points_messages(values, message):
+    with pytest.raises(tc.DomainError) as info:
+        check_points(values, "p")
+    assert str(info.value) == message
+
+
+def test_check_points_converts_as_asarray_does():
+    points = check_points((1, np.float32(0.5), "2.5", math.inf), "p")
+    assert points.dtype == np.float64
+    assert points.tolist() == [1.0, 0.5, 2.5, math.inf]
+    assert check_points((), "p").shape == (0,)

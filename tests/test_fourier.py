@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import trigconv as tc
 from trigconv import quadrature
 from conftest import (SAWTOOTH, SQUARE, TRIANGLE, build, harmonic_grid, many_segment_spec,
-                      random_spec, route_through_series, traced_peak)
+                      random_spec, traced_peak)
 from oracles import (exact_harmonic_integrals, qawo_coefficients, sawtooth_partial_sum,
                      sawtooth_sine_coefficient, square_partial_sum, square_sine_coefficient)
 
@@ -169,8 +169,8 @@ def _seeded_mesh(f, n_max):
 
 
 class TestChirpPath:
-    """Coefficients whose grid panels go through one real FFT per node
-    column, and the error bound that does not depend on the harmonic."""
+    """Coefficients whose panels go through one real FFT per moment row,
+    and the error bound that does not depend on the harmonic."""
 
     @pytest.mark.parametrize("spec", ["square", "power-and-table", "200-segments"])
     def test_gap_bound_covers_every_panel_gap(self, spec):
@@ -193,18 +193,34 @@ class TestChirpPath:
         # and it is not much looser than the per-panel gaps
         assert err.sum() <= 4.0 * reference.sum() + 1e-15 * scale * err.size
 
-    @pytest.mark.parametrize("spec", [SQUARE, POWER_AND_TABLE], ids=["square", "power-and-table"])
-    def test_low_harmonics_match_the_direct_path(self, spec, monkeypatch):
+    @pytest.mark.parametrize("spec, sampled", [
+        (SQUARE, [0, 1, 2, 3, 999, 2001, 3999, 4000]),
+        (POWER_AND_TABLE, [0, 1, 7, 100, 2024, 3999, 4000]),
+    ], ids=["square", "power-and-table"])
+    def test_refined_coefficients_within_error_of_closed_form(self, refine_rounds, spec,
+                                                              sampled):
+        # at tol 1e-12 every grid panel is split once, and the children go
+        # through the transform with exact cell phases: each sampled
+        # coefficient stays within its reported error
         f = build(spec)
-        grid = tc.coefficients(f, 1000)
-        route_through_series(monkeypatch)
-        direct = tc.coefficients(f, 1000)
-        # integral of |f| in coefficient units
-        scale = tc.integrate(lambda x: np.abs(f.eval(x)), -PI, PI,
-                             breakpoints=f.breakpoints) / PI
-        assert abs(grid.a0 - direct.a0) <= 1e-13 * scale
-        assert np.abs(grid.a[:16] - direct.a[:16]).max() <= 1e-13 * scale
-        assert np.abs(grid.b[:16] - direct.b[:16]).max() <= 1e-13 * scale
+        c = tc.coefficients(f, 4000, 1e-12)
+        assert refine_rounds == [2]
+        k = np.array(sampled)
+        exact = exact_harmonic_integrals(f, k)
+        a = np.where(k == 0, exact.real / (2 * PI), exact.real / PI)
+        assert (np.abs(np.concatenate([[c.a0], c.a])[k] - a) <= c.error[k]).all()
+        assert (np.abs(np.concatenate([[0.0], c.b])[k] - exact.imag / PI) <= c.error[k]).all()
+
+    def test_refined_square_wave_keeps_its_accuracy(self, square):
+        # at tol 1e-12 every panel is split once; the children keep the
+        # phases of their grid cells, so every coefficient stays as close
+        # to its closed form as at tol 1e-10, about 1e-15
+        k = np.arange(1, 4001)
+        b = np.array([square_sine_coefficient(j) for j in k])
+        for tol in (1e-10, 1e-12):
+            c = tc.coefficients(square, 4000, tol)
+            assert abs(c.a0) <= 1e-15
+            assert np.abs(c.a).max() <= 1e-14 and np.abs(c.b - b).max() <= 1e-14
 
     @pytest.mark.parametrize("n_max", [4000, 16000])
     @pytest.mark.parametrize("spec, oracle", [(SQUARE, square_sine_coefficient),
@@ -218,25 +234,15 @@ class TestChirpPath:
         assert (np.abs(c.b - b) <= c.error[1:]).all()
 
     @pytest.mark.parametrize("n_max", [125, 300, 600])
-    def test_grid_transformed_once_per_set_of_grid_panels(self, monkeypatch, n_max):
-        # without grading, the first round splits the grid panels at the
-        # square-root ends; later rounds split only their children, which
-        # leaves the grid's transform as it was
-        transformed = []
-        rfft = np.fft.rfft
-
-        def counted(x, *args, **kwargs):
-            transformed.append(x.shape)
-            return rfft(x, *args, **kwargs)
-
-        monkeypatch.setattr(np.fft, "rfft", counted)
+    def test_one_transform_per_measured_mesh(self, refine_rounds, transformed_rows, n_max):
+        # without grading, the square-root ends refine over several rounds;
+        # graded toward them, the seeded mesh is the last; either way every
+        # measured mesh takes one transform of _SERIES_TERMS moment rows
         f = build(POWER_AND_TABLE)
         quadrature.integrate_harmonics(f.eval, -PI, PI, n_max, 1e-10, breakpoints=f.breakpoints)
-        assert len(transformed) == 2
-        # graded toward those ends, no grid panel is split
-        transformed.clear()
         tc.coefficients(f, n_max)
-        assert len(transformed) == 1
+        assert refine_rounds[0] >= 2 and refine_rounds[1] == 1
+        assert sum(transformed_rows) == quadrature._SERIES_TERMS * sum(refine_rounds)
 
     def test_memory_at_order_4000(self, square):
         # the seeded mesh holds 15 * 8100 node values, about 1 MB
@@ -245,8 +251,9 @@ class TestChirpPath:
         assert peak <= 6 * 2**20
 
     def test_memory_at_order_16000_on_200_segments(self):
-        # about 32 600 panels: node values, their folded columns and their
-        # transforms take about 4 MB each; no array has a row per interval
+        # about 32 600 panels: node values take about 4 MB, a block of 7
+        # folded moment rows and its transform about 2 MB each; no array
+        # has a row per interval
         f = build(many_segment_spec(np.random.default_rng(4), 200))
         c, peak = traced_peak(lambda: tc.coefficients(f, 16000))
         assert c.error.shape == (16001,)

@@ -265,6 +265,12 @@ class TestEval:
         with pytest.raises(tc.DomainError):
             sawtooth.eval(np.array([0.0, -4.0]))
 
+    @pytest.mark.parametrize("bad", ["a", ["a", 0.5], [[0.0], [0.0, 1.0]]],
+                             ids=["string", "string-in-list", "ragged"])
+    def test_non_numbers_refused(self, sawtooth, bad):
+        with pytest.raises(tc.DomainError, match="^x must hold numbers"):
+            sawtooth.eval(bad)
+
 
 def _bits(values):
     return np.asarray(values, dtype=np.float64).view(np.uint64)

@@ -7,8 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import trigconv as tc
-from conftest import (CONSTANT_ONE, SAWTOOTH, SQUARE, build, harmonic_grid, route_through_series,
-                      traced_peak)
+from conftest import CONSTANT_ONE, SAWTOOTH, SQUARE, build, harmonic_grid, traced_peak
 from oracles import composite_simpson, sawtooth_partial_sum, sine_ratio_mp, square_partial_sum
 from trigconv import quadrature
 
@@ -713,7 +712,7 @@ class TestGradedSeeding:
 
     @pytest.mark.parametrize("n_max", [40, 600])
     def test_harmonic_pieces_stay_below_the_grid_half_width(self, n_max):
-        # kh <= pi/2 holds on every direct panel, graded ones included
+        # kh <= pi/2 holds on every cut piece, graded ones included
         size = quadrature._fft_length(2 * (n_max + 1))
         h = math.pi / size
         edges = quadrature._edges(0.0, 3.0, [0.5, 1.0])
@@ -734,40 +733,21 @@ class TestIntegrateHarmonics:
         assert (np.abs(cos_int - exact.real) <= errors).all()
         assert (np.abs(sin_int - exact.imag) <= errors).all()
 
-    def test_tiling_does_not_change_results(self, monkeypatch):
+    @pytest.mark.parametrize("block", [1, 2, 4, 14, 28])
+    def test_blocks_of_terms_do_not_change_results(self, monkeypatch, block):
         # a square root refines towards 0 inside [0, 0.1], an interval of 5
-        # seeded panels, so the direct sums serve both a short interval and
-        # the refined children; a _TILE of 2 x 151 phases splits both into
-        # tiles of at most 2 panels
-        tiles = []
-
-        class RecordingNumpy:
-            """numpy, with the panel count of every tile's phases recorded."""
-
-            def __getattr__(self, name):
-                return getattr(np, name)
-
-            @staticmethod
-            def outer(a, b):
-                if len(b) == 151:
-                    tiles.append(len(a))
-                return np.outer(a, b)
-
-        monkeypatch.setattr(quadrature, "np", RecordingNumpy())
-
+        # seeded panels, so the transform takes cut pieces, refined children
+        # and grid panels; blocks of an odd size start at odd powers too
         def run():
-            tiles.clear()
             return quadrature.integrate_harmonics(np.sqrt, 0.0, 3.0, 150, 1e-10,
                                                   breakpoints=[0.1, 1.0])
+        assert quadrature._SERIES_TERMS % block == 0 and block != quadrature._BLOCK
         default = run()
-        default_tiles = list(tiles)
-        monkeypatch.setattr(quadrature, "_TILE", 2 * 151)
-        tiled = run()
-        assert max(default_tiles) > 2
-        assert 0 < len(default_tiles) < len(tiles)
-        assert max(tiles) == 2
-        for got, want in zip(tiled, default):
-            assert np.abs(got - want).max() <= 1e-14
+        monkeypatch.setattr(quadrature, "_BLOCK", block)
+        blocked = run()
+        assert np.array_equal(blocked[2], default[2])
+        for got, want in zip(blocked[:2], default[:2]):
+            assert np.abs(got - want).max() <= 1e-15
 
     # the grid of n_max = 40 has 90 panels of width 2 pi / 90 per period
     GRID_EDGE = 0.0 + 2.0 * (math.pi / 90) * 7
@@ -845,91 +825,119 @@ class TestIntegrateHarmonics:
             quadrature.integrate_harmonics(bad, 0.0, 1.0, 3, 1e-8)
 
 
+def _node_sums(ks, mid, half, y, size=None):
+    """``sum_n half w_n y_n exp(ik x_n)`` over every panel, ``x_n = mid +
+    half xi_n``, at the harmonics ``ks``, with each panel's position phase
+    taken in 40 digits, so that the reference does not round ``k mid``; the
+    phases ``exp(ik half xi_n)`` within a panel are rounded by at most
+    ``eps k half``.  With ``size``, each panel is placed as the harmonic
+    rule of a grid of ``size`` cells anchored at 0 places it: at its offset
+    from the centre of its cell ``p``, the midpoint of grid panel ``p`` in
+    the seeded mesh, taken from the exact centre ``(2p + 1) pi / size``."""
+    mpmath = pytest.importorskip("mpmath")
+    within = np.exp(1j * np.multiply.outer(ks, half[:, None] * quadrature._NODES))
+    inner = (within * (half[:, None] * quadrature._KRONROD_WEIGHTS * y)).sum(axis=-1)
+    with mpmath.workdps(40):
+        if size is None:
+            where = [mpmath.mpf(float(m)) for m in mid]
+        else:
+            h = math.pi / size
+            # a period and two cells more, so that no cell of the period is clipped
+            points, _ = quadrature._grid_panels(np.array([0.0, 2.0 * math.pi + 4.0 * h]), h)
+            cells = np.floor(mid / (2.0 * h)).astype(int)
+            offsets = mid - 0.5 * (points[cells] + points[cells + 1])
+            where = [(2 * int(p) + 1) * mpmath.pi / size + mpmath.mpf(float(d))
+                     for p, d in zip(cells, offsets)]
+        outer = np.array([[complex(mpmath.expj(int(k) * x)) for x in where] for k in ks])
+    return (outer * inner).sum(axis=1)
+
+
 class TestGridTransform:
-    """The real FFT of the grid's node columns against the power series of
-    the direct path, and its phases against high-precision node sums."""
+    """The one transform of every panel's moments about its grid cell's
+    centre, against node sums with high-precision phases."""
 
     @staticmethod
-    def grid_mesh(lo, hi, n_max, breakpoints=()):
+    def mesh(lo, hi, n_max, breakpoints):
+        """The seeded mesh of ``integrate_harmonics`` with every third panel
+        bisected, so that uncut grid panels, cut pieces and children mix,
+        and its grid size."""
         size = quadrature._fft_length(2 * (n_max + 1))
         mid, half = harmonic_grid(quadrature._edges(lo, hi, breakpoints), size)
+        split = np.arange(mid.shape[0]) % 3 == 0
+        quarter = 0.5 * half[split]
+        mid = np.concatenate([mid[~split], mid[split] - quarter, mid[split] + quarter])
+        half = np.concatenate([half[~split], quarter, quarter])
         return size, mid, half
 
     @pytest.mark.parametrize("lo, hi", [(0.0, 3.0), (-math.pi, math.pi), (-4.0, 9.0)],
                              ids=["P<M", "P=M", "P>M"])
-    def test_matches_series_path(self, lo, hi):
-        # a span shorter than a period pads the columns, a longer one folds them
-        n_max = 150
-        size, mid, half = self.grid_mesh(lo, hi, n_max, breakpoints=[1.0])
+    def test_matches_node_sums(self, lo, hi):
+        # a span shorter than a period pads the folded rows, a longer one
+        # folds several panels into a column
+        n_max = 40
+        size, mid, half = self.mesh(lo, hi, n_max, [0.5, 1.0 + 1e-3, 2.2])
         grid = half == math.pi / size
-        assert grid.sum() >= (hi - lo) / (2.0 * math.pi) * size - 3
+        assert 0 < grid.sum() and (~grid).sum() >= (hi - lo) / (2.0 * math.pi) * size / 3
         rng = np.random.default_rng(size)
-        y = rng.standard_normal((mid.shape[0], 15))
-        got, err, worst = quadrature._harmonic_rule(n_max, lo, size)(mid, half, y)
-        want, want_err, want_worst = quadrature._series_moments(
-            n_max, math.pi / size, mid, half, y, np.ones(mid.shape[0], dtype=bool))
-        assert np.array_equal(err, want_err) and np.array_equal(worst, want_worst)
-        # the series path rounds the phase k m of each panel
-        k = np.arange(n_max + 1)
+        y = rng.standard_normal((mid.shape[0], 15)) * 10.0 ** rng.uniform(-2, 2, (mid.shape[0], 1))
+        got, _, _ = quadrature._harmonic_rule(n_max, lo, size)(mid, half, y)
+        ks = np.array([0, 1, 2, 17, 39, 40])
+        want = _node_sums(ks, mid, half, y)
+        # a few eps of the sum of |half w_n y_n|, far inside the rounding
+        # term eps (50 + k max|x|) of integrate_harmonics
         scale = (half * (np.abs(y) @ quadrature._KRONROD_WEIGHTS)).sum()
-        bound = 1e-15 * (50 + k * max(abs(lo), abs(hi))) * scale
         assert got.shape == (n_max + 1, 2)
-        assert (np.abs(got - want) <= bound[:, None]).all()
+        assert np.abs(got[ks, 0] - want.real).max() <= 4e-15 * scale
+        assert np.abs(got[ks, 1] - want.imag).max() <= 4e-15 * scale
 
     def test_phases_are_exact_at_large_orders(self):
-        # grid panels up to 2 pi from the anchor, at harmonics up to 16000:
-        # every phase is a root of unity, so the sums keep a few eps even
-        # where k m reaches 1e5 radians
-        mpmath = pytest.importorskip("mpmath")
+        # grid panels up to 2 pi from the anchor, at harmonics up to 16000,
+        # and panels off the centres of those cells: every cell phase is a
+        # root of unity, and an off-centre panel sits at its offset from the
+        # cell centre, so the sums keep a few eps even where k m reaches 1e5
+        # radians
         n_max = 16000
         size = quadrature._fft_length(2 * (n_max + 1))
         h = math.pi / size
-        p = np.array([0, 12345, size - 1])
-        mid = (2 * p + 1) * h
+        cells = np.array([0, 12345, size - 1])
+        centre, _ = harmonic_grid(np.array([0.0, 2.0 * math.pi + 4.0 * h]), size)
+        # per cell: the grid panel, its two halves, and a piece [c - 0.8h, c + 0.2h]
+        offset = np.array([0.0, -0.5, 0.5, -0.3]) * h
+        mid = (centre[cells, None] + offset).ravel()
+        half = np.tile(np.array([1.0, 0.5, 0.5, 0.5]) * h, cells.shape[0])
         rng = np.random.default_rng(5)
-        y = rng.standard_normal((p.shape[0], 15))
-        got = quadrature._harmonic_rule(n_max, 0.0, size)(mid, np.full(p.shape[0], h), y)[0]
-        ks = [1, 997, 9999, 12345, 16000]
-        with mpmath.workdps(40):
-            step = mpmath.pi / size
-            want = [complex(mpmath.fsum(
-                step * mpmath.mpf(float(w)) * mpmath.mpf(float(v))
-                * mpmath.expj(k * step * ((2 * int(q) + 1) + mpmath.mpf(float(x))))
-                for q, row in zip(p, y)
-                for w, v, x in zip(quadrature._KRONROD_WEIGHTS, row, quadrature._NODES)))
-                for k in ks]
-        scale = h * np.abs(y).sum()
-        assert np.abs(got[ks, 0] - np.real(want)).max() <= 4e-16 * scale
-        assert np.abs(got[ks, 1] - np.imag(want)).max() <= 4e-16 * scale
+        y = rng.standard_normal((mid.shape[0], 15))
+        got = quadrature._harmonic_rule(n_max, 0.0, size)(mid, half, y)[0]
+        ks = np.array([1, 997, 9999, 12345, 16000])
+        want = _node_sums(ks, mid, half, y, size)
+        scale = (half * np.abs(y).sum(axis=1)).sum()
+        assert np.abs(got[ks, 0] - want.real).max() <= 4e-16 * scale
+        assert np.abs(got[ks, 1] - want.imag).max() <= 4e-16 * scale
 
-    @pytest.mark.parametrize("fn", [np.exp, np.sqrt, lambda x: np.sign(x - 0.3)],
-                             ids=["exp", "sqrt", "jump"])
-    def test_low_harmonics_match_the_direct_path(self, monkeypatch, fn):
-        transformed = []
-        rfft = np.fft.rfft
-
-        def counted(x, *args, **kwargs):
-            transformed.append(x.shape)
-            return rfft(x, *args, **kwargs)
-
-        monkeypatch.setattr(np.fft, "rfft", counted)
-
-        def run():
-            return quadrature.integrate_harmonics(fn, 0.0, 3.0, 2000, 1e-10,
-                                                  breakpoints=[1.0])
-        grid = run()
-        assert transformed[0] == (15, 4050)
-        route_through_series(monkeypatch)
-        transformed.clear()
-        direct = run()
-        assert transformed == []
-        scale = quadrature.integrate(lambda x: np.abs(fn(x)), 0.0, 3.0, breakpoints=[0.3, 1.0])
-        for got, want in zip(grid[:2], direct[:2]):
-            assert np.abs(got[:17] - want[:17]).max() <= 1e-13 * scale
+    @pytest.mark.parametrize("fn, exact", [
+        (np.sqrt, lambda mp, k: mp.quad(lambda x: mp.sqrt(x) * mp.expj(k * x), [0, 1, 3])),
+        (lambda x: np.sign(x - 0.3),
+         lambda mp, k: (mp.mpf("2.4") if k == 0 else
+                        (mp.expj(3 * k) - 2 * mp.expj(k * mp.mpf("0.3")) + 1) / (1j * k))),
+    ], ids=["sqrt", "jump"])
+    def test_low_harmonics_of_a_refined_mesh(self, refine_rounds, transformed_rows, fn, exact):
+        # the square root refines towards 0, the jump at 0.3 toward its
+        # edge: children and cut pieces go through the transform with the
+        # grid, one transform of 28 rows per measured mesh
+        mpmath = pytest.importorskip("mpmath")
+        cos_int, sin_int, errors = quadrature.integrate_harmonics(fn, 0.0, 3.0, 2000, 1e-10,
+                                                                  breakpoints=[1.0])
+        assert refine_rounds[0] >= 2
+        assert sum(transformed_rows) == quadrature._SERIES_TERMS * refine_rounds[0]
+        with mpmath.workdps(30):
+            want = np.array([complex(exact(mpmath, k)) for k in range(17)])
+        assert (np.abs(cos_int[:17] - want.real) <= errors[:17]).all()
+        assert (np.abs(sin_int[:17] - want.imag) <= errors[:17]).all()
 
 
 class TestSeriesMoments:
-    """The direct path's power series against plain sums over the nodes."""
+    """The power series about a cell centre, one panel at a time, against
+    plain sums over the nodes."""
 
     @pytest.mark.parametrize("harmonics", [11, 201, 2001, 16001])
     @settings(derandomize=True, max_examples=5, deadline=None)
@@ -937,24 +945,24 @@ class TestSeriesMoments:
     def test_matches_node_sums(self, harmonics, seed):
         rng = np.random.default_rng(seed)
         n_panels = 12
-        # panels of mixed half-widths up to that of the grid, h, summed one
-        # at a time
-        h = math.pi / (2 * harmonics)
+        # panels of mixed half-widths up to that of the grid, h, anywhere
+        # inside random cells of a grid anchored at 0
+        size = quadrature._fft_length(2 * harmonics)
+        h = math.pi / size
         half = h / 2.0 ** rng.integers(0, 12, n_panels)
-        mid = rng.uniform(-math.pi, math.pi, n_panels)
+        centre, _ = harmonic_grid(np.array([0.0, 2.0 * math.pi + 4.0 * h]), size)
+        mid = (centre[rng.integers(0, size, n_panels)]
+               + rng.uniform(-1.0, 1.0, n_panels) * (h - half))
         y = rng.standard_normal((n_panels, 15)) * 10.0 ** rng.uniform(-3, 3, (n_panels, 1))
-        k = np.arange(harmonics, dtype=np.float64)
-        weighted = half[:, None] * quadrature._KRONROD_WEIGHTS * y
+        rule = quadrature._harmonic_rule(harmonics - 1, 0.0, size)
+        ks = np.unique(np.r_[0, 1, rng.integers(0, harmonics, 6), harmonics - 1])
         for p in range(n_panels):
-            totals, _, _ = quadrature._series_moments(harmonics - 1, h, mid, half, y,
-                                                      np.arange(n_panels) == p)
-            # h sum_n w_n y_n exp(ik(m + h xi_n)), with exp(ikm) taken out
-            # so that the reference does not round k (m + h xi_n)
-            inner = np.exp(1j * np.outer(k * half[p], quadrature._NODES)) @ weighted[p]
-            want = np.exp(1j * k * mid[p]) * inner
-            bound = 1e-15 * np.abs(weighted[p]).sum()
-            assert np.abs(totals[:, 0] - want.real).max() <= bound
-            assert np.abs(totals[:, 1] - want.imag).max() <= bound
+            one = slice(p, p + 1)
+            totals, _, _ = rule(mid[one], half[one], y[one])
+            want = _node_sums(ks, mid[one], half[one], y[one], size)
+            bound = 1e-15 * (half[p] * np.abs(quadrature._KRONROD_WEIGHTS * y[p])).sum()
+            assert np.abs(totals[ks, 0] - want.real).max() <= bound
+            assert np.abs(totals[ks, 1] - want.imag).max() <= bound
 
 
 class TestChunkedEvaluation:
