@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import MAX_ORDER, DomainError, check_finite, check_integer, check_real, check_schedule
 from .piecewise import PiecewiseFunction
-from .quadrature import _sin_ratio, integrate, integrate_intervals
+from .quadrature import _grid_panels, _sin_ratio, integrate, integrate_intervals
 
 H_MAX = math.pi / 2
 
@@ -26,13 +26,17 @@ H_MAX = math.pi / 2
 class SignBlockDecomposition:
     """Blockwise view of ``integral of f(b) sin(i b)/sin(b) over [0, h]``.
 
-    ``boundaries`` holds the block edges ``0, pi/i, 2 pi/i, ..., h``;
-    ``full_blocks`` counts the blocks of exact width ``pi/i`` (a narrower
-    remainder block, when present, sits at the end).  ``block_values`` are
-    the signed block integrals; ``weight_magnitudes`` the absolute block
-    integrals of the weight ``sin(i b)/sin(b)`` alone; ``block_means`` the
-    ratio of the two, i.e. the weighted average of ``f`` over each block,
-    which lies between the values of ``f`` at the block's endpoints.
+    ``boundaries`` holds the block edges ``0, pi/i, 2 pi/i, ..., h``: the
+    edges ``(pi/i) * k`` of the half-period grid that the quadrature engine
+    seeds for the weight (see :func:`~trigconv.quadrature._grid_panels`),
+    so that each block is one panel of it, the last one ending at ``h``.
+    ``full_blocks`` counts the uncut grid panels, the blocks of width
+    ``pi/i`` (a narrower remainder block, when present, sits at the end).
+    ``block_values`` are the signed block integrals; ``weight_magnitudes``
+    the absolute block integrals of the weight ``sin(i b)/sin(b)`` alone;
+    ``block_means`` the ratio of the two, i.e. the weighted average of
+    ``f`` over each block, which lies between the values of ``f`` at the
+    block's endpoints.
     """
     frequency: float
     upper: float
@@ -117,35 +121,29 @@ def sine_ratio(i, beta):
     return float(out) if beta.ndim == 0 else out
 
 
-def _block_boundaries(i, h):
-    """Zeros of sin(i b) inside (0, h], as exact-as-possible floats."""
-    count = int(math.floor(h * i / math.pi + 1e-12))
-    edges = np.arange(count + 1) * math.pi / i
-    if count >= 1 and h - edges[-1] <= 1e-12 * h:
-        edges[-1] = h
-    else:
-        edges = np.append(edges, h)
-    return count, edges
-
-
 def decompose(f, i, h, tol=1e-8):
     """Split ``integral of f(b) sin(i b)/sin(b) over [0, h]`` into sign blocks.
 
     ``f`` must be continuous and monotone on ``[0, h]`` (a callable over
     float arrays, or a :class:`PiecewiseFunction`, which is checked
-    structurally); ``h`` must lie in ``(0, pi/2]``.
+    structurally); ``h`` must lie in ``(0, pi/2]``.  The blocks are the
+    panels of the weight's grid (see :class:`SignBlockDecomposition`); an
+    ``h`` within the engine's merge distance, ``1e-13 h``, of a zero of
+    ``sin(i b)`` ends the last full block.  A grid of more panels than the
+    engine's cap is refused with :class:`~trigconv.errors.QuadratureError`
+    before any block array is built or ``f`` is evaluated.
     """
     i = check_real(i, "frequency", 0, MAX_ORDER, open_lo=True)
     h = check_real(h, "h", 0, H_MAX, open_lo=True)
+    edges, uncut = _grid_panels(np.array([0.0, h]), 0.5 * math.pi / i)
     fn, graded = _integrand(f, 0.0, h)
-    full, edges = _block_boundaries(i, h)
 
     pair, _ = integrate_intervals(lambda b: np.stack([fn(b), np.ones(b.shape)], axis=1),
                                   edges, tol, graded=graded, sine_ratio=(i, 1.0, 0.0))
     values = pair[:, 0]
     magnitudes = np.abs(pair[:, 1])
     return SignBlockDecomposition(
-        frequency=i, upper=h, full_blocks=full, boundaries=edges,
+        frequency=i, upper=h, full_blocks=int(uncut.sum()), boundaries=edges,
         block_values=values, weight_magnitudes=magnitudes,
         block_means=np.abs(values) / magnitudes)
 
@@ -157,7 +155,12 @@ def group_tail_bound(d, m):
     block values from block ``m + 1`` on and ``first_term`` is that block's
     magnitude.  For an even ``m`` the alternating, decreasing blocks give
     ``0 < tail_sum <= first_term`` (strict unless the tail is one block).
+    A decomposition without a full block, ``h < pi/i``, has no such bound
+    and is refused with :class:`~trigconv.errors.DomainError`.
     """
+    if d.full_blocks == 0:
+        raise DomainError(f"the decomposition has no full block: h = {d.upper!r} is below "
+                          f"one block width pi/i = {math.pi / d.frequency!r}")
     m = check_integer(m, "m", 0, d.full_blocks - 1)
     if m % 2 != 0:
         raise DomainError(f"m must be even, got {m}")
@@ -170,10 +173,15 @@ def tail(n_max, tol=1e-10):
     """Blockwise magnitudes and partial sums of ``integral of sin(g)/g``.
 
     Block ``nu`` covers ``[(nu - 1) pi, nu pi]``; the alternating partial
-    sums straddle ``pi / 2`` and each gap is below the next magnitude.
+    sums straddle ``pi / 2`` and each gap is below the next magnitude.  The
+    block edges are those of the quadrature engine's grid of panels ``pi``
+    wide (see :func:`~trigconv.quadrature._grid_panels`), so an ``n_max``
+    whose ``n_max + 1`` blocks pass the engine's panel cap is refused with
+    :class:`~trigconv.errors.QuadratureError` before any block array is
+    built or the integrand is evaluated.
     """
     n_max = check_integer(n_max, "n_max", 1, MAX_ORDER)
-    edges = np.arange(n_max + 2) * math.pi
+    edges, _ = _grid_panels(np.array([0.0, (n_max + 1) * math.pi]), 0.5 * math.pi)
     values, _ = integrate_intervals(lambda g: np.sinc(g / math.pi), edges, tol)
     terms = np.abs(values)
     signs = np.where(np.arange(n_max) % 2 == 0, 1.0, -1.0)

@@ -48,8 +48,9 @@ sin(u)``, ``u = scale x + shift``, the form of both the Dirichlet kernel
 and the sign-block weight, and :func:`_node_values` multiplies ``f``'s
 values by the weight (see :func:`_sine_ratio_weight`).  The weight sets
 the grid: the half-periods of ``sin(m u)``, panels ``pi / (m |scale|)``
-wide (``2 h`` below), anchored at the lower limit, so no caller restates
-the frequency.  The weight comes two ways.  An uncut grid panel of
+wide (``2 h`` below), anchored at the lower limit, so no caller passes a
+panel width; :func:`~trigconv.oscillatory.decompose` reads its sign blocks
+off that grid.  The weight comes two ways.  An uncut grid panel of
 half-width ``h`` whose midpoint has the phase ``u_c`` takes it by angle
 addition, ``sin(m u_c + m d_j) = sin(m u_c) cos(m d_j) + cos(m u_c) sin(m
 d_j)`` with ``d_j = scale h xi_j``, and likewise for ``sin(u)``: four
@@ -252,12 +253,13 @@ def _sine_ratio_weight(m, scale, shift, h, x_max):
     takes :func:`_sin_ratio` node by node: cut pieces, graded cuts, refined
     children, and a grid panel whose nodes lie within a few thousandths of
     its half-width of a zero of ``sin(u)``, where the two sums would
-    cancel.  So does the whole mesh when ``m < 2``: on the grid of
-    :func:`_plain_refine`, ``h = pi / (2 m |scale|)``, a panel then spans
-    more than ``pi / 2`` in ``u``.
+    cancel.  That guard serves every ``m``: on the grid of
+    :func:`_plain_refine`, ``h = pi / (2 m |scale|)``, a panel spans more
+    than ``pi / 2`` in ``u`` when ``m < 2``, and still only a panel whose
+    nodes keep clear of every zero of ``sin(u)`` takes the table; for ``m =
+    1`` the table's numerator and denominator are one computation, so the
+    ratio is exactly 1.
     """
-    if m < 2.0:
-        return lambda mid, half, x: _sin_ratio(m, scale * x + shift)
     # cos and sin of m d_j and of d_j: a panel's sin and cos of m u_c times
     # tables[0], and of u_c times tables[1], give sin(m u) and sin(u) at its
     # nodes
@@ -457,8 +459,8 @@ def integrate_intervals(f, edges, tol=1e-10, *, graded=(), sine_ratio=None):
     ``sine_ratio=(m, scale, shift)`` weights ``f`` by ``sin(m u) / sin(u)``,
     ``u = scale x + shift``, as in :func:`integrate`.  Edges on the
     weight's grid, such as the sign blocks of
-    :func:`~trigconv.oscillatory.decompose` (the zeros of ``sin(m u)``),
-    leave its panels uncut.
+    :func:`~trigconv.oscillatory.decompose`, which are the grid's own edges
+    from :func:`_grid_panels`, leave its panels uncut.
 
     Every panel costs 15 integrand evaluations, made ``_CHUNK`` panels per
     call.  A call that needs more than ``_MAX_PANELS`` (32768) panels, at

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import trigconv as tc
-from conftest import build, random_positive_decreasing
+from conftest import build, random_positive_decreasing, traced_peak
+from trigconv import quadrature
 from oracles import sinc_block_magnitude, sine_ratio_mp
 
 PI = math.pi
@@ -101,13 +102,24 @@ class TestDecompose:
         assert (d.block_means >= hi_vals - 1e-9).all()
 
     def test_remainder_block_present_and_smallest(self):
-        h = 1.4  # not a multiple of pi / 11
-        d = tc.decompose(lambda b: np.exp(-b), 11, h)
-        assert d.full_blocks == math.floor(h * 11 / PI)
-        assert d.block_values.shape == (d.full_blocks + 1,)
-        assert d.boundaries[-1] == h
-        mags = np.abs(d.block_values)
-        assert mags[-1] < mags[-2]
+        # h = 1.4 is not a multiple of pi / 11, nor is any random h; the
+        # blocks are the weight's grid panels, with inner edges (pi / i) k
+        rng = np.random.default_rng(27)
+        cases = [(11.0, 1.4)] + [(float(np.exp(rng.uniform(math.log(0.5), math.log(2000.0)))),
+                                  float(rng.uniform(0.01, HALF_PI))) for _ in range(200)]
+        for i, h in cases:
+            d = tc.decompose(lambda b: np.exp(-b), i, h)
+            assert d.full_blocks == math.floor(h * i / PI)
+            assert d.block_values.shape == (d.full_blocks + 1,)
+            assert d.boundaries[0] == 0.0 and d.boundaries[-1] == h
+            k = np.arange(1, d.full_blocks + 1)
+            assert np.array_equal(d.boundaries[1:-1], (PI / i) * k)
+            widths = np.diff(d.boundaries)
+            assert np.abs(widths[:-1] - PI / i).max(initial=0.0) <= 4.0 * np.spacing(h)
+            assert widths[-1] < PI / i
+            if d.full_blocks:
+                mags = np.abs(d.block_values)
+                assert mags[-1] < mags[-2]
 
     def test_weight_magnitude_approaches_sinc_block(self):
         k1 = tc.tail(1).terms[0]
@@ -202,6 +214,14 @@ class TestGroupTailBound:
         for m in range(0, d.full_blocks, 2):
             tail_sum, first_term = tc.group_tail_bound(d, m)
             assert 0 < tail_sum <= first_term
+
+    def test_rejects_a_decomposition_without_a_full_block(self):
+        # h = 1 is below the one block width pi
+        d = tc.decompose(np.exp, 1.0, 1.0)
+        assert d.full_blocks == 0 and d.block_values.shape == (1,)
+        with pytest.raises(tc.DomainError, match=r"^the decomposition has no full block: "
+                                                 r"h = 1\.0 is below one block width"):
+            tc.group_tail_bound(d, 0)
 
     def test_rejects_bad_cut_points(self, blocks):
         with pytest.raises(tc.DomainError):
@@ -356,6 +376,29 @@ class TestLargestOrderAndFrequency:
     def test_maximum_reaches_the_panel_cap(self, call):
         with pytest.raises(tc.QuadratureError, match="initial subdivision needs"):
             call()
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda f: tc.tail(10**6), "initial subdivision needs 1000001 panels, above the cap "
+                                   "32768, over [0.0, 3141595.7951824465]"),
+        (lambda f: tc.decompose(f, 1e6, HALF_PI), "initial subdivision needs 500000 panels, "
+                                                  "above the cap 32768, over [0.0, "
+                                                  "1.5707963267948966]"),
+    ], ids=["tail", "decompose"])
+    def test_refused_before_any_block_array(self, call, message, monkeypatch):
+        # the cap refuses the block grid itself: neither f nor the
+        # integrand of tail is evaluated, and no array of blocks is built
+        calls = []
+        monkeypatch.setattr(quadrature, "_node_values", lambda *args: calls.append(args))
+
+        def refusal():
+            with pytest.raises(tc.QuadratureError) as info:
+                call(lambda b: calls.append(b) or np.exp(b))
+            return str(info.value)
+
+        got, peak = traced_peak(refusal)
+        assert got == message
+        assert calls == []
+        assert peak < 1 << 20
 
     def test_maximum_frequency_weight(self):
         assert tc.sine_ratio(1e6, 0.0) == 1e6

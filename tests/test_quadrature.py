@@ -230,9 +230,13 @@ class TestSineRatioWeight:
         (1000.5, 1.0, 0.0, 0.0, 1.5, math.pi / 1000.5),
         (2001, 0.5, 0.0, -math.pi, math.pi, math.pi / 1001),
         (7, 1.0, -0.25, 0.0, 1.0, 0.1),
+        (1, 1.0, 0.0, -5 * math.pi, 5 * math.pi, math.pi),
+        (1.5, 1.0, 0.0, -3.0, 3.0, math.pi / 1.5),
     ], ids=["partial-sum-kernel", "order-10000", "odd-m-across-multiples-of-pi",
-            "non-integer-m", "limit-verify", "zero-on-a-grid-edge", "zero-inside-a-panel"])
-    def test_node_values_match_the_direct_weight(self, m, scale, shift, lo, hi, width):
+            "non-integer-m", "limit-verify", "zero-on-a-grid-edge", "zero-inside-a-panel",
+            "m-1", "non-integer-m-below-2"])
+    def test_node_values_match_the_direct_weight(self, m, scale, shift, lo, hi, width,
+                                                 monkeypatch):
         # the zero of u is a breakpoint, as x is in partial_sum_kernel,
         # except in the last case, where it lies at a grid panel's midpoint
         breakpoints = [0.77] if shift == -0.25 else [0.77, -shift / scale]
@@ -242,14 +246,26 @@ class TestSineRatioWeight:
         weight = quadrature._sine_ratio_weight(m, scale, shift, 0.5 * width,
                                                max(abs(lo), abs(hi)))
         f = lambda x: 1.0 + x * x
+        direct = []
+        sin_ratio = quadrature._sin_ratio
+        monkeypatch.setattr(quadrature, "_sin_ratio",
+                            lambda m, u: direct.append(u.size) or sin_ratio(m, u))
         got = quadrature._node_values(f, mid, half, weight)
+        monkeypatch.undo()
         x = mid[:, None] + half[:, None] * quadrature._NODES
         want = f(x) * _direct_ratio(m, scale, shift, x)
-        assert uncut.sum() >= 8 and (~uncut).sum() >= 2
+        # below m = 2 a grid panel spans more than pi / 2 in u, so a range
+        # that keeps clear of the poles of a non-integer m holds few of them
+        assert uncut.sum() >= (8 if m >= 2 else 1) and (~uncut).sum() >= 2
+        # some grid panel keeps clear of every zero of sin(u) and takes the table
+        assert sum(direct) < got.size
         # cut pieces take the direct path; grid panels agree with it to the
         # rounding of the phase m u
         assert np.array_equal(got[~uncut], want[~uncut])
         assert (np.abs(got - want) <= 1e-12 * m * f(x)).all()
+        if m == 1:
+            # the table's numerator and denominator are one computation
+            assert np.array_equal(got, f(x))
         if shift == -0.25:
             # u = 0 at the middle node of the panel [0.2, 0.3]: the limit m
             assert got[2, 7] == m * f(0.25)
