@@ -90,7 +90,6 @@ def coefficients(f, n_max, tol=1e-10):
     exceeds the panel cap, is refused before ``f`` is evaluated.
     """
     f = _check_function(f)
-    n_max = check_integer(n_max, "n_max", 0, MAX_ORDER)
     cos_int, sin_int, errors = integrate_harmonics(f.eval, -PI, PI, n_max, tol,
                                                    breakpoints=f.breakpoints,
                                                    graded=f.singular_points)
@@ -138,32 +137,22 @@ def _to_beta(points, x, side):
     return [(x - p) / 2.0 if side == "lower" else (p - x) / 2.0 for p in points]
 
 
-def _beta_seeds(points, x, side):
-    """The half-range length of ``side`` and the seeds of
-    :func:`beta_split_points` from ``points``, unsorted, ``pi/2`` last."""
-    length = (PI + x) / 2.0 if side == "lower" else (PI - x) / 2.0
-    seeds = [b for b in _to_beta(points, x, side) if 0.0 < b < length]
-    if length > PI / 2.0:
-        seeds.append(PI / 2.0)
-    return length, seeds
-
-
 def beta_split_points(f, x, side):
     """The interior jumps and extrema of ``f`` in the ``beta`` variable of
-    one side of :func:`split_integrals`, plus ``pi/2``.
+    one side of :func:`split_integrals`.
 
     Maps every interior jump or extremum of ``f`` into the ``beta``
     variable of the requested side (``alpha = x - 2 beta`` below ``x``,
-    ``alpha = x + 2 beta`` above), keeps those strictly inside the range,
-    and adds ``pi/2`` when the range extends past it (where the weight's
-    denominator ``sin(beta)`` peaks).  :func:`split_integrals` seeds its
-    panels at these and at every other mapped breakpoint of ``f``.
+    ``alpha = x + 2 beta`` above) and keeps those strictly inside the range.
+    :func:`split_integrals` cuts its panels at these and at every other
+    mapped breakpoint of ``f``.
     """
     f = _check_function(f)
     if side not in ("lower", "upper"):
         raise DomainError(f"side must be 'lower' or 'upper', got {side!r}")
     x = check_abscissa(x)
-    return sorted(set(_beta_seeds(f.extrema_and_jumps(), x, side)[1]))
+    length = max(_to_beta((-PI, PI), x, side))
+    return sorted({b for b in _to_beta(f.extrema_and_jumps(), x, side) if 0.0 < b < length})
 
 
 def split_integrals(f, x, n, tol=1e-9):
@@ -180,18 +169,20 @@ def split_integrals(f, x, n, tol=1e-9):
     x = check_abscissa(x)
 
     def one_side(side):
-        # the weight seeds panels pi / (2n + 1) wide, its half-periods; cut
-        # them at every mapped non-smooth point of f, which holds every
-        # jump and extremum that beta_split_points reports, and at the peak
-        # pi/2 of the weight's denominator, and grade them toward every
-        # mapped infinite slope (integrate ignores those out of range)
-        length, seeds = _beta_seeds(f.breakpoints, x, side)
+        # the range ends at the image of -pi (lower) or pi (upper); the
+        # weight seeds panels pi / (2n + 1) wide, its half-periods, which
+        # integrate cuts at the mapped non-smooth points of f, every jump
+        # and extremum that beta_split_points reports among them, and
+        # grades toward the mapped infinite slopes, ignoring the points
+        # out of range
+        length = max(_to_beta((-PI, PI), x, side))
         if length <= 0.0:
             return 0.0
         sign = -2.0 if side == "lower" else 2.0
 
         return integrate(lambda beta: f.eval(np.clip(x + sign * beta, -PI, PI)), 0.0, length,
-                         tol, breakpoints=seeds, graded=_to_beta(f.singular_points, x, side),
+                         tol, breakpoints=_to_beta(f.breakpoints, x, side),
+                         graded=_to_beta(f.singular_points, x, side),
                          sine_ratio=(2 * n + 1, 1.0, 0.0))
 
     return one_side("lower"), one_side("upper")

@@ -103,7 +103,8 @@ import math
 
 import numpy as np
 
-from .errors import DomainError, QuadratureError, as_floats, check_points, check_real
+from .errors import (MAX_ORDER, DomainError, QuadratureError, as_floats, check_integer,
+                     check_points, check_real)
 
 # QUADPACK qk15 (Piessens et al., 1983): the non-negative Kronrod nodes in
 # decreasing order, their K15 weights, and the G7 weights of the nodes
@@ -203,22 +204,21 @@ def _sin_ratio(m, u):
 
 
 def _check_sine_ratio(sine_ratio, lo, hi):
-    """``sine_ratio = (m, scale, shift)`` as three floats, refused with
-    :class:`DomainError` unless ``m`` is positive and finite, ``scale``
-    finite and nonzero and ``shift`` finite, and, when ``m`` is not an
-    integer, unless ``u = scale x + shift`` stays off every nonzero
-    multiple of ``pi`` over ``[lo, hi]``: there ``sin(m u) / sin(u)`` has a
-    pole, not a removable singularity."""
+    """``sine_ratio = (m, scale, shift)`` as three floats, each checked by
+    :func:`~trigconv.errors.check_real` (``m`` positive), refused with
+    :class:`DomainError` unless ``scale`` is nonzero, ``u = scale x +
+    shift`` stays finite over ``[lo, hi]`` and, when ``m`` is not an
+    integer, ``u`` stays off every nonzero multiple of ``pi`` there: at
+    those ``sin(m u) / sin(u)`` has a pole, not a removable singularity."""
     try:
-        m, scale, shift = (float(v) for v in sine_ratio)
+        m, scale, shift = sine_ratio
     except (TypeError, ValueError) as exc:
         raise DomainError(f"sine_ratio must be three numbers (m, scale, shift): {exc}") from None
-    if not (math.isfinite(m) and m > 0):
-        raise DomainError(f"sine_ratio m must be a positive finite number, got {m!r}")
-    if not (math.isfinite(scale) and scale != 0):
-        raise DomainError(f"sine_ratio scale must be a nonzero finite number, got {scale!r}")
-    if not math.isfinite(shift):
-        raise DomainError(f"sine_ratio shift must be a finite number, got {shift!r}")
+    m = check_real(m, "sine_ratio m", 0, open_lo=True)
+    scale = check_real(scale, "sine_ratio scale")
+    shift = check_real(shift, "sine_ratio shift")
+    if scale == 0:
+        raise DomainError(f"sine_ratio scale must be nonzero, got {scale!r}")
     # Python floats overflow to inf without a warning
     u_lo, u_hi = sorted((scale * float(lo) + shift, scale * float(hi) + shift))
     if not (math.isfinite(u_lo) and math.isfinite(u_hi)):
@@ -788,10 +788,12 @@ def integrate_harmonics(f, lo, hi, n_max, tol=1e-10, *, breakpoints=(), graded=(
     relative per node, and so does rounding the centre of a cut or refined
     panel's cell; QUADPACK's ``50 * eps`` allowance covers the rest of the
     arithmetic, the FFTs included, whose phases are exact roots of unity.
-    A mesh that needs more than ``_MAX_PANELS`` panels raises
-    :class:`QuadratureError`; when the seeded mesh alone is too large, that
-    happens before ``f`` is evaluated.
+    An ``n_max`` that is no integer in ``[0, 10**6]`` raises
+    :class:`DomainError`.  A mesh that needs more than ``_MAX_PANELS``
+    panels raises :class:`QuadratureError`; when the seeded mesh alone is
+    too large, that happens before ``f`` is evaluated.
     """
+    n_max = check_integer(n_max, "n_max", 0, MAX_ORDER)
     edges, tol, graded = _check_edges(_edges(lo, hi, breakpoints), tol, graded)
     size = _fft_length(2 * (n_max + 1))
     h = math.pi / size

@@ -23,9 +23,10 @@ def _blocks():
     (lambda bad: tc.tail(bad), "n_max"),
     (lambda bad: tc.group_tail_bound(_blocks(), bad), "m"),
     (lambda bad: tc.divergence_witness("u", -3.0, bad), "n_max"),
+    (lambda bad: quadrature.integrate_harmonics(np.cos, 0.0, 1.0, bad), "n_max"),
 ])
 def test_integer_arguments_are_validated_by_name(call, name):
-    for bad in (2.0, True, np.float64(3.0), "4", -1):
+    for bad in (2.0, 3.5, True, np.float64(3.0), "4", -1):
         with pytest.raises(tc.DomainError, match=rf"^{name} must"):
             call(bad)
 

@@ -441,11 +441,56 @@ class TestSplitIntegrals:
             assert combined == pytest.approx(
                 tc.partial_sum_kernel(f, x, n), abs=1e-8)
 
+    @pytest.mark.parametrize("n", [100, 1000, 5000])
+    @pytest.mark.parametrize("x", [-2.0, -0.3, 0.7, 2.5])
+    def test_sawtooth_seeds_only_grid_panels(self, sawtooth, monkeypatch, x, n):
+        # the sawtooth has no interior breakpoint, so each side's seeded
+        # mesh is the weight's grid alone, clipped at the side's length
+        seeded = []
+        grid_panels = quadrature._grid_panels
+
+        def recorded_grid(*args):
+            points, uncut = grid_panels(*args)
+            seeded.append(uncut)
+            return points, uncut
+
+        monkeypatch.setattr(quadrature, "_grid_panels", recorded_grid)
+        lower, upper = tc.split_integrals(sawtooth, x, n)
+        assert len(seeded) == 2
+        assert all(uncut[:-1].all() for uncut in seeded)
+        assert abs((lower + upper) / PI - sawtooth_partial_sum(x, n)) <= 5e-14
+
     def test_rejects_bad_arguments(self, square):
         with pytest.raises(tc.DomainError):
             tc.split_integrals(square, 0.0, -2)
         with pytest.raises(tc.DomainError):
             tc.split_integrals(square, -3.5, 2)
+
+
+class TestPipelinesAgree:
+    """The coefficient path, the kernel integral and the two half-range
+    integrals give one partial sum, within their combined reported errors."""
+
+    @settings(derandomize=True, max_examples=45, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(0, 200), x=st.floats(-PI, PI))
+    def test_three_paths_agree(self, seed, n, x):
+        f = build(random_spec(np.random.default_rng(seed)))
+        c = tc.coefficients(f, n)
+        k = np.arange(1, n + 1)
+        by_coefficients = tc.partial_sum(c, x, n)
+        coefficient_error = (c.error[0]
+                             + c.error[1:] @ (np.abs(np.cos(k * x)) + np.abs(np.sin(k * x))))
+        # the kernel paths report no error of their own: each integral is
+        # held to its budget max(tol |integral|, tol), over pi in the sum
+        tol = 1e-9
+        by_kernel = tc.partial_sum_kernel(f, x, n, tol)
+        kernel_error = tol * max(PI * abs(by_kernel), 1.0) / PI
+        lower, upper = tc.split_integrals(f, x, n, tol)
+        by_split = (lower + upper) / PI
+        split_error = tol * (max(abs(lower), 1.0) + max(abs(upper), 1.0)) / PI
+        assert abs(by_coefficients - by_kernel) <= coefficient_error + kernel_error
+        assert abs(by_kernel - by_split) <= kernel_error + split_error
+        assert abs(by_coefficients - by_split) <= coefficient_error + split_error
 
 
 class TestLargestOrder:
@@ -486,26 +531,26 @@ class TestBetaSplitPoints:
 
     def test_jump_ahead_of_x_maps_into_range(self, square):
         points = tc.beta_split_points(square, -0.5, "upper")
-        assert points == pytest.approx([0.25, PI / 2])
+        assert points == pytest.approx([0.25])
 
     def test_feature_at_x_is_boundary_not_interior(self, triangle):
         assert tc.beta_split_points(triangle, 0.0, "upper") == []
 
     def test_lower_side_mirror(self, square):
         points = tc.beta_split_points(square, 0.5, "lower")
-        assert points == pytest.approx([0.25, PI / 2])
+        assert points == pytest.approx([0.25])
 
     @settings(derandomize=True, max_examples=200, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), x=st.floats(-PI, PI),
            side=st.sampled_from(["lower", "upper"]))
-    def test_points_are_mapped_breakpoints_or_half_pi(self, seed, x, side):
+    def test_points_are_mapped_breakpoints(self, seed, x, side):
         # the seeds split_integrals takes from the breakpoints alone
         f = build(random_spec(np.random.default_rng(seed), 6))
         sign = -2.0 if side == "lower" else 2.0
         length = (PI + x) / 2.0 if side == "lower" else (PI - x) / 2.0
         mapped = {(p - x) / sign for p in f.breakpoints}
         points = tc.beta_split_points(f, x, side)
-        assert set(points) <= mapped | {PI / 2.0}
+        assert set(points) <= mapped
         assert all(0.0 < b < length for b in points)
 
     def test_rejects_bad_arguments(self, square):

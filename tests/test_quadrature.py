@@ -387,16 +387,16 @@ class TestSineRatioRefusals:
 
     @pytest.mark.parametrize("sine_ratio, lo, hi, match", [
         ((3, 1.0), 0.0, 1.0, "three numbers"),
-        ("abc", 0.0, 1.0, "three numbers"),
-        ((0, 1.0, 0.0), 0.0, 1.0, "m must be a positive finite"),
-        ((-3, 1.0, 0.0), 0.0, 1.0, "m must be a positive finite"),
-        ((math.inf, 1.0, 0.0), 0.0, 1.0, "m must be a positive finite"),
-        ((math.nan, 1.0, 0.0), 0.0, 1.0, "m must be a positive finite"),
-        ((3, 0.0, 0.0), 0.0, 1.0, "scale must be a nonzero finite"),
-        ((3, math.inf, 0.0), 0.0, 1.0, "scale must be a nonzero finite"),
-        ((3, math.nan, 0.0), 0.0, 1.0, "scale must be a nonzero finite"),
-        ((3, 1.0, math.inf), 0.0, 1.0, "shift must be a finite"),
-        ((3, 1.0, math.nan), 0.0, 1.0, "shift must be a finite"),
+        ("abc", 0.0, 1.0, "m must be a number"),
+        ((0, 1.0, 0.0), 0.0, 1.0, r"m must be finite and lie in \(0, inf\)"),
+        ((-3, 1.0, 0.0), 0.0, 1.0, r"m must be finite and lie in \(0, inf\)"),
+        ((math.inf, 1.0, 0.0), 0.0, 1.0, r"m must be finite and lie in \(0, inf\)"),
+        ((math.nan, 1.0, 0.0), 0.0, 1.0, r"m must be finite and lie in \(0, inf\)"),
+        ((3, 0.0, 0.0), 0.0, 1.0, "scale must be nonzero"),
+        ((3, math.inf, 0.0), 0.0, 1.0, "scale must be finite"),
+        ((3, math.nan, 0.0), 0.0, 1.0, "scale must be finite"),
+        ((3, 1.0, math.inf), 0.0, 1.0, "shift must be finite"),
+        ((3, 1.0, math.nan), 0.0, 1.0, "shift must be finite"),
         ((3, 1e308, 0.0), 0.0, 10.0, "phase overflows"),
         ((2.5, 1.0, 0.0), 0.0, 4.0, r"pole at u = 1 pi"),
         ((4.5, 1.0, 0.0), -4.0, -3.0, r"pole at u = -1 pi"),
