@@ -8,7 +8,9 @@ for orders and term counts, :func:`check_real` and :func:`check_finite` for
 real scalars and arrays, :func:`check_points` for sequences of points,
 whose entries outside a range callers ignore, :func:`check_abscissa` for
 points of ``[-pi, pi]`` and :func:`check_schedule` for refinement
-schedules.  Every array argument is converted once, by :func:`as_floats`.
+schedules.  Every array argument, and every value an integrand returns to
+the quadrature engine, is converted once, by :func:`as_floats`, which
+refuses complex arrays.
 Function specs are checked by :mod:`trigconv.piecewise`, which raises
 :class:`SpecSyntaxError` and its siblings instead.
 """
@@ -103,9 +105,13 @@ def check_real(value, name, lo=-math.inf, hi=math.inf, *, open_lo=False, open_hi
 
 def as_floats(values, name):
     """Return ``values`` as a float64 array; what ``np.asarray`` refuses
-    (``None``, a string that is no number, a ragged nesting) is refused with
-    a :class:`DomainError` whose message starts with ``name``.  The one
-    conversion of every array argument."""
+    (``None``, a string that is no number, a ragged nesting) and a complex
+    numpy array or scalar, which it would cast by dropping the imaginary
+    part, are refused with a :class:`DomainError` whose message starts with
+    ``name``.  The one conversion of every array argument and of every
+    integrand's values."""
+    if isinstance(values, (np.ndarray, np.generic)) and values.dtype.kind == "c":
+        raise DomainError(f"{name} must hold real numbers, got {values.dtype}")
     try:
         return np.asarray(values, dtype=np.float64)
     except (TypeError, ValueError, OverflowError) as exc:

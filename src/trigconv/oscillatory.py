@@ -77,15 +77,14 @@ class ConvergenceReport:
 
 
 def _integrand(f, lo, hi):
-    """``f`` on ``[lo, hi]`` as ``(fn, graded)``: a float-array-in,
-    float-array-out ``fn`` and the infinite slopes that quadrature grades
-    toward.
+    """``f`` on ``[lo, hi]`` as ``(fn, graded)``: the integrand to hand to
+    the quadrature engine and the infinite slopes that it grades toward.
 
     A :class:`PiecewiseFunction` must be continuous and monotone on ``[lo,
-    hi]``, which is checked structurally, and gives its ``singular_points``.
-    A callable must map a float array to a float array of the same shape;
-    a two-point probe call inside ``[lo, hi]`` checks this before any
-    quadrature starts, and it grades toward nothing.
+    hi]``, which is checked structurally, and gives its ``eval`` and its
+    ``singular_points``.  Any other ``f`` goes to the engine as it is and
+    grades toward nothing; the engine checks it against the integrand
+    contract of :mod:`trigconv.quadrature` at its first call.
     """
     if isinstance(f, PiecewiseFunction):
         inside = [p for p in f.extrema_and_jumps() if lo < p < hi]
@@ -94,17 +93,7 @@ def _integrand(f, lo, hi):
                 f"f must be continuous and monotone on [{lo}, {hi}]; it has "
                 f"jumps or direction changes at {inside}")
         return f.eval, f.singular_points
-    if not callable(f):
-        raise DomainError(f"expected a PiecewiseFunction or callable, got {type(f)!r}")
-    probe = lo + (hi - lo) * np.array([0.25, 0.75])
-    try:
-        out = np.asarray(f(probe), dtype=np.float64)
-    except (TypeError, ValueError) as exc:
-        raise DomainError(f"f must accept a float array: {exc}") from exc
-    if out.shape != probe.shape:
-        raise DomainError(f"f must return one value per point: shape {out.shape} "
-                          f"for an input of shape {probe.shape}")
-    return (lambda x: np.asarray(f(x), dtype=np.float64)), ()
+    return f, ()
 
 
 def sine_ratio(i, beta):
@@ -124,8 +113,9 @@ def sine_ratio(i, beta):
 def decompose(f, i, h, tol=1e-8):
     """Split ``integral of f(b) sin(i b)/sin(b) over [0, h]`` into sign blocks.
 
-    ``f`` must be continuous and monotone on ``[0, h]`` (a callable over
-    float arrays, or a :class:`PiecewiseFunction`, which is checked
+    ``f`` must be continuous and monotone on ``[0, h]`` (a callable that
+    follows the integrand contract of :mod:`trigconv.quadrature`, one value
+    per node, or a :class:`PiecewiseFunction`, which is checked
     structurally); ``h`` must lie in ``(0, pi/2]``.  The blocks are the
     panels of the weight's grid (see :class:`SignBlockDecomposition`); an
     ``h`` within the engine's merge distance, ``1e-13 h``, of a zero of
@@ -196,7 +186,11 @@ def limit_verify(f, g, h, i_schedule, tol=1e-8):
     ``g = 0``.  ``g`` must lie in ``[0, pi/2)``, ``h`` in ``(g, pi/2]`` and
     each frequency in ``(0, 10**6]``, increasing; anything else is refused
     with a :class:`~trigconv.errors.DomainError` before ``f`` is evaluated.
-    Returns a :class:`ConvergenceReport` whose ``x`` field holds ``g``.
+    A callable ``f`` follows the integrand contract of
+    :mod:`trigconv.quadrature`, one value per node (rows are refused after
+    the integrations), and ``f(0+)`` is read as ``f`` at ``0`` once they
+    are done.  Returns a :class:`ConvergenceReport` whose ``x`` field holds
+    ``g``.
     """
     g = check_real(g, "g", 0, H_MAX, open_hi=True)
     h = check_real(h, "h", g, H_MAX, open_lo=True)
@@ -204,9 +198,11 @@ def limit_verify(f, g, h, i_schedule, tol=1e-8):
         (check_real(i, "frequency", 0, MAX_ORDER, open_lo=True) for i in i_schedule),
         "frequency schedule")
     fn, graded = _integrand(f, g, h)
-    predicted = 0.5 * math.pi * float(fn(np.zeros(1))[0]) if g == 0.0 else 0.0
     values = np.array([integrate(fn, g, h, tol, graded=graded, sine_ratio=(i, 1.0, 0.0))
                        for i in schedule])
+    if values.ndim != 1:
+        raise DomainError(f"f must return one value per point, not rows of {values.shape[1]}")
+    predicted = 0.5 * math.pi * float(fn(np.zeros(1))[0]) if g == 0.0 else 0.0
     errors = np.abs(values - predicted)
     return ConvergenceReport(x=g, schedule=schedule, values=values,
                              predicted=predicted, errors=errors)

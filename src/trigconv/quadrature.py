@@ -37,10 +37,23 @@ and the integrals of ``f(x) cos(kx)`` and ``f(x) sin(kx)``, ``k = 0 ..
 n_max``, for :func:`integrate_harmonics`.  Each round measures the whole
 mesh once, then accepts it, refuses it or bisects the panels that fail
 their share of the tolerance, and ``f`` is evaluated on the children
-only, at most ``_CHUNK`` panels per call (so integrands must accept 1-D
-numpy arrays); every evaluated mesh is measured, the last split's too.  A
-mesh may hold at most ``_MAX_PANELS`` panels, and a call at most
-``_MAX_ROUNDS`` splits.
+only, at most ``_CHUNK`` panels per call; every evaluated mesh is
+measured, the last split's too.  A mesh may hold at most ``_MAX_PANELS``
+panels, and a call at most ``_MAX_ROUNDS`` splits.
+
+The integrand contract.  ``f`` takes a 1-D float64 array of N nodes and
+returns N real values, or N rows of real values, one row per node (the
+values of several integrands at once; :func:`integrate_harmonics` takes
+values only).  :func:`_node_values` alone converts and checks what ``f``
+returns, with :func:`~trigconv.errors.as_floats`, at every call.  An
+``f`` that returns a scalar, the wrong number of values, rows of more than
+one axis, complex values or anything that is no number, or that raises
+``TypeError`` or ``ValueError`` (``math.exp`` on an array, an ``f`` that
+is not callable), is refused with :class:`DomainError` at its first call,
+before any moment is formed.  A :class:`TrigconvError` that ``f`` raises,
+and any other exception, passes unchanged.  A non-finite value raises
+:class:`QuadratureError`, naming the first node that gave one and its
+value.
 
 :func:`integrate` and :func:`integrate_intervals` take an oscillating weight
 too: with ``sine_ratio=(m, scale, shift)`` they integrate ``f(x) sin(m u) /
@@ -103,8 +116,8 @@ import math
 
 import numpy as np
 
-from .errors import (MAX_ORDER, DomainError, QuadratureError, as_floats, check_integer,
-                     check_points, check_real)
+from .errors import (MAX_ORDER, DomainError, QuadratureError, TrigconvError, as_floats,
+                     check_integer, check_points, check_real)
 
 # QUADPACK qk15 (Piessens et al., 1983): the non-negative Kronrod nodes in
 # decreasing order, their K15 weights, and the G7 weights of the nodes
@@ -305,10 +318,17 @@ def _node_values(f, mid, half, weight=None):
     """``f`` at the 15 Kronrod nodes of every panel, ``_CHUNK`` panels per
     call, times ``weight(mid, half, x)`` when one is given.
 
-    ``f`` maps a 1-D node array of length N to shape ``(N,)`` or
-    ``(N, ncomp)``; the result has shape ``(P, 15)`` or ``(P, 15, ncomp)``,
-    and ``weight``, shape ``(P, 15)``, multiplies every component.  Each
-    chunk is written into that one array as it is evaluated.
+    The one owner of the integrand contract (see the module notes): each
+    call ``f(x)`` on a 1-D node array of length N must return shape ``(N,)``
+    or ``(N, ncomp)`` of real numbers, converted by
+    :func:`~trigconv.errors.as_floats`.  Anything else, and a ``TypeError``
+    or ``ValueError`` that ``f`` raises, is refused with
+    :class:`DomainError` at that call; a :class:`TrigconvError` from ``f``
+    passes unchanged, and so does any other exception.  A non-finite value
+    raises :class:`QuadratureError` naming the first node that gave one.
+    The result has shape ``(P, 15)`` or ``(P, 15, ncomp)``, and ``weight``,
+    shape ``(P, 15)``, multiplies every component.  Each chunk is written
+    into that one array as it is evaluated.
     """
     out = None
     for start in range(0, mid.shape[0], _CHUNK):
@@ -316,9 +336,17 @@ def _node_values(f, mid, half, weight=None):
         h = half[start:start + _CHUNK]
         x = m[:, None] + h[:, None] * _NODES
         w = None if weight is None else weight(m, h, x)
-        y = np.asarray(f(x.ravel()), dtype=np.float64)
+        try:
+            y = as_floats(f(x.ravel()), "integrand values")
+        except TrigconvError:
+            raise
+        except (TypeError, ValueError) as exc:
+            raise DomainError(f"integrand must map a float array to real values: {exc!r}") from exc
+        if not (y.ndim in (1, 2) and y.shape[0] == x.size and y.size):
+            raise DomainError(f"integrand must return one value or row per node, not {y.shape}")
         if not np.isfinite(y).all():
-            raise QuadratureError("integrand returned non-finite values")
+            i = np.argwhere(~np.isfinite(y))[0, 0]
+            raise QuadratureError(f"integrand returned non-finite values: {y[i]} at x={x.flat[i]}")
         y = y.reshape(*x.shape, *y.shape[1:])
         if out is None:
             out = np.empty((mid.shape[0], *y.shape[1:]))
@@ -462,8 +490,9 @@ def integrate_intervals(f, edges, tol=1e-10, *, graded=(), sine_ratio=None):
     :func:`~trigconv.oscillatory.decompose`, which are the grid's own edges
     from :func:`_grid_panels`, leave its panels uncut.
 
-    Every panel costs 15 integrand evaluations, made ``_CHUNK`` panels per
-    call.  A call that needs more than ``_MAX_PANELS`` (32768) panels, at
+    ``f`` follows the integrand contract of the module notes.  Every panel
+    costs 15 integrand evaluations, made ``_CHUNK`` panels per call.  A
+    call that needs more than ``_MAX_PANELS`` (32768) panels, at
     the start or during refinement, raises :class:`QuadratureError`; at the
     start, that happens before ``f`` is evaluated.
     """
@@ -495,7 +524,9 @@ def integrate(f, lo, hi, tol=1e-10, *, breakpoints=(), graded=(), sine_ratio=Non
     panels tile ``[lo, hi]`` exactly.  The result's estimated error, the
     ``|K15 - G7|`` gaps summed over every panel, is below one budget
     ``max(tol * |integral|, tol)`` over the whole of ``[lo, hi]``.  Panel
-    caps are those of :func:`integrate_intervals`.
+    caps are those of :func:`integrate_intervals`.  ``f`` follows the
+    integrand contract of the module notes; one that returns rows gives an
+    array of integrals, one per component.
 
     ``sine_ratio=(m, scale, shift)`` integrates ``f(x) sin(m u) / sin(u)``
     with ``u = scale x + shift`` instead, the removable singularity at
@@ -604,7 +635,7 @@ def _grid_panels(edges, half, graded=()):
     cuts = edges[1:-1][(off_below & off_above)[1:-1]]
     n_panels = n_grid + cuts.shape[0]
     if not n_panels <= _MAX_PANELS:
-        raise QuadratureError(f"initial subdivision needs {n_panels:.0f} panels, above the cap "
+        raise QuadratureError(f"initial subdivision needs {n_panels:.15g} panels, above the cap "
                               f"{_MAX_PANELS}, over [{lo}, {edges[-1]}]")
     points = np.concatenate([lo + width * np.arange(n_grid), cuts, edges[-1:]])
     on_grid = np.concatenate([np.ones(int(n_grid), dtype=bool),
@@ -715,6 +746,8 @@ def _harmonic_rule(n_max, lo, size):
     shift = np.exp(1j * (k * (lo + h)))
 
     def moments(mid, half, y):
+        if y.ndim != 2:
+            raise DomainError("integrate_harmonics needs one value per node, not rows")
         err, worst = _gap_bounds(powers, h, half, y)
         p = np.floor((mid - lo) / (2.0 * h))
         # row j of a block of moments is folded into the columns j size ..
@@ -762,7 +795,9 @@ def integrate_harmonics(f, lo, hi, n_max, tol=1e-10, *, breakpoints=(), graded=(
     :func:`integrate`; every piece stays inside its grid panel, so ``kh <=
     pi/2`` still holds), and the last is clipped at ``hi``.  ``f`` is
     evaluated once per Kronrod node, ``_CHUNK`` panels per call, and its
-    values are kept per panel.  Every panel, uncut, cut or refined, gets
+    values are kept per panel; it follows the integrand contract of the
+    module notes, and one that returns rows is refused with
+    :class:`DomainError` at its first call.  Every panel, uncut, cut or refined, gets
     every harmonic from one transform: its moments about the centre of its
     grid cell, ``r < 28`` of them, folded by cell modulo ``M`` (so spans
     longer than ``2 pi`` fold too) and put through one real FFT per moment,

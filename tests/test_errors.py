@@ -187,3 +187,82 @@ def test_check_points_converts_as_asarray_does():
     assert points.dtype == np.float64
     assert points.tolist() == [1.0, 0.5, 2.5, math.inf]
     assert check_points((), "p").shape == (0,)
+
+
+# every entry point that takes an integrand, as a call on it
+_INTEGRAND_SLOTS = {
+    "integrate": lambda f: tc.integrate(f, 0.0, 1.0),
+    "integrate_intervals": lambda f: tc.integrate_intervals(f, [0.0, 0.5, 1.0]),
+    "integrate_harmonics": lambda f: quadrature.integrate_harmonics(f, 0.0, 1.0, 3),
+    "decompose": lambda f: tc.decompose(f, 10, math.pi / 2),
+    "limit_verify": lambda f: tc.limit_verify(f, 0.0, math.pi / 2, (10, 100)),
+}
+
+# integrands that break the contract of the quadrature engine
+_MALFORMED = {
+    "scalar": lambda x: 1.0,
+    "too-few-values": lambda x: np.cos(x[1:]),
+    "3-d-rows": lambda x: np.ones((x.shape[0], 2, 2)),
+    "complex": lambda x: x + 1j,
+    "string": lambda x: "abc",
+    "math.exp": math.exp,
+}
+
+
+def _counted(f):
+    def counting(x):
+        counting.calls += 1
+        return f(x)
+    counting.calls = 0
+    return counting
+
+
+@pytest.mark.parametrize("integrand", [*_MALFORMED, "non-callable"])
+@pytest.mark.parametrize("slot", _INTEGRAND_SLOTS)
+def test_malformed_integrands_are_refused_at_the_first_call(slot, integrand):
+    f = _counted(_MALFORMED[integrand]) if integrand in _MALFORMED else 42
+    with pytest.raises(tc.DomainError, match=r"^integrand"):
+        _INTEGRAND_SLOTS[slot](f)
+    assert not callable(f) or f.calls == 1
+
+
+@pytest.mark.parametrize("slot", _INTEGRAND_SLOTS)
+def test_integrand_exceptions_propagate_unchanged(slot):
+    def raising(error):
+        def f(x):
+            raise error
+        return f
+    for error in (RuntimeError("bug inside f"), tc.DomainError("x must lie in [-pi, pi]")):
+        f = _counted(raising(error))
+        with pytest.raises(type(error)) as info:
+            _INTEGRAND_SLOTS[slot](f)
+        assert info.value is error and f.calls == 1
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda bad: _square().eval(bad), "x"),
+    (lambda bad: tc.sine_ratio(3.0, bad), "beta"),
+    (lambda bad: tc.dirichlet_kernel(3, bad), "t"),
+])
+def test_complex_arrays_are_refused(call, name):
+    # np.asarray(..., float) would cast them, dropping the imaginary part
+    for bad in (np.array([0.5 + 1j]), np.array([0.5 + 0j]), np.complex128(0.5 + 1j)):
+        with pytest.raises(tc.DomainError, match=rf"^{name} must hold real numbers, got complex"):
+            call(bad)
+
+
+def test_integrate_harmonics_refuses_rows_before_any_moment(monkeypatch):
+    def no_moments(*args):
+        raise AssertionError("moments formed from rows")
+    monkeypatch.setattr(quadrature, "_gap_bounds", no_moments)
+    rows = _counted(lambda x: np.stack([np.cos(x), x], 1))
+    with pytest.raises(tc.DomainError, match="^integrate_harmonics needs one value per node"):
+        quadrature.integrate_harmonics(rows, 0.0, 1.0, 2)
+    assert rows.calls == 1
+
+
+def test_limit_verify_refuses_rows():
+    rows = lambda b: np.stack([np.exp(b), b], 1)
+    for g in (0.0, 0.5):
+        with pytest.raises(tc.DomainError, match="^f must return one value per point"):
+            tc.limit_verify(rows, g, math.pi / 2, (10, 100))

@@ -417,22 +417,31 @@ class TestLargestOrderAndFrequency:
 
 
 class TestCallableContract:
+    """A callable ``f`` is checked by the quadrature engine against its
+    integrand contract at the first call, so a malformed one is refused
+    there, before any moment is formed."""
+
     @pytest.fixture
-    def no_quadrature(self, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("quadrature started before f was validated")
-        monkeypatch.setattr(tc.oscillatory, "integrate", refuse)
-        monkeypatch.setattr(tc.oscillatory, "integrate_intervals", refuse)
+    def counted(self):
+        def wrap(f):
+            def counting(b):
+                wrap.calls += 1
+                return f(b)
+            return counting
+        wrap.calls = 0
+        return wrap
 
     @pytest.mark.parametrize("f", [lambda b: 1.0, math.exp],
                              ids=["scalar-constant", "math.exp"])
-    def test_scalar_only_callables_refused(self, f, no_quadrature):
+    def test_scalar_only_callables_refused(self, f, counted):
         with pytest.raises(tc.DomainError):
-            tc.decompose(f, 10, HALF_PI)
+            tc.decompose(counted(f), 10, HALF_PI)
+        assert counted.calls == 1
         with pytest.raises(tc.DomainError):
-            tc.limit_verify(f, 0.0, HALF_PI, (10, 100))
+            tc.limit_verify(counted(f), 0.0, HALF_PI, (10, 100))
+        assert counted.calls == 2
 
-    def test_integrand_errors_are_not_swallowed(self, no_quadrature):
+    def test_integrand_errors_are_not_swallowed(self, counted):
         # an error other than TypeError/ValueError is a bug in f, not a
         # sign that f wants scalars; it must surface as raised
         def fails_on_arrays(b):
@@ -440,4 +449,5 @@ class TestCallableContract:
                 raise RuntimeError("bug inside f")
             return 1.0
         with pytest.raises(RuntimeError):
-            tc.decompose(fails_on_arrays, 10, HALF_PI)
+            tc.decompose(counted(fails_on_arrays), 10, HALF_PI)
+        assert counted.calls == 1

@@ -574,7 +574,7 @@ class TestRefusalMessages:
     missed."""
 
     def test_initial_subdivision_names_the_range(self, monkeypatch):
-        with pytest.raises(tc.QuadratureError, match=r"needs \d+ panels, above the cap 32768, "
+        with pytest.raises(tc.QuadratureError, match=r"needs 1e\+25 panels, above the cap 32768, "
                                                      r"over \[0\.0, 1\.0\]"):
             # 1e25 panels, the half-periods of sin(m u) at m = pi 1e25: the
             # count is compared with the cap before any cast or evaluation
@@ -584,6 +584,28 @@ class TestRefusalMessages:
         with pytest.raises(tc.QuadratureError, match=r"initial subdivision needs 3 panels, "
                                                      r"above the cap 2, over \[0\.0, 3\.0\]"):
             tc.integrate_intervals(np.sin, [0.0, 1.0, 2.0, 3.0])
+
+    def test_initial_subdivision_count_stays_short(self):
+        # 9.5e299 grid panels: the count is printed in 15 significant
+        # digits, not as a 300-digit integer
+        with pytest.raises(tc.QuadratureError) as refusal:
+            tc.integrate(np.cos, 0.0, 1.0, sine_ratio=(3, 1e300, 0))
+        assert "needs 9.54929658551372e+299 panels" in str(refusal.value)
+        assert len(str(refusal.value)) < 200
+
+    @pytest.mark.parametrize("rows", [False, True])
+    def test_non_finite_values_name_the_first_node(self, rows):
+        # one panel over [0, 1]: its first node lies below 0.5, and so does
+        # every node of [0, 1] the integrand returns inf at
+        def bad(x):
+            y = np.where(x < 0.5, np.inf, 1.0)
+            return np.stack([np.ones(x.shape), y], 1) if rows else y
+        with pytest.raises(tc.QuadratureError, match="non-finite") as refusal:
+            tc.integrate(bad, 0.0, 1.0)
+        value = "[ 1. inf]" if rows else "inf"
+        first = float(0.5 + 0.5 * quadrature._NODES[0])
+        assert str(refusal.value) == (f"integrand returned non-finite values: {value} at "
+                                      f"x={first!r}")
 
     @pytest.mark.parametrize("limit, phrase", [("_MAX_PANELS", "panel budget 32 exhausted"),
                                                ("_MAX_ROUNDS", "refinement limit reached")])
